@@ -81,11 +81,13 @@ from .gnn import (
 )
 from .roofline import (
     GpuSpec,
+    LayerCosts,
     MissingThroughput,
     RidgePoints,
     ZeroTraffic,
     arithmetic_intensity,
     builtin_gpu_catalog,
+    cost_layer,
     load_gpu_catalog,
     ridge_points,
     roofline_performance,

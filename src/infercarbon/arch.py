@@ -244,7 +244,9 @@ class KernelGraph:
         return order
 
 
-def _node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, int, int, int]:
+def node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, int, int, int]:
+    """A kernel's dims slots; a linear kernel's first two are its weight
+    matrix's (input, output) dimensions."""
     h = arch.hidden_size
     inter = arch.intermediate_size
     d_h = arch.hidden_size // arch.head_count
@@ -285,7 +287,7 @@ def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
     edges: list[tuple[int, int]] = []
 
     def add(kind: KernelKind) -> int:
-        node = KernelNode(kind=kind, dims=_node_dims(kind, arch), id=len(nodes))
+        node = KernelNode(kind=kind, dims=node_dims(kind, arch), id=len(nodes))
         nodes.append(node)
         return node.id
 

@@ -11,12 +11,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arch import InferenceConfig, LlmArchitecture, RangeError
+from .arch import (
+    InferenceConfig,
+    LlmArchitecture,
+    RangeError,
+    validate_architecture,
+    validate_inference,
+)
 from .costmodel import Phase
-from .features import FeatureStats
+from .features import FeatureStats, featurize_raw, raw_features
 from .gnn import GnnParams, predict_energy
-from .roofline import GpuSpec
-from .sampler import SamplePoint, featurize_point, roofline_phase_times
+from .roofline import GpuSpec, cost_layer
+from .sampler import SamplePoint
 
 JOULES_PER_KWH = 3.6e6
 
@@ -125,7 +131,8 @@ class ModelEnergyPredictor:
 
     The network predicts total energy; the per-phase split is apportioned by
     the phases' Roofline time shares (the regressor itself is phase-blind at
-    the output).  Negative raw predictions clamp to zero joules.
+    the output).  Negative raw predictions clamp to zero joules.  The features
+    and the time shares read one costing of the layer.
     """
 
     identity = "gnn-regressor"
@@ -135,8 +142,9 @@ class ModelEnergyPredictor:
         self.stats = stats
 
     def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
-        total = max(0.0, predict_energy(featurize_point(point, self.stats), self.params))
-        times = roofline_phase_times(point)
+        costs = cost_layer(point.arch, point.cfg, point.gpu)
+        total = max(0.0, predict_energy(featurize_raw(raw_features(costs), self.stats), self.params))
+        times = costs.phase_seconds()
         t_pre, t_dec = times[Phase.PREFILL], times[Phase.DECODE]
         span = t_pre + t_dec
         share = t_pre / span if span > 0 else 1.0
@@ -157,15 +165,15 @@ def estimate_request(
     ep: EmbodiedParams,
 ) -> CarbonReport:
     """Full pipeline for one request: energy prediction, Eq-style operational
-    carbon, embodied amortization over the Roofline execution time."""
-    point = SamplePoint(arch=arch, cfg=cfg, gpu=gpu)
-    breakdown = predictor.measure_breakdown(point)
+    carbon, embodied amortization over the Roofline execution time, which the
+    predictor's breakdown reports as ``roofline_seconds``."""
+    validate_architecture(arch)
+    validate_inference(cfg)
+    breakdown = predictor.measure_breakdown(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
     total_j = breakdown["total_joules"]
     prefill_j = breakdown["prefill_joules"]
     decode_j = breakdown["decode_joules"]
-
-    times = roofline_phase_times(point)
-    exec_seconds = (times[Phase.PREFILL] + times[Phase.DECODE]) * arch.layer_count
+    exec_seconds = breakdown["roofline_seconds"]
 
     energy_kwh = total_j / JOULES_PER_KWH
     oper = operational_carbon(energy_kwh, dc)

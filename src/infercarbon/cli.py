@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate the energy and carbon footprint of LLM inference requests "
         "before running them.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (evaluation is single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_catalogs(p):

@@ -1,11 +1,13 @@
 """Per-kernel operation counts, memory traffic and network traffic.
 
 Every cost is evaluated for the prefill phase (all prompt tokens at once) and
-the decode phase (token-by-token generation against the KV cache).  Counts
-and byte totals are computed as exact rationals — products of integer factors
-divided by the GPU count (and the /2 factors in the attention terms) — and
-floored exactly once when the final quantity is assembled.  This keeps the
-equality tests against the brute-force counting oracle free of float drift.
+the decode phase (token-by-token generation against the KV cache).  Each
+quantity is a sum of integer products divided by the GPU count (and by the
+/2 factors of the attention terms).  The terms are put over their common
+denominator (``g`` or ``2g``), their numerators summed in plain integers,
+and the sum floor-divided exactly once; that equals the floor of the exact
+rational sum, so the equality tests against the brute-force counting oracle
+stay free of float drift.
 
 Two deliberate quirks of the cost equations are preserved in the default
 ("faithful") mode rather than silently repaired:
@@ -20,9 +22,7 @@ Two deliberate quirks of the cost equations are preserved in the default
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arch import (
     ATTN_MATMUL_KINDS,
@@ -35,6 +35,7 @@ from .arch import (
     KernelNode,
     LlmArchitecture,
     RangeError,
+    node_dims,
 )
 
 
@@ -84,10 +85,6 @@ class LayerTotals:
     decode: CostTriple
 
 
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
 def _token_factor(cfg: InferenceConfig, phase: Phase) -> int:
     # decode iterates over the generated tokens after the first; prefill over
     # the whole prompt
@@ -96,19 +93,14 @@ def _token_factor(cfg: InferenceConfig, phase: Phase) -> int:
     return cfg.prompt_length
 
 
-def linear_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int]:
-    """(input, output) dimensions of a linear kernel's weight matrix."""
-    h = arch.hidden_size
-    d_h = arch.hidden_size // arch.head_count
-    if kind in (KernelKind.Q_PROJ, KernelKind.OUT_PROJ):
-        return (h, h)
-    if kind in (KernelKind.K_PROJ, KernelKind.V_PROJ):
-        return (h, d_h * arch.kv_head_count)
-    if kind in (KernelKind.GATE_PROJ, KernelKind.UP_PROJ):
-        return (h, arch.intermediate_size)
-    if kind is KernelKind.DOWN_PROJ:
-        return (arch.intermediate_size, h)
-    raise UnsupportedKind(f"{kind.name} is not a linear kernel")
+def _attention_span(cfg: InferenceConfig, phase: Phase) -> tuple[int, int]:
+    """(span, denominator) of the attention terms.  Decode attends over
+    (2 * prompt + gen) * gen / 2 cached positions summed over its steps, so
+    its terms sit over 2g; prefill spans the prompt, over g."""
+    if phase is Phase.DECODE:
+        gen = cfg.generated_tokens
+        return (2 * cfg.prompt_length + gen) * gen, 2 * cfg.gpu_count
+    return cfg.prompt_length, cfg.gpu_count
 
 
 def linear_cost(
@@ -123,7 +115,7 @@ def linear_cost(
     """
     if kind not in LINEAR_KINDS:
         raise UnsupportedKind(f"{kind.name} is not a linear kernel")
-    d_in, d_out = linear_dims(kind, arch)
+    d_in, d_out = node_dims(kind, arch)[:2]
     b = cfg.batch_size
     g = cfg.gpu_count
     d_w = arch.weight_dtype.width
@@ -131,18 +123,12 @@ def linear_cost(
     d_kv = arch.kv_dtype.width
     t = _token_factor(cfg, phase)
 
-    ops = Fraction(2 * b * d_in * d_out * t, g)
-    if phase is Phase.DECODE:
-        m_weight = Fraction(d_in * d_out * d_w * t, g)
-    else:
-        m_weight = Fraction(d_in * d_out * d_w, g)
-    m_act_load = Fraction(d_in * b * d_a * t, g)
-    if kind in (KernelKind.K_PROJ, KernelKind.V_PROJ):
-        m_store = Fraction(d_out * b * d_a * t, g)
-    else:
-        m_store = Fraction(d_out * b * d_kv * t, g)
-    mem = m_weight + m_act_load + m_store
-    return CostTriple(_floor(ops), _floor(mem), 0)
+    ops = 2 * b * d_in * d_out * t
+    m_weight = d_in * d_out * d_w * (t if phase is Phase.DECODE else 1)
+    m_act_load = d_in * b * d_a * t
+    d_store = d_a if kind in (KernelKind.K_PROJ, KernelKind.V_PROJ) else d_kv
+    m_store = d_out * b * d_store * t
+    return CostTriple(ops // g, (m_weight + m_act_load + m_store) // g, 0)
 
 
 def attention_matmul_cost(
@@ -152,45 +138,26 @@ def attention_matmul_cost(
     if kind not in ATTN_MATMUL_KINDS:
         raise UnsupportedKind(f"{kind.name} is not an attention matmul kernel")
     b = cfg.batch_size
-    g = cfg.gpu_count
     n_h = arch.head_count
     n_kv = arch.kv_head_count
     d_h = arch.hidden_size // arch.head_count
     d_a = arch.activation_dtype.width
     d_kv = arch.kv_dtype.width
-    seq = cfg.prompt_length
-    gen = cfg.generated_tokens
+    span, den = _attention_span(cfg, phase)
 
-    if phase is Phase.DECODE:
-        window = (2 * seq + gen) * gen
-        ops = Fraction(b * d_h * n_h * window, g)
-        m_act = Fraction(b * n_h * d_a * window, 2 * g)
-        m_kv = Fraction(b * d_h * n_kv * d_kv * window, 2 * g)
-    else:
-        ops = Fraction(2 * b * d_h * n_h * seq, g)
-        m_act = Fraction(b * n_h * d_a * seq, g)
-        m_kv = Fraction(b * d_h * n_kv * d_kv * seq, g)
-    mem = 2 * m_act + m_kv  # activation load + store, plus the KV-cache load
-    return CostTriple(_floor(ops), _floor(mem), 0)
+    ops = 2 * b * d_h * n_h * span
+    mem = 2 * b * n_h * d_a * span + b * d_h * n_kv * d_kv * span  # act load + store, KV load
+    return CostTriple(ops // den, mem // den, 0)
 
 
 def softmax_cost(arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase) -> CostTriple:
     """Softmax over attention scores (unfused variant only)."""
     b = cfg.batch_size
-    g = cfg.gpu_count
     n_h = arch.head_count
     d_a = arch.activation_dtype.width
-    seq = cfg.prompt_length
-    gen = cfg.generated_tokens
-
-    if phase is Phase.DECODE:
-        window = (2 * seq + gen) * gen
-        ops = Fraction(5 * b * n_h * window, 2 * g)
-        m_act = Fraction(b * n_h * d_a * window, 2 * g)
-    else:
-        ops = Fraction(5 * b * n_h * seq, g)
-        m_act = Fraction(b * n_h * d_a * seq, g)
-    return CostTriple(_floor(ops), _floor(2 * m_act), 0)
+    span, den = _attention_span(cfg, phase)
+    # memory: activation load + store
+    return CostTriple(5 * b * n_h * span // den, 2 * b * n_h * d_a * span // den, 0)
 
 
 def fused_attention_cost(
@@ -211,35 +178,24 @@ def fused_attention_cost(
     if gpu_s_block < 1:
         raise RangeError(f"gpu_s_block must be >= 1, got {gpu_s_block}")
     b = cfg.batch_size
-    g = cfg.gpu_count
     n_h = arch.head_count
     n_kv = arch.kv_head_count
     d_h = arch.hidden_size // arch.head_count
     d_a = arch.activation_dtype.width
     d_kv = arch.kv_dtype.width
-    seq = cfg.prompt_length
-    gen = cfg.generated_tokens
+    span, den = _attention_span(cfg, phase)
 
-    if phase is Phase.DECODE:
-        window = (2 * seq + gen) * gen
-        o_matmul = Fraction(b * d_h * n_h * window, g)
-        o_softmax = Fraction(5 * b * n_h * window, 2 * g)
-        ops = 2 * o_matmul + o_softmax
-        m_act_load = Fraction(d_h * b * n_h * d_a * (gen - 1), g)
-        m_act_store = Fraction(2 * d_h * b * n_h * d_a * (gen - 1), g)
-        m_kv_load = Fraction(2 * b * gpu_s_block * d_h * n_kv * d_kv * window, 2 * g)
-    else:
-        o_matmul = Fraction(2 * b * d_h * n_h * seq, g)
-        o_softmax = Fraction(5 * b * n_h * seq, g)
-        ops = (2 * o_matmul + o_softmax) * seq
-        m_act_load = Fraction(d_h * b * n_h * d_a * seq, g)
-        m_act_store = Fraction(2 * d_h * b * n_h * d_a * seq, g)
-        m_kv_load = Fraction(2 * b * gpu_s_block * d_h * n_kv * d_kv * seq, g)
-    if corrected:
-        mem = m_act_load + m_act_store + m_kv_load
-    else:
-        mem = m_act_load + 2 * m_kv_load
-    return CostTriple(_floor(ops), _floor(mem), 0)
+    ops = (4 * b * d_h * n_h + 5 * b * n_h) * span  # twice the matmuls, plus the softmax
+    if phase is Phase.PREFILL:
+        ops *= cfg.prompt_length
+    # the activation stream is per token over g; scaled onto the common denominator
+    m_act = d_h * b * n_h * d_a * _token_factor(cfg, phase) * (den // cfg.gpu_count)
+    m_kv_load = 2 * b * gpu_s_block * d_h * n_kv * d_kv * span
+    if corrected:  # activation load + store (2x), one KV-cache load
+        mem = 3 * m_act + m_kv_load
+    else:  # activation load, the KV-cache load twice
+        mem = m_act + 2 * m_kv_load
+    return CostTriple(ops // den, mem // den, 0)
 
 
 def elementwise_cost(
@@ -254,7 +210,7 @@ def elementwise_cost(
     d_a = arch.activation_dtype.width
     t = _token_factor(cfg, phase)
 
-    base = Fraction(b * h * t, g)
+    base = b * h * t
     stream = base * d_a
     if kind in (KernelKind.NORM_ATTN, KernelKind.NORM_MLP):
         ops = 7 * base
@@ -266,7 +222,7 @@ def elementwise_cost(
         # sums the load and store streams as written
         ops = 2 * base
         mem = 6 * stream if phase is Phase.DECODE else 3 * stream
-    return CostTriple(_floor(ops), _floor(mem), 0)
+    return CostTriple(ops // g, mem // g, 0)
 
 
 def allreduce_cost(
@@ -283,10 +239,8 @@ def allreduce_cost(
         raise PartitionError(f"partition dim {n} is not divisible by gpu count {l}")
     t = _token_factor(cfg, phase)
     width = d_a.width
-    ops = Fraction(n * m * t, l)
-    mem = 2 * ops * width
-    net = Fraction(n, l) * m * (l - 1) * width * t
-    return CostTriple(_floor(ops), _floor(mem), _floor(net))
+    cells = n * m * t
+    return CostTriple(cells // l, 2 * cells * width // l, cells * (l - 1) * width // l)
 
 
 def kernel_cost(

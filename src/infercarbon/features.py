@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import KIND_ORDER, InferenceConfig, KernelGraph, KernelKind, KernelNode, LlmArchitecture
-from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost, layer_totals, model_totals
-from .roofline import GpuSpec, node_performance
+from .costmodel import CostTriple, LayerTotals, Phase, model_totals
+from .roofline import GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
 _KIND_INDEX = {kind: i for i, kind in enumerate(KIND_ORDER)}
@@ -201,34 +201,30 @@ def _aggregation_matrix(n: int, edges) -> np.ndarray:
 
 
 def raw_featurize(
-    graph: KernelGraph,
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu: GpuSpec,
-    corrected: bool = False,
+    graph: KernelGraph, arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec
 ) -> RawGraphFeatures:
     """Cost every node for both phases and collect the raw feature numbers.
 
     Roofline performance uses the activation data type's peak throughput.
     """
-    dtype = arch.activation_dtype
-    rows = []
-    for node in graph.nodes:
-        is_ar = node.kind is KernelKind.ALL_REDUCE
-        cost_pre = kernel_cost(node, arch, cfg, gpu.s_block, Phase.PREFILL, corrected=corrected)
-        cost_dec = kernel_cost(node, arch, cfg, gpu.s_block, Phase.DECODE, corrected=corrected)
-        p_pre = node_performance(cost_pre, gpu, dtype, is_ar)
-        p_dec = node_performance(cost_dec, gpu, dtype, is_ar)
-        rows.append(_node_numeric_row(node, cost_pre, cost_dec, p_pre, p_dec))
-    totals = model_totals(
-        layer_totals(graph, arch, cfg, gpu.s_block, corrected=corrected), arch.layer_count
-    )
+    return raw_features(cost_layer(arch, cfg, gpu, graph))
+
+
+def raw_features(costs: LayerCosts) -> RawGraphFeatures:
+    """The raw feature numbers of an already-costed layer."""
+    graph = costs.graph
+    rows = [
+        _node_numeric_row(node, pre.cost, dec.cost, pre.performance, dec.performance)
+        for node, pre, dec in zip(graph.nodes, costs.phases[Phase.PREFILL],
+                                  costs.phases[Phase.DECODE])
+    ]
+    totals = model_totals(costs.totals(), costs.arch.layer_count)
     return RawGraphFeatures(
         kinds=tuple(node.kind for node in graph.nodes),
         dims=tuple(node.dims for node in graph.nodes),
         node_numeric=np.vstack(rows),
         edges=graph.edges,
-        global_numeric=_global_numeric_row(arch, cfg, totals),
+        global_numeric=_global_numeric_row(costs.arch, costs.cfg, totals),
     )
 
 
@@ -255,10 +251,9 @@ def featurize(
     cfg: InferenceConfig,
     gpu: GpuSpec,
     stats: FeatureStats,
-    corrected: bool = False,
 ) -> FeaturizedGraph:
     """Full pipeline: cost model + Roofline + encoding, deterministic."""
-    return featurize_raw(raw_featurize(graph, arch, cfg, gpu, corrected=corrected), stats)
+    return featurize_raw(raw_featurize(graph, arch, cfg, gpu), stats)
 
 
 def fit_stats(raws: list[RawGraphFeatures]) -> FeatureStats:

@@ -1,18 +1,33 @@
-"""GPU hardware specifications and Roofline kernel performance.
+"""GPU hardware specifications, Roofline kernel performance, and the costed layer.
 
 A kernel's attainable throughput is the bandwidth-limited ceiling below the
 ridge point and the compute ceiling above it.  Ordinary kernels roof against
 memory bandwidth (intensity = ops per memory byte); all-reduce kernels roof
 against the interconnect (intensity = ops per network byte).
+
+``cost_layer`` prices every kernel of one layer once per phase and keeps the
+cost triples with their Roofline performance in one table, which the
+features, the energy oracle and the carbon report all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from .arch import DataType, RangeError
-from .costmodel import CostTriple
+from .arch import (
+    DataType,
+    InferenceConfig,
+    KernelGraph,
+    KernelKind,
+    LlmArchitecture,
+    RangeError,
+    enumerate_layer_kernels,
+    validate_architecture,
+    validate_inference,
+)
+from .costmodel import ZERO_COST, CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
 
 
@@ -137,6 +152,73 @@ def node_performance(
     if cost.is_zero():
         return 0.0
     return roofline_performance(cost, gpu, dtype, kind_is_allreduce)
+
+
+class PricedKernel(NamedTuple):
+    """One kernel's cost triple in one phase and its Roofline performance."""
+
+    cost: CostTriple
+    performance: float
+
+
+@dataclass(frozen=True)
+class LayerCosts:
+    """Every kernel of one layer priced once: ``phases[phase][i]`` belongs to
+    ``graph.nodes[i]``."""
+
+    arch: LlmArchitecture
+    cfg: InferenceConfig
+    graph: KernelGraph
+    phases: dict[Phase, tuple[PricedKernel, ...]]
+
+    def totals(self) -> LayerTotals:
+        """Component-wise per-phase cost sums over the layer's kernels."""
+        prefill, decode = (sum((k.cost for k in self.phases[p]), ZERO_COST) for p in Phase)
+        return LayerTotals(prefill=prefill, decode=decode)
+
+    def phase_seconds(self) -> dict[Phase, float]:
+        """Per-phase Roofline execution time of the layer, in seconds.
+
+        Sums ops/performance over the kernels in graph order.  Zero-op kernels
+        contribute nothing; a request generating a single token has no decode
+        iterations, so its decode time is zero.
+        """
+        times = {}
+        for phase, column in self.phases.items():
+            total = 0.0
+            if not (phase is Phase.DECODE and self.cfg.generated_tokens == 1):
+                for cost, performance in column:
+                    if cost.ops:
+                        total += cost.ops / performance
+            times[phase] = total
+        return times
+
+
+def cost_layer(
+    arch: LlmArchitecture,
+    cfg: InferenceConfig,
+    gpu: GpuSpec,
+    graph: KernelGraph | None = None,
+) -> LayerCosts:
+    """Price each kernel of one layer for both phases, with its Roofline
+    performance at the activation data type's peak throughput.
+
+    `graph` defaults to the layer graph of `arch` on `cfg.gpu_count` GPUs.
+    """
+    validate_architecture(arch)
+    validate_inference(cfg)
+    if graph is None:
+        graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+    dtype = arch.activation_dtype
+    phases = {}
+    for phase in Phase:
+        column = []
+        for node in graph.nodes:
+            cost = kernel_cost(node, arch, cfg, gpu.s_block, phase)
+            performance = node_performance(cost, gpu, dtype, node.kind is KernelKind.ALL_REDUCE)
+            column.append(PricedKernel(cost, performance))
+        phases[phase] = tuple(column)
+    return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)
 
 
 _GPU_FIELDS = {

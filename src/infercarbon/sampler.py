@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,16 +25,17 @@ import numpy as np
 from .arch import (
     DataType,
     InferenceConfig,
-    KernelKind,
     LlmArchitecture,
+    RangeError,
     enumerate_layer_kernels,
     validate_architecture,
     validate_inference,
 )
-from .costmodel import Phase, kernel_cost
+from .costmodel import Phase
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_featurize
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_energy, train
-from .roofline import GpuSpec, node_performance
+from .kvfile import ConfigError
+from .roofline import GpuSpec, cost_layer, validate_gpu
 
 
 class EmptyPrior(ValueError):
@@ -318,31 +320,9 @@ IDLE_FRACTION = 0.1
 
 
 def roofline_phase_times(point: SamplePoint) -> dict[Phase, float]:
-    """Per-phase Roofline execution time of one layer, in seconds.
-
-    Sums ops/performance over the layer's kernels.  Zero-op kernels contribute
-    nothing; a request generating a single token has no decode iterations, so
-    its decode time is zero.
-    """
-    arch, cfg, gpu = point.arch, point.cfg, point.gpu
-    validate_architecture(arch)
-    validate_inference(cfg)
-    graph = enumerate_layer_kernels(arch, cfg.gpu_count)
-    dtype = arch.activation_dtype
-    times = {}
-    for phase in Phase:
-        if phase is Phase.DECODE and cfg.generated_tokens == 1:
-            times[phase] = 0.0
-            continue
-        total = 0.0
-        for node in graph.nodes:
-            cost = kernel_cost(node, arch, cfg, gpu.s_block, phase)
-            if cost.ops == 0:
-                continue
-            perf = node_performance(cost, gpu, dtype, node.kind is KernelKind.ALL_REDUCE)
-            total += cost.ops / perf
-        times[phase] = total
-    return times
+    """Per-phase Roofline execution time of one layer, in seconds (see
+    `LayerCosts.phase_seconds`)."""
+    return cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
 
 
 class SyntheticEnergyOracle:
@@ -545,18 +525,15 @@ def focused_sampling_loop(
     )
 
 
-def raw_featurize_point(point: SamplePoint, corrected: bool = False):
+def raw_featurize_point(point: SamplePoint):
     graph = enumerate_layer_kernels(point.arch, point.cfg.gpu_count)
-    return raw_featurize(graph, point.arch, point.cfg, point.gpu, corrected=corrected)
-
-
-def featurize_point(point: SamplePoint, stats: FeatureStats) -> FeaturizedGraph:
-    return featurize_raw(raw_featurize_point(point), stats)
+    return raw_featurize(graph, point.arch, point.cfg, point.gpu)
 
 
 def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample],
                    deltas=(0.05, 0.10, 0.30)):
-    preds = [predict_energy(featurize_point(s.point, stats), params) for s in samples]
+    preds = [predict_energy(featurize_raw(raw_featurize_point(s.point), stats), params)
+             for s in samples]
     truths = [s.energy_joules for s in samples]
     return evaluate(preds, truths, deltas)
 
@@ -582,11 +559,31 @@ def append_dataset(path, samples: list[EnergySample]) -> None:
 
 
 def load_dataset(path) -> list[EnergySample]:
+    """Read a dataset file.  Every record must describe a valid architecture,
+    request and GPU and carry a finite energy > 0; the first that does not is
+    reported as ``path:line``."""
     with open(path, "r", encoding="utf-8") as handle:
         header = json.loads(handle.readline())
         if header.get("format") != DATASET_FORMAT or header.get("version") != 1:
             raise ValueError(f"{path}: not a recognized dataset file")
-        return [EnergySample.from_dict(json.loads(line)) for line in handle if line.strip()]
+        samples = []
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            try:
+                sample = EnergySample.from_dict(json.loads(line))
+                validate_architecture(sample.point.arch)
+                validate_inference(sample.point.cfg)
+                validate_gpu(sample.point.gpu)
+                if not (math.isfinite(sample.energy_joules) and sample.energy_joules > 0):
+                    raise RangeError(f"energy_joules must be finite and > 0, "
+                                     f"got {sample.energy_joules}")
+            except KeyError as exc:
+                raise ConfigError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            samples.append(sample)
+        return samples
 
 
 def config_hash(payload: dict) -> str:

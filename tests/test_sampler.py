@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from infercarbon.arch import InferenceConfig, LlmArchitecture, validate_architecture
 from infercarbon.costmodel import Phase
 from infercarbon.gnn import TrainHyper
+from infercarbon.kvfile import ConfigError
 from infercarbon.roofline import builtin_gpu_catalog
 from infercarbon.sampler import (
     EmptyPrior,
@@ -266,6 +269,54 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "nope", "version": 9}\n')
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("arch", "layer_count", 0),
+            ("arch", "hidden_size", -64),
+            ("arch", "head_count", 3),  # does not divide hidden size 64
+            ("arch", "kv_head_count", 8),  # more KV heads than heads
+            ("inference", "batch_size", 0),
+            ("inference", "prompt_length", 0),
+            ("inference", "generated_tokens", -1),
+            ("inference", "gpu_count", 0),
+            ("gpu", "bw_max", -1.0),
+            ("gpu", "net_max", 0.0),
+            ("gpu", "power_w", 0.0),
+            ("gpu", "s_block", 0),
+            ("gpu", "th_max", {"FP16": -1.0}),
+            (None, "energy_joules", -2.5),
+            (None, "energy_joules", 0.0),
+            (None, "energy_joules", float("nan")),
+            (None, "energy_joules", float("inf")),
+        ],
+    )
+    def test_rejects_invalid_record_with_path_and_line(self, tmp_path, gpus, section, field,
+                                                       value):
+        samples = label_points([center_point(gpus, prompt_length=8 + i) for i in range(3)],
+                               SyntheticEnergyOracle())
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, samples)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])  # the second record, on line 3
+        (record[section] if section else record)[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: ")):
+            load_dataset(path)
+
+    def test_rejects_record_missing_a_field(self, tmp_path, gpus):
+        samples = label_points([center_point(gpus)], SyntheticEnergyOracle())
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, samples)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["energy_joules"]
+        path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:2: missing field 'energy_joules'")):
             load_dataset(path)
 
     def test_manifest_fields(self):
