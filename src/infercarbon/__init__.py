@@ -52,8 +52,6 @@ from .features import (
     FeaturizedGraph,
     NonFiniteFeature,
     UnknownFormat,
-    encode_global,
-    encode_node,
     export_graph,
     featurize,
     fit_stats,
@@ -75,7 +73,6 @@ from .gnn import (
     mape,
     model_forward,
     predict_energy,
-    sage_forward,
     save_checkpoint,
     train,
 )

@@ -225,6 +225,12 @@ def elementwise_cost(
     return CostTriple(ops // g, mem // g, 0)
 
 
+def check_partition(n: int, l: int) -> None:
+    """n rows split evenly across l GPUs, or PartitionError."""
+    if n % l != 0:
+        raise PartitionError(f"partition dim {n} is not divisible by gpu count {l}")
+
+
 def allreduce_cost(
     n: int, m: int, l: int, cfg: InferenceConfig, d_a: DataType, phase: Phase
 ) -> CostTriple:
@@ -235,8 +241,7 @@ def allreduce_cost(
     """
     if l < 2:
         raise RangeError(f"all-reduce needs at least 2 GPUs, got {l}")
-    if n % l != 0:
-        raise PartitionError(f"partition dim {n} is not divisible by gpu count {l}")
+    check_partition(n, l)
     t = _token_factor(cfg, phase)
     width = d_a.width
     cells = n * m * t

@@ -10,17 +10,19 @@ and standardized with statistics fitted on the training split only.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import KIND_ORDER, InferenceConfig, KernelGraph, KernelKind, KernelNode, LlmArchitecture
-from .costmodel import CostTriple, LayerTotals, Phase, model_totals
+from .arch import KIND_ORDER, InferenceConfig, KernelGraph, KernelKind, LlmArchitecture
+from .costmodel import LayerTotals, Phase, model_totals
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
 _KIND_INDEX = {kind: i for i, kind in enumerate(KIND_ORDER)}
+_ONE_HOT = np.eye(NUM_KINDS)
 
 NODE_NUMERIC_SLOTS = 6 + 8  # dims, then (ops, mem, net, perf) per phase
 NODE_FEATURE_WIDTH = NUM_KINDS + NODE_NUMERIC_SLOTS
@@ -121,40 +123,6 @@ def _standardize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
     return out
 
 
-def _node_numeric_row(
-    node: KernelNode,
-    cost_pre: CostTriple,
-    cost_dec: CostTriple,
-    p_pre: float,
-    p_dec: float,
-) -> np.ndarray:
-    return np.array(
-        list(node.dims)
-        + [cost_pre.ops, cost_pre.mem_bytes, cost_pre.net_bytes, p_pre]
-        + [cost_dec.ops, cost_dec.mem_bytes, cost_dec.net_bytes, p_dec],
-        dtype=np.float64,
-    )
-
-
-def encode_node(
-    node: KernelNode,
-    cost_pre: CostTriple,
-    cost_dec: CostTriple,
-    p_pre: float,
-    p_dec: float,
-    stats: FeatureStats,
-) -> np.ndarray:
-    """One node's feature vector: one-hot kind, then standardized numerics."""
-    onehot = np.zeros(NUM_KINDS)
-    onehot[_KIND_INDEX[node.kind]] = 1.0
-    numeric = _standardize(
-        _node_numeric_row(node, cost_pre, cost_dec, p_pre, p_dec),
-        stats.node_mean,
-        stats.node_std,
-    )
-    return np.concatenate([onehot, numeric])
-
-
 def _global_numeric_row(
     arch: LlmArchitecture, cfg: InferenceConfig, totals: LayerTotals
 ) -> np.ndarray:
@@ -179,24 +147,22 @@ def _global_numeric_row(
     )
 
 
-def encode_global(
-    arch: LlmArchitecture, cfg: InferenceConfig, totals: LayerTotals, stats: FeatureStats
-) -> np.ndarray:
-    """Whole-request feature vector from architecture, request and model totals."""
-    return _standardize(_global_numeric_row(arch, cfg, totals), stats.global_mean, stats.global_std)
+# Distinct layer topologies are few (flash x gated x tensor-parallel); a
+# handful more covers hand-built graphs.
+AGG_CACHE_SIZE = 64
 
 
-def _aggregation_matrix(n: int, edges) -> np.ndarray:
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in edges:
-        neighbors[src].add(dst)
-        neighbors[dst].add(src)
-    agg = np.zeros((n, n))
-    for v, nset in enumerate(neighbors):
-        if nset:
-            weight = 1.0 / len(nset)
-            for u in sorted(nset):
-                agg[v, u] = weight
+@functools.lru_cache(maxsize=AGG_CACHE_SIZE)
+def _aggregation_matrix(n: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Row-normalized undirected adjacency, shared read-only by every graph of
+    one topology."""
+    adj = np.zeros((n, n), dtype=bool)
+    if edges:
+        src, dst = np.array(edges).T
+        adj[src, dst] = True
+        adj[dst, src] = True
+    agg = adj / np.maximum(adj.sum(axis=1), 1)[:, None]
+    agg.setflags(write=False)
     return agg
 
 
@@ -213,8 +179,10 @@ def raw_featurize(
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     """The raw feature numbers of an already-costed layer."""
     graph = costs.graph
+    # per node: dims, then (ops, mem, net, perf) for prefill and for decode
     rows = [
-        _node_numeric_row(node, pre.cost, dec.cost, pre.performance, dec.performance)
+        [*node.dims, pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
+         dec.cost.ops, dec.cost.mem_bytes, dec.cost.net_bytes, dec.performance]
         for node, pre, dec in zip(graph.nodes, costs.phases[Phase.PREFILL],
                                   costs.phases[Phase.DECODE])
     ]
@@ -222,7 +190,7 @@ def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     return RawGraphFeatures(
         kinds=tuple(node.kind for node in graph.nodes),
         dims=tuple(node.dims for node in graph.nodes),
-        node_numeric=np.vstack(rows),
+        node_numeric=np.array(rows, dtype=np.float64),
         edges=graph.edges,
         global_numeric=_global_numeric_row(costs.arch, costs.cfg, totals),
     )
@@ -230,17 +198,12 @@ def raw_features(costs: LayerCosts) -> RawGraphFeatures:
 
 def featurize_raw(raw: RawGraphFeatures, stats: FeatureStats) -> FeaturizedGraph:
     """Standardize an already-costed graph with the given statistics."""
-    n = len(raw.kinds)
-    onehot = np.zeros((n, NUM_KINDS))
-    for i, kind in enumerate(raw.kinds):
-        onehot[i, _KIND_INDEX[kind]] = 1.0
+    onehot = _ONE_HOT[[_KIND_INDEX[kind] for kind in raw.kinds]]
     numeric = _standardize(raw.node_numeric, stats.node_mean, stats.node_std)
-    features = np.hstack([onehot, numeric])
-    global_features = _standardize(raw.global_numeric, stats.global_mean, stats.global_std)
     return FeaturizedGraph(
-        features=features,
-        agg=_aggregation_matrix(n, raw.edges),
-        global_features=global_features,
+        features=np.hstack([onehot, numeric]),
+        agg=_aggregation_matrix(len(raw.kinds), raw.edges),
+        global_features=_standardize(raw.global_numeric, stats.global_mean, stats.global_std),
         raw=raw,
     )
 

@@ -6,9 +6,15 @@ over nodes, concatenation with the global feature vector, then two linear
 layers down to a scalar.  The scalar lives in log-energy space: targets are
 log1p(joules) and predictions are expm1-ed back at the reporting boundary.
 
+One forward/backward path serves a stack of graphs, each zero-padded to the
+widest: weight products are 2-D GEMMs over all stacked node rows, neighbor
+means a batched (b, n, n) product with each graph's own aggregation matrix.
+A prediction is its batch of one.  A training step runs its mini-batch in
+chunks of CHUNK_GRAPHS graphs and adds their gradients in batch order.
+
 Gradients are reverse-mode by hand and checked against central finite
 differences.  Training is deterministic for a fixed seed: shuffling comes
-from a seeded generator and per-sample gradients are summed in index order.
+from a seeded generator, and a mini-batch always reduces in the same order.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import numpy as np
 from .features import FeatureStats, FeaturizedGraph
 
 HIDDEN_WIDTH = 64
+# Graphs per forward/backward pass: bounds one step's activations at any batch size.
+CHUNK_GRAPHS = 64
 
 PARAM_NAMES = (
     "conv1_w",
@@ -119,86 +127,116 @@ def init_params(
     ).validate()
 
 
-def sage_forward(features: np.ndarray, agg: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One graph convolution: relu(W . concat(self, neighbor mean) + b) per node."""
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ShapeError("feature matrix must be non-empty and 2-D")
-    if 2 * features.shape[1] != w.shape[0]:
-        raise ShapeError(
-            f"conv weight expects input width {w.shape[0]}, features give {2 * features.shape[1]}"
-        )
-    neighbor = agg @ features
-    pre = np.hstack([features, neighbor]) @ w + b
-    return np.maximum(pre, 0.0)
+def _check_widths(graphs, params: GnnParams) -> None:
+    width, global_width = params.node_width, params.global_width
+    for fg in graphs:
+        x = fg.features
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ShapeError("feature matrix must be non-empty and 2-D")
+        if x.shape[1] != width:
+            raise ShapeError(f"model expects node width {width}, graph has {x.shape[1]}")
+        if fg.global_features.shape[0] != global_width:
+            raise ShapeError(f"model expects global width {global_width}, "
+                             f"graph has {fg.global_features.shape[0]}")
 
 
-def _forward_cache(fg: FeaturizedGraph, params: GnnParams) -> dict:
-    x = fg.features
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError("feature matrix must be non-empty and 2-D")
-    if 2 * x.shape[1] != params.conv1_w.shape[0]:
-        raise ShapeError(
-            f"model expects node width {params.node_width}, graph has {x.shape[1]}"
-        )
-    if fg.global_features.shape[0] != params.global_width:
-        raise ShapeError(
-            f"model expects global width {params.global_width}, "
-            f"graph has {fg.global_features.shape[0]}"
-        )
-    a = fg.agg
-    z1 = np.hstack([x, a @ x])
-    s1 = z1 @ params.conv1_w + params.conv1_b
-    h1 = np.maximum(s1, 0.0)
-    z2 = np.hstack([h1, a @ h1])
-    s2 = z2 @ params.conv2_w + params.conv2_b
-    h2 = np.maximum(s2, 0.0)
-    pooled = h2.mean(axis=0)
-    q = np.concatenate([pooled, fg.global_features])
-    s3 = q @ params.head1_w + params.head1_b
-    h3 = np.maximum(s3, 0.0)
-    y = float(h3 @ params.head2_w[:, 0] + params.head2_b[0])
-    return {"a": a, "z1": z1, "s1": s1, "h1": h1, "z2": z2, "s2": s2, "h2": h2, "q": q,
-            "s3": s3, "h3": h3, "y": y}
+class _Scratch:
+    """Float64 buffers by name, grown to the largest request and handed out as
+    views, so the chunks of one step reuse their activation arrays."""
+
+    def __init__(self):
+        self.flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self.flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _forward(graphs, params: GnnParams, scratch: _Scratch) -> tuple:
+    """One forward over b graphs, each zero-padded to the n nodes of the widest.
+
+    A padded row never reaches a real node (its agg column is zero), and its
+    h2 row is zeroed before the node mean, so it gets no gradient either.
+    Returns (agg, counts, x, agg x, h1, agg h1, h2, q, h3, y); the (b*n, .)
+    node arrays are views of `scratch`, valid until its next forward.
+    """
+    counts = np.array([fg.features.shape[0] for fg in graphs])
+    b, n = len(graphs), int(counts.max())
+    width, hidden = params.node_width, params.hidden_width
+    x = scratch.take("x", b, n, width)
+    agg = scratch.take("agg", b, n, n)
+    x.fill(0.0)
+    agg.fill(0.0)
+    for i, fg in enumerate(graphs):
+        x[i, : counts[i]] = fg.features
+        agg[i, : counts[i], : counts[i]] = fg.agg
+    ax = np.matmul(agg, x, out=scratch.take("ax", b, n, width)).reshape(b * n, width)
+    x = x.reshape(b * n, width)
+    h1 = _conv(x, ax, params.conv1_w, params.conv1_b, scratch, "h1")
+    ah1 = np.matmul(agg, h1.reshape(b, n, hidden), out=scratch.take("ah1", b, n, hidden))
+    ah1 = ah1.reshape(b * n, hidden)
+    h2 = _conv(h1, ah1, params.conv2_w, params.conv2_b, scratch, "h2")
+    h2_3d = h2.reshape(b, n, hidden)
+    for i in np.flatnonzero(counts < n):
+        h2_3d[i, counts[i] :] = 0.0
+
+    q = np.empty((b, hidden + params.global_width))
+    np.divide(h2_3d.sum(axis=1), counts[:, None], out=q[:, :hidden])
+    q[:, hidden:] = [fg.global_features for fg in graphs]
+    h3 = np.maximum(q @ params.head1_w + params.head1_b, 0.0)
+    y = h3 @ params.head2_w[:, 0] + params.head2_b[0]
+    return agg, counts, x, ax, h1, ah1, h2, q, h3, y
+
+
+def _conv(own: np.ndarray, neighbor: np.ndarray, w: np.ndarray, bias: np.ndarray,
+          scratch: _Scratch, name: str) -> np.ndarray:
+    """relu([own, neighbor] @ w + bias), written into the scratch buffer `name`."""
+    half = own.shape[1]
+    out = np.matmul(own, w[:half], out=scratch.take(name, own.shape[0], w.shape[1]))
+    out += np.matmul(neighbor, w[half:], out=scratch.take("tmp", *out.shape))
+    out += bias
+    return np.maximum(out, 0.0, out=out)
+
+
+def _backward(
+    act: tuple, params: GnnParams, dy: np.ndarray, scratch: _Scratch
+) -> list[np.ndarray]:
+    """Parameter gradients of sum(dy * y), in PARAM_NAMES order."""
+    agg, counts, x, ax, h1, ah1, h2, q, h3, _ = act
+    b, n, _ = agg.shape
+    hidden = params.hidden_width
+    ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3 > 0)
+    dmean = (ds3 @ params.head1_w[:hidden].T) / counts[:, None]
+
+    ds2 = scratch.take("ds2", b, n, hidden)
+    np.multiply(dmean[:, None, :], h2.reshape(b, n, hidden) > 0, out=ds2)
+    ds2 = ds2.reshape(b * n, hidden)
+    d_conv2_w = np.concatenate([h1.T @ ds2, ah1.T @ ds2])
+    d_conv2_b = ds2.sum(axis=0)
+    # conv1's output gradient: the self half, plus agg^T times the neighbor half
+    ds1 = np.matmul(ds2, params.conv2_w[:hidden].T, out=scratch.take("ds1", b * n, hidden))
+    back = np.matmul(ds2, params.conv2_w[hidden:].T, out=scratch.take("tmp", b * n, hidden))
+    back = np.matmul(agg.transpose(0, 2, 1), back.reshape(b, n, hidden),
+                     out=ds2.reshape(b, n, hidden))
+    ds1 += back.reshape(b * n, hidden)
+    ds1 *= h1 > 0
+
+    return [np.concatenate([x.T @ ds1, ax.T @ ds1]), ds1.sum(axis=0), d_conv2_w, d_conv2_b,
+            q.T @ ds3, ds3.sum(axis=0), (h3.T @ dy)[:, None], np.array([dy.sum()])]
 
 
 def model_forward(fg: FeaturizedGraph, params: GnnParams) -> float:
-    """Predicted energy in model (log) space."""
-    return _forward_cache(fg, params)["y"]
+    """Predicted energy in model (log) space: the batch-of-one forward."""
+    _check_widths([fg], params)
+    return float(_forward([fg], params, _Scratch())[-1][0])
 
 
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
     """Predicted energy in joules."""
     return float(np.expm1(model_forward(fg, params)))
-
-
-def _backward(cache: dict, params: GnnParams, dy: float) -> list[np.ndarray]:
-    h3, s3, q = cache["h3"], cache["s3"], cache["q"]
-    h2, s2, z2 = cache["h2"], cache["s2"], cache["z2"]
-    s1, z1, a = cache["s1"], cache["z1"], cache["a"]
-    n = h2.shape[0]
-    hidden = params.hidden_width
-
-    d_head2_w = (h3 * dy)[:, None]
-    d_head2_b = np.array([dy])
-    dh3 = params.head2_w[:, 0] * dy
-    ds3 = dh3 * (s3 > 0)
-    d_head1_w = np.outer(q, ds3)
-    d_head1_b = ds3
-    dq = params.head1_w @ ds3
-    dpooled = dq[:hidden]
-
-    dh2 = np.tile(dpooled / n, (n, 1))
-    ds2 = dh2 * (s2 > 0)
-    d_conv2_w = z2.T @ ds2
-    d_conv2_b = ds2.sum(axis=0)
-    dz2 = ds2 @ params.conv2_w.T
-    dh1 = dz2[:, :hidden] + a.T @ dz2[:, hidden:]
-    ds1 = dh1 * (s1 > 0)
-    d_conv1_w = z1.T @ ds1
-    d_conv1_b = ds1.sum(axis=0)
-
-    return [d_conv1_w, d_conv1_b, d_conv2_w, d_conv2_b,
-            d_head1_w, d_head1_b, d_head2_w, d_head2_b]
 
 
 def target_transform(energy_joules: float) -> float:
@@ -208,18 +246,25 @@ def target_transform(energy_joules: float) -> float:
 def loss_and_gradients(
     batch: list[tuple[FeaturizedGraph, float]], params: GnnParams
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared error in log space, with summed-in-order sample gradients."""
+    """Mean squared error in log space, and its parameter gradients.
+
+    The batch runs through one forward and one backward per chunk of
+    CHUNK_GRAPHS consecutive samples; chunk gradients are summed in batch
+    order, so a given batch always reduces in the same order.
+    """
     if not batch:
         raise ValueError("batch must not be empty")
-    grads = [np.zeros_like(arr) for arr in params.as_list()]
-    total = 0.0
+    _check_widths([fg for fg, _ in batch], params)
     inv = 1.0 / len(batch)
-    for fg, energy in batch:
-        cache = _forward_cache(fg, params)
-        residual = cache["y"] - target_transform(energy)
-        total += residual * residual
-        sample_grads = _backward(cache, params, 2.0 * residual * inv)
-        for acc, g in zip(grads, sample_grads):
+    total = 0.0
+    grads = [np.zeros_like(arr) for arr in params.as_list()]
+    scratch = _Scratch()
+    for start in range(0, len(batch), CHUNK_GRAPHS):
+        chunk = batch[start : start + CHUNK_GRAPHS]
+        act = _forward([fg for fg, _ in chunk], params, scratch)
+        residual = act[-1] - np.array([target_transform(energy) for _, energy in chunk])
+        total += float(residual @ residual)
+        for acc, g in zip(grads, _backward(act, params, 2.0 * inv * residual, scratch)):
             acc += g
     loss = total * inv
     if not math.isfinite(loss):
@@ -299,6 +344,7 @@ def train(
             global_width=first.global_features.shape[0],
             seed=hyper.seed,
         )
+    _check_widths([fg for fg, _ in samples], params)
     if state is None:
         state = init_adam_state(params)
     rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
@@ -318,8 +364,7 @@ def train(
     return params, history
 
 
-def mape(preds, truths) -> float:
-    """Mean absolute percentage error, in percent."""
+def _relative_errors(preds, truths) -> np.ndarray:
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
@@ -328,23 +373,19 @@ def mape(preds, truths) -> float:
         raise ValueError("empty prediction set")
     if np.any(truths <= 0):
         raise ZeroTruth("ground-truth values must be strictly positive")
-    return float(np.mean(np.abs(preds - truths) / truths) * 100.0)
+    return np.abs(preds - truths) / truths
+
+
+def mape(preds, truths) -> float:
+    """Mean absolute percentage error, in percent."""
+    return float(np.mean(_relative_errors(preds, truths)) * 100.0)
 
 
 def eba(preds, truths, delta: float) -> float:
     """Share of predictions within relative error delta, in percent."""
-    preds = np.asarray(preds, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if preds.shape != truths.shape:
-        raise ShapeError("predictions and truths must have the same length")
-    if preds.size == 0:
-        raise ValueError("empty prediction set")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if np.any(truths <= 0):
-        raise ZeroTruth("ground-truth values must be strictly positive")
-    within = np.abs(preds - truths) / truths <= delta
-    return float(within.mean() * 100.0)
+    return float((_relative_errors(preds, truths) <= delta).mean() * 100.0)
 
 
 @dataclass
@@ -359,17 +400,6 @@ class EvalReport:
 
 def evaluate(preds, truths, deltas=(0.05, 0.10, 0.30)) -> EvalReport:
     return EvalReport(mape=mape(preds, truths), eba={d: eba(preds, truths, d) for d in deltas})
-
-
-def _relu_masks(fg: FeaturizedGraph, params: GnnParams) -> tuple:
-    cache = _forward_cache(fg, params)
-    return (cache["s1"] > 0, cache["s2"] > 0, cache["s3"] > 0)
-
-
-def _loss_only(sample, params: GnnParams) -> float:
-    fg, energy = sample
-    residual = _forward_cache(fg, params)["y"] - target_transform(energy)
-    return residual * residual
 
 
 def gradient_check(
@@ -391,27 +421,27 @@ def gradient_check(
     _, grads = loss_and_gradients([sample], params)
     flat_grads = np.concatenate([g.ravel() for g in grads])
     arrays = params.as_list()
-    sizes = [arr.size for arr in arrays]
-    offsets = np.cumsum([0] + sizes)
-    total = offsets[-1]
+    offsets = np.cumsum([0] + [arr.size for arr in arrays])
+    fg, energy = sample
+
+    def bumped(slot: int, inner: int, delta: float) -> tuple[float, tuple]:
+        """Squared error and relu sign patterns with one coordinate moved."""
+        moved = [arr.copy() for arr in arrays]
+        moved[slot].ravel()[inner] += delta
+        *_, h1, _, h2, _, h3, y = _forward([fg], GnnParams.from_list(moved), _Scratch())
+        residual = float(y[0]) - target_transform(energy)
+        return residual * residual, (h1 > 0, h2 > 0, h3 > 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    picked = rng.choice(total, size=min(coords, total), replace=False)
+    picked = rng.choice(offsets[-1], size=min(coords, offsets[-1]), replace=False)
     worst = 0.0
     for flat_index in sorted(int(i) for i in picked):
         slot = int(np.searchsorted(offsets, flat_index, side="right") - 1)
-        inner = flat_index - offsets[slot]
-        bumped = [arr.copy() for arr in arrays]
-        bumped[slot].ravel()[inner] += eps
-        plus = GnnParams.from_list(bumped)
-        bumped = [arr.copy() for arr in arrays]
-        bumped[slot].ravel()[inner] -= eps
-        minus = GnnParams.from_list(bumped)
-        masks_p = _relu_masks(sample[0], plus)
-        masks_m = _relu_masks(sample[0], minus)
+        loss_p, masks_p = bumped(slot, flat_index - offsets[slot], eps)
+        loss_m, masks_m = bumped(slot, flat_index - offsets[slot], -eps)
         if not all(np.array_equal(a, b) for a, b in zip(masks_p, masks_m)):
             continue
-        fd = (_loss_only(sample, plus) - _loss_only(sample, minus)) / (2.0 * eps)
+        fd = (loss_p - loss_m) / (2.0 * eps)
         analytic = flat_grads[flat_index]
         denom = max(abs(analytic), abs(fd), 1e-8)
         worst = max(worst, abs(analytic - fd) / denom)

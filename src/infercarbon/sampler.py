@@ -31,7 +31,7 @@ from .arch import (
     validate_architecture,
     validate_inference,
 )
-from .costmodel import Phase
+from .costmodel import Phase, check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_featurize
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_energy, train
 from .kvfile import ConfigError
@@ -575,6 +575,8 @@ def load_dataset(path) -> list[EnergySample]:
                 validate_architecture(sample.point.arch)
                 validate_inference(sample.point.cfg)
                 validate_gpu(sample.point.gpu)
+                # tensor parallelism splits the hidden dimension across the GPUs
+                check_partition(sample.point.arch.hidden_size, sample.point.cfg.gpu_count)
                 if not (math.isfinite(sample.energy_joules) and sample.energy_joules > 0):
                     raise RangeError(f"energy_joules must be finite and > 0, "
                                      f"got {sample.energy_joules}")

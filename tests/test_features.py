@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from infercarbon.arch import (
+    KIND_ORDER,
     InferenceConfig,
     KernelKind,
     enumerate_layer_kernels,
 )
-from infercarbon.costmodel import CostTriple, layer_totals, model_totals
+from infercarbon.costmodel import layer_totals, model_totals
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
     NUM_KINDS,
     UnknownFormat,
-    encode_global,
-    encode_node,
     export_graph,
     featurize,
+    featurize_raw,
     fit_stats,
     identity_stats,
     raw_featurize,
@@ -66,17 +66,28 @@ class TestEncoding:
 
     def test_encode_node_deterministic(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg, a100)
+        stats = fit_stats([raw])
+        first = featurize_raw(raw, stats)
+        second = featurize_raw(raw, stats)
+        assert np.array_equal(first.features, second.features)
+        # each node row: one-hot kind, then its standardized log1p numerics
         node = graph.nodes[1]
-        stats = identity_stats()
-        cost = CostTriple(10, 20, 0)
-        first = encode_node(node, cost, cost, 1e9, 1e9, stats)
-        second = encode_node(node, cost, cost, 1e9, 1e9, stats)
-        assert np.array_equal(first, second)
+        onehot = np.zeros(NUM_KINDS)
+        onehot[KIND_ORDER.index(node.kind)] = 1.0
+        transformed = np.log1p(raw.node_numeric[1])
+        nonzero = stats.node_std != 0
+        numeric = np.zeros(len(transformed))
+        numeric[nonzero] = (transformed[nonzero] - stats.node_mean[nonzero]) / stats.node_std[
+            nonzero]
+        assert np.array_equal(first.features[1], np.concatenate([onehot, numeric]))
 
     def test_global_vector_layout(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        totals = model_totals(layer_totals(graph, tiny_arch, tiny_cfg, 1), tiny_arch.layer_count)
-        vec = encode_global(tiny_arch, tiny_cfg, totals, identity_stats())
+        totals = model_totals(layer_totals(graph, tiny_arch, tiny_cfg, a100.s_block),
+                              tiny_arch.layer_count)
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg, a100)
+        vec = featurize_raw(raw, identity_stats()).global_features
         assert vec.shape == (GLOBAL_FEATURE_WIDTH,)
         expected = [
             16,  # weight bitwidth
@@ -92,6 +103,26 @@ class TestEncoding:
             totals.prefill.net_bytes + totals.decode.net_bytes,
         ]
         assert np.array_equal(vec, np.log1p(np.array(expected, dtype=np.float64)))
+
+    def test_aggregation_matrix_shared_per_topology(self, tiny_arch, a100):
+        graph = enumerate_layer_kernels(tiny_arch, 1)
+        first, second = (
+            featurize(graph, tiny_arch, InferenceConfig(batch_size=b, prompt_length=8,
+                                                        generated_tokens=2), a100,
+                      identity_stats())
+            for b in (1, 3)
+        )
+        assert first.agg is second.agg
+        assert not first.agg.flags.writeable
+        neighbors = [set() for _ in graph.nodes]
+        for src, dst in graph.edges:
+            neighbors[src].add(dst)
+            neighbors[dst].add(src)
+        expected = np.zeros((len(graph.nodes), len(graph.nodes)))
+        for v, nset in enumerate(neighbors):
+            for u in nset:
+                expected[v, u] = 1.0 / len(nset)
+        assert np.array_equal(first.agg, expected)
 
     def test_global_flops_double_with_layers(self, tiny_arch, tiny_cfg):
         graph = enumerate_layer_kernels(tiny_arch, 1)

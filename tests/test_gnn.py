@@ -1,8 +1,19 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from infercarbon.arch import enumerate_layer_kernels
-from infercarbon.features import FeaturizedGraph, featurize, fit_stats, identity_stats
+from infercarbon import gnn
+from infercarbon.arch import InferenceConfig, LlmArchitecture, enumerate_layer_kernels
+from infercarbon.features import (
+    FeaturizedGraph,
+    featurize,
+    featurize_raw,
+    fit_stats,
+    identity_stats,
+    raw_featurize,
+)
 from infercarbon.gnn import (
     GnnParams,
     ShapeError,
@@ -19,7 +30,6 @@ from infercarbon.gnn import (
     mape,
     model_forward,
     predict_energy,
-    sage_forward,
     save_checkpoint,
     train,
 )
@@ -46,29 +56,59 @@ def random_graphs(count, seed=0):
     return graphs
 
 
+def hand_params(conv1_w, conv2_w, head1_w, head2_w) -> GnnParams:
+    """Zero-bias params with the given weights (global width follows head1)."""
+    return GnnParams(
+        conv1_w=np.asarray(conv1_w, dtype=np.float64),
+        conv1_b=np.zeros(np.shape(conv1_w)[1]),
+        conv2_w=np.asarray(conv2_w, dtype=np.float64),
+        conv2_b=np.zeros(np.shape(conv2_w)[1]),
+        head1_w=np.asarray(head1_w, dtype=np.float64),
+        head1_b=np.zeros(np.shape(head1_w)[1]),
+        head2_w=np.asarray(head2_w, dtype=np.float64),
+        head2_b=np.zeros(1),
+    ).validate()
+
+
+def hand_graph(features, agg, global_features=()) -> FeaturizedGraph:
+    return FeaturizedGraph(
+        features=np.asarray(features, dtype=np.float64),
+        agg=np.asarray(agg, dtype=np.float64),
+        global_features=np.asarray(global_features, dtype=np.float64),
+        raw=None,
+    )
+
+
 class TestSageForward:
+    """The graph convolution relu(W . concat(self, neighbor mean) + b), seen
+    through the whole model with hand-set weights."""
+
     def test_isolated_node_uses_zero_neighbor(self):
-        feats = np.array([[1.0, -2.0]])
-        agg = np.zeros((1, 1))
-        w = np.vstack([np.eye(2), np.zeros((2, 2))])  # identity on the self half
-        out = sage_forward(feats, agg, w, np.zeros(2))
-        assert np.array_equal(out, np.array([[1.0, 0.0]]))  # relu applied
+        fg = hand_graph([[1.0, -2.0]], np.zeros((1, 1)))
+        # conv1: identity on the self half, large weights on the neighbor
+        # half, which an isolated node must not pick up; its relu zeroes the -2
+        conv1_w = [[1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 5.0]]
+        # conv2 negates the second channel, so a -2 that conv1 let through
+        # would come out as +2; the head reads it ten times as strongly
+        conv2_w = [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0]]
+        params = hand_params(conv1_w, conv2_w, np.eye(2), [[1.0], [10.0]])
+        assert model_forward(fg, params) == 1.0
 
     def test_two_node_hand_computation(self):
-        feats = np.array([[2.0], [3.0]])
-        agg = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w = np.ones((2, 1))
-        out = sage_forward(feats, agg, w, np.zeros(1))
-        # each node: self + neighbor = 5
-        assert np.array_equal(out, np.array([[5.0], [5.0]]))
+        fg = hand_graph([[2.0], [3.0]], [[0.0, 1.0], [1.0, 0.0]])
+        # conv1: each node is self + neighbor = 5; conv2 and the head pass it on
+        params = hand_params(np.ones((2, 1)), [[1.0], [0.0]], [[1.0]], [[1.0]])
+        assert model_forward(fg, params) == 5.0
 
     def test_empty_features_rejected(self):
-        with pytest.raises(ShapeError):
-            sage_forward(np.zeros((0, 3)), np.zeros((0, 0)), np.ones((6, 2)), np.zeros(2))
+        params = hand_params(np.ones((6, 2)), np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="non-empty"):
+            model_forward(hand_graph(np.zeros((0, 3)), np.zeros((0, 0))), params)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            sage_forward(np.ones((2, 3)), np.eye(2), np.ones((4, 2)), np.zeros(2))
+        params = hand_params(np.ones((4, 2)), np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="node width 2, graph has 3"):
+            model_forward(hand_graph(np.ones((2, 3)), np.eye(2)), params)
 
 
 class TestModelForward:
@@ -190,6 +230,102 @@ class TestTraining:
         for prev, cur in zip(history, history[1:]):
             climb = climb + 1 if cur > prev else 0
             assert climb < 5
+
+
+def mixed_batch():
+    """Flash and unfused, gated and ungated, TP 1 and 2: all eight topologies,
+    12 to 17 nodes, with energies spread over three decades."""
+    base = LlmArchitecture(
+        hidden_size=64, intermediate_size=96, head_count=4, kv_head_count=2, layer_count=3
+    )
+    gpu = builtin_gpu_catalog()["a100"]
+    graphs = []
+    for i, (flash, gated, tp) in enumerate(itertools.product((True, False), (True, False),
+                                                             (1, 2))):
+        arch = dataclasses.replace(base, flash_attention=flash, gated_mlp=gated)
+        cfg = InferenceConfig(batch_size=1 + i % 3, prompt_length=8 + 3 * i,
+                              generated_tokens=2 + i, gpu_count=tp)
+        graphs.append((enumerate_layer_kernels(arch, tp), arch, cfg))
+    raws = [raw_featurize(graph, arch, cfg, gpu) for graph, arch, cfg in graphs]
+    stats = fit_stats(raws)
+    fgs = [featurize_raw(raw, stats) for raw in raws]
+    return [(fg, float(10.0 ** (i % 4))) for i, fg in enumerate(fgs)]
+
+
+def biased_params(fg, seed):
+    """Xavier weights and nonzero biases: a padded row is then nonzero too,
+    so only the padding masks keep it out of real nodes and the node mean."""
+    params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for bias in (params.conv1_b, params.conv2_b, params.head1_b, params.head2_b):
+        bias[:] = rng.uniform(-0.5, 1.0, size=bias.shape)
+    return params
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        scale = max(np.abs(w).max(), 1e-300)
+        assert np.abs(g - w).max() <= rel * scale
+
+
+class TestBatchedPath:
+    def test_batch_has_mixed_topologies(self):
+        batch = mixed_batch()
+        assert len({fg.node_count for fg, _ in batch}) >= 4
+
+    def test_batch_equals_mean_of_batches_of_one(self):
+        batch = mixed_batch()
+        params = biased_params(batch[0][0], seed=4)
+        loss, grads = loss_and_gradients(batch, params)
+        singles = [loss_and_gradients([sample], params) for sample in batch]
+        mean_loss = sum(l for l, _ in singles) / len(batch)
+        mean_grads = [sum(g[k] for _, g in singles) / len(batch) for k in range(len(grads))]
+        assert loss == pytest.approx(mean_loss, rel=1e-12)
+        assert_grads_close(grads, mean_grads)
+
+    def test_graph_alone_equals_graph_among_wider_ones(self):
+        batch = mixed_batch()
+        params = biased_params(batch[0][0], seed=5)
+        widest = max(fg.node_count for fg, _ in batch)
+        narrow = [fg for fg, _ in batch if fg.node_count < widest]
+        assert narrow
+        stacked = gnn._forward([fg for fg, _ in batch], params, gnn._Scratch())[-1]
+        for fg in narrow:
+            index = next(i for i, (g, _) in enumerate(batch) if g is fg)
+            assert model_forward(fg, params) == pytest.approx(stacked[index], rel=1e-12)
+
+    def test_batch_beyond_one_chunk_equals_its_chunks(self):
+        chunk = gnn.CHUNK_GRAPHS
+        base = mixed_batch()
+        batch = [base[i % len(base)] for i in range(2 * chunk + 5)]
+        params = biased_params(batch[0][0], seed=6)
+        loss, grads = loss_and_gradients(batch, params)
+        pieces = [batch[i : i + chunk] for i in range(0, len(batch), chunk)]
+        parts = [loss_and_gradients(piece, params) for piece in pieces]
+        weights = [len(piece) / len(batch) for piece in pieces]
+        want_loss = sum(w * l for w, (l, _) in zip(weights, parts))
+        want_grads = [sum(w * g[k] for w, (_, g) in zip(weights, parts))
+                      for k in range(len(grads))]
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_grads_close(grads, want_grads)
+
+    def test_batch_is_bitwise_repeatable(self):
+        batch = mixed_batch() * 3
+        params = biased_params(batch[0][0], seed=7)
+        first = loss_and_gradients(batch, params)
+        again = loss_and_gradients(batch, params)
+        assert first[0] == again[0]
+        assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+
+    def test_train_checks_every_sample_before_training(self):
+        batch = mixed_batch()
+        fg = batch[3][0]
+        bad = dataclasses.replace(fg, global_features=fg.global_features[:-1])
+        samples = batch[:3] + [(bad, 1.0)] + batch[4:]
+        # no epoch runs, so only the up-front check can see the bad sample
+        with pytest.raises(ShapeError, match="global width"):
+            train(samples, TrainHyper(epochs=0, batch_size=2))
 
 
 class TestMetrics:

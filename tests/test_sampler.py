@@ -291,6 +291,7 @@ class TestDatasetIO:
             (None, "energy_joules", 0.0),
             (None, "energy_joules", float("nan")),
             (None, "energy_joules", float("inf")),
+            ("inference", "gpu_count", 3),  # does not divide hidden size 64
         ],
     )
     def test_rejects_invalid_record_with_path_and_line(self, tmp_path, gpus, section, field,
