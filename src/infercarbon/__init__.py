@@ -78,6 +78,7 @@ from .gnn import (
 )
 from .roofline import (
     GpuSpec,
+    GraphMismatch,
     LayerCosts,
     MissingThroughput,
     RidgePoints,

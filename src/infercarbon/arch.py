@@ -5,11 +5,14 @@ Two layer variants exist: with fused (flash) attention the whole attention
 computation is one kernel, without it the score matmul, softmax and value
 matmul appear as separate kernels.  When the layer runs tensor-parallel across
 two or more GPUs, an all-reduce kernel follows each of the two GEMM blocks.
+The graph depends only on the architecture and the GPU count, so one
+immutable graph per (architecture, GPU count) is built and shared.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .kvfile import ConfigError, SectionReader, parse_sections
@@ -30,13 +33,10 @@ class DataType(enum.Enum):
     FP16 = 2
     INT8 = 1
 
-    @property
-    def width(self) -> int:
-        return self.value
-
-    @property
-    def bitwidth(self) -> int:
-        return 8 * self.value
+    def __init__(self, width: int):
+        # plain attributes: the cost equations read them per kernel
+        self.width = width
+        self.bitwidth = 8 * width
 
 
 def parse_dtype(name: str) -> DataType:
@@ -271,13 +271,21 @@ def node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, i
     return (h, h, 0, 0, 0, 0)
 
 
+# A process sees few distinct (architecture, GPU count) pairs: a catalog's
+# archs at TP 1/2/4, or the archs of one sampling run.  A miss rebuilds a
+# 13-17 node graph.
+GRAPH_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
-    """Emit the kernel DAG of one transformer layer for the given variant.
+    """The kernel DAG of one transformer layer for the given variant.
 
     All-reduce kernels are present only when n_gpu >= 2: with a single GPU
     there is no tensor parallelism and no communication step at all.
     Residual-path edges run from the attention-input juncture (norm_attn) to
-    add_attn, and from add_attn to add_mlp.
+    add_attn, and from add_attn to add_mlp.  Equal arguments return the same
+    shared, immutable graph; invalid ones raise on every call.
     """
     validate_architecture(arch)
     if n_gpu < 1:

@@ -248,6 +248,18 @@ def allreduce_cost(
     return CostTriple(cells // l, 2 * cells * width // l, cells * (l - 1) * width // l)
 
 
+# The cost equation of each kernel kind, so that kernel_cost dispatches on
+# one lookup; the equations themselves are called through their module names.
+_FAMILY = {
+    **dict.fromkeys(LINEAR_KINDS, "linear"),
+    **dict.fromkeys(ATTN_MATMUL_KINDS, "attention_matmul"),
+    KernelKind.SOFTMAX: "softmax",
+    KernelKind.FUSE_ATTN: "fused_attention",
+    **dict.fromkeys(ELEMENTWISE_KINDS, "elementwise"),
+    KernelKind.ALL_REDUCE: "allreduce",
+}
+
+
 def kernel_cost(
     node: KernelNode,
     arch: LlmArchitecture,
@@ -258,27 +270,28 @@ def kernel_cost(
 ) -> CostTriple:
     """Dispatch a kernel node to its cost equation."""
     kind = node.kind
-    if kind is KernelKind.FUSE_ATTN and not arch.flash_attention:
-        raise UnsupportedKind("fuse_attn kernel in a non-flash-attention architecture")
-    if kind in (KernelKind.MATMUL_QK, KernelKind.SOFTMAX, KernelKind.MATMUL_SV):
-        if arch.flash_attention:
-            raise UnsupportedKind(f"{kind.name} kernel in a flash-attention architecture")
-    if kind in LINEAR_KINDS:
+    family = _FAMILY.get(kind)
+    if family == "linear":
         return linear_cost(kind, arch, cfg, phase)
-    if kind in ATTN_MATMUL_KINDS:
-        return attention_matmul_cost(kind, arch, cfg, phase)
-    if kind is KernelKind.SOFTMAX:
-        return softmax_cost(arch, cfg, phase)
-    if kind is KernelKind.FUSE_ATTN:
-        return fused_attention_cost(arch, cfg, gpu_s_block, phase, corrected=corrected)
-    if kind in ELEMENTWISE_KINDS:
+    if family == "elementwise":
         return elementwise_cost(kind, arch, cfg, phase)
-    if kind is KernelKind.ALL_REDUCE:
+    if family == "allreduce":
         # reduced matrix is the per-token activation block: hidden x batch
         return allreduce_cost(
             arch.hidden_size, cfg.batch_size, cfg.gpu_count, cfg, arch.activation_dtype, phase
         )
-    raise UnsupportedKind(f"no cost equation for kernel kind {kind.name}")
+    if family == "fused_attention":
+        if not arch.flash_attention:
+            raise UnsupportedKind("fuse_attn kernel in a non-flash-attention architecture")
+        return fused_attention_cost(arch, cfg, gpu_s_block, phase, corrected=corrected)
+    if family is None:
+        raise UnsupportedKind(f"no cost equation for kernel kind {kind.name}")
+    # the unfused attention kernels
+    if arch.flash_attention:
+        raise UnsupportedKind(f"{kind.name} kernel in a flash-attention architecture")
+    if family == "softmax":
+        return softmax_cost(arch, cfg, phase)
+    return attention_matmul_cost(kind, arch, cfg, phase)
 
 
 def layer_totals(

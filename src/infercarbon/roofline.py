@@ -3,11 +3,16 @@
 A kernel's attainable throughput is the bandwidth-limited ceiling below the
 ridge point and the compute ceiling above it.  Ordinary kernels roof against
 memory bandwidth (intensity = ops per memory byte); all-reduce kernels roof
-against the interconnect (intensity = ops per network byte).
+against the interconnect (intensity = ops per network byte).  `RidgePoints`
+holds a GPU's ceilings at one data type and is the one place the ceiling test
+is written; `roofline_performance` and `node_performance` both use it.
 
 ``cost_layer`` prices every kernel of one layer once per phase and keeps the
 cost triples with their Roofline performance in one table, which the
-features, the energy oracle and the carbon report all read.
+features, the energy oracle and the carbon report all read.  It works on the
+shared kernel graph of the layer's (architecture, GPU count) and reads the
+GPU's ceilings once per layer, so only the request-dependent pricing runs per
+kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .arch import (
     validate_architecture,
     validate_inference,
 )
-from .costmodel import ZERO_COST, CostTriple, LayerTotals, Phase, kernel_cost
+from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
 
 
@@ -37,6 +42,11 @@ class MissingThroughput(ValueError):
 
 class ZeroTraffic(ValueError):
     """Arithmetic intensity is undefined: the traffic denominator is zero."""
+
+
+class GraphMismatch(ValueError):
+    """A kernel graph passed for pricing is not the layer graph of the
+    architecture on the request's GPU count."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +98,22 @@ class GpuSpec:
 
 @dataclass(frozen=True)
 class RidgePoints:
-    """Memory and network ridge points of a GPU at one data type, in OPs/byte."""
+    """A GPU's Roofline ceilings at one data type: peak throughput th (OPs/s),
+    memory and network bandwidth (bytes/s), and the memory and network ridge
+    points mrp and nrp (OPs/byte) where the bandwidth ceilings meet the peak."""
 
+    th: float
+    bw_max: float
+    net_max: float
     mrp: float
     nrp: float
+
+    def attainable(self, cost: CostTriple, kind_is_allreduce: bool) -> float:
+        """Attainable throughput in OPs/s of a kernel with this cost."""
+        intensity = arithmetic_intensity(cost, kind_is_allreduce)
+        if kind_is_allreduce:
+            return self.net_max * intensity if intensity < self.nrp else self.th
+        return self.bw_max * intensity if intensity < self.mrp else self.th
 
 
 def validate_gpu(gpu: GpuSpec) -> GpuSpec:
@@ -106,14 +128,16 @@ def validate_gpu(gpu: GpuSpec) -> GpuSpec:
 
 
 def ridge_points(gpu: GpuSpec, dtype: DataType) -> RidgePoints:
-    """Compute-vs-memory and compute-vs-network balance points."""
+    """The GPU's ceilings at `dtype`, with its compute-vs-memory and
+    compute-vs-network balance points."""
     try:
         th = gpu.th_max[dtype]
     except KeyError:
         raise MissingThroughput(
             f"GPU '{gpu.name}' has no peak throughput for {dtype.name}"
         ) from None
-    return RidgePoints(mrp=th / gpu.bw_max, nrp=th / gpu.net_max)
+    return RidgePoints(th=th, bw_max=gpu.bw_max, net_max=gpu.net_max,
+                       mrp=th / gpu.bw_max, nrp=th / gpu.net_max)
 
 
 def arithmetic_intensity(cost: CostTriple, kind_is_allreduce: bool) -> float:
@@ -128,30 +152,29 @@ def roofline_performance(
     cost: CostTriple, gpu: GpuSpec, dtype: DataType, kind_is_allreduce: bool
 ) -> float:
     """Attainable throughput in OPs/s under the Roofline ceilings."""
-    points = ridge_points(gpu, dtype)
-    intensity = arithmetic_intensity(cost, kind_is_allreduce)
-    th = gpu.th_max[dtype]
-    if kind_is_allreduce:
-        if intensity < points.nrp:
-            return gpu.net_max * intensity
-        return th
-    if intensity < points.mrp:
-        return gpu.bw_max * intensity
-    return th
+    return ridge_points(gpu, dtype).attainable(cost, kind_is_allreduce)
 
 
 def node_performance(
-    cost: CostTriple, gpu: GpuSpec, dtype: DataType, kind_is_allreduce: bool
+    cost: CostTriple,
+    gpu: GpuSpec,
+    dtype: DataType,
+    kind_is_allreduce: bool,
+    ceilings: RidgePoints | None = None,
 ) -> float:
     """Roofline performance with the zero-cost convention.
 
     A kernel whose cost triple is all zero (for example any token-factored
     decode kernel of a request that generates a single token) is assigned
     performance 0 so that every node still has a finite feature value.
+    `ceilings`, when given, are ``ridge_points(gpu, dtype)`` already read by
+    the caller, which prices many kernels on the one GPU.
     """
     if cost.is_zero():
         return 0.0
-    return roofline_performance(cost, gpu, dtype, kind_is_allreduce)
+    if ceilings is None:
+        ceilings = ridge_points(gpu, dtype)
+    return ceilings.attainable(cost, kind_is_allreduce)
 
 
 class PricedKernel(NamedTuple):
@@ -173,8 +196,15 @@ class LayerCosts:
 
     def totals(self) -> LayerTotals:
         """Component-wise per-phase cost sums over the layer's kernels."""
-        prefill, decode = (sum((k.cost for k in self.phases[p]), ZERO_COST) for p in Phase)
-        return LayerTotals(prefill=prefill, decode=decode)
+        sums = []
+        for phase in Phase:
+            ops = mem = net = 0
+            for cost, _ in self.phases[phase]:
+                ops += cost.ops
+                mem += cost.mem_bytes
+                net += cost.net_bytes
+            sums.append(CostTriple(ops, mem, net))
+        return LayerTotals(prefill=sums[0], decode=sums[1])
 
     def phase_seconds(self) -> dict[Phase, float]:
         """Per-phase Roofline execution time of the layer, in seconds.
@@ -203,19 +233,32 @@ def cost_layer(
     """Price each kernel of one layer for both phases, with its Roofline
     performance at the activation data type's peak throughput.
 
-    `graph` defaults to the layer graph of `arch` on `cfg.gpu_count` GPUs.
+    `graph` defaults to the layer graph of `arch` on `cfg.gpu_count` GPUs; a
+    graph that is given must equal it, or GraphMismatch is raised.
     """
     validate_architecture(arch)
     validate_inference(cfg)
+    layer_graph = enumerate_layer_kernels(arch, cfg.gpu_count)
     if graph is None:
-        graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+        graph = layer_graph
+    elif graph is not layer_graph and graph != layer_graph:
+        variant = "flash-attention" if arch.flash_attention else "unfused-attention"
+        mlp = "gated" if arch.gated_mlp else "ungated"
+        raise GraphMismatch(
+            f"kernel graph ({len(graph.nodes)} kernels) is not the layer graph of the "
+            f"{variant}, {mlp}-MLP architecture at TP degree {cfg.gpu_count} "
+            f"({len(layer_graph.nodes)} kernels)"
+        )
     dtype = arch.activation_dtype
+    ceilings = ridge_points(gpu, dtype)
+    s_block = gpu.s_block
     phases = {}
     for phase in Phase:
         column = []
         for node in graph.nodes:
-            cost = kernel_cost(node, arch, cfg, gpu.s_block, phase)
-            performance = node_performance(cost, gpu, dtype, node.kind is KernelKind.ALL_REDUCE)
+            cost = kernel_cost(node, arch, cfg, s_block, phase)
+            performance = node_performance(cost, gpu, dtype, node.kind is KernelKind.ALL_REDUCE,
+                                           ceilings)
             column.append(PricedKernel(cost, performance))
         phases[phase] = tuple(column)
     return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)

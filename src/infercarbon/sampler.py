@@ -27,12 +27,11 @@ from .arch import (
     InferenceConfig,
     LlmArchitecture,
     RangeError,
-    enumerate_layer_kernels,
     validate_architecture,
     validate_inference,
 )
 from .costmodel import Phase, check_partition
-from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_featurize
+from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_energy, train
 from .kvfile import ConfigError
 from .roofline import GpuSpec, cost_layer, validate_gpu
@@ -473,12 +472,11 @@ def focused_sampling_loop(
     test_pairs = [(featurized(s), s.energy_joules) for s in test_set]
 
     params, _ = train(train_pairs, hyper.train)
-
-    def predict_sample(index: int) -> float:
-        return predict_energy(test_pairs[index][0], params)
+    # the test-set predictions of the current params, reused to pick the worst
+    preds: list[float] = []
 
     def current_mape() -> float:
-        preds = [predict_sample(i) for i in range(len(test_pairs))]
+        preds[:] = [predict_energy(fg, params) for fg, _ in test_pairs]
         truths = [s.energy_joules for s in test_set]
         return mape(preds, truths)
 
@@ -491,7 +489,7 @@ def focused_sampling_loop(
         by_index = {id(s): i for i, s in enumerate(test_set)}
 
         def predict(sample: EnergySample) -> float:
-            return predict_sample(by_index[id(sample)])
+            return preds[by_index[id(sample)]]
 
         worst = select_high_error(predict, test_set, hyper.worst_count)
         refined = fine_grained_sampling(
@@ -526,8 +524,7 @@ def focused_sampling_loop(
 
 
 def raw_featurize_point(point: SamplePoint):
-    graph = enumerate_layer_kernels(point.arch, point.cfg.gpu_count)
-    return raw_featurize(graph, point.arch, point.cfg, point.gpu)
+    return raw_features(cost_layer(point.arch, point.cfg, point.gpu))
 
 
 def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample],

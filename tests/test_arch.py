@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from infercarbon import arch as arch_mod
 from infercarbon.arch import (
     DataType,
     DivisibilityError,
@@ -67,6 +68,9 @@ class TestValidation:
         assert DataType.FP16.width == 2
         assert DataType.INT8.width == 1
         assert DataType.INT8.bitwidth == 8
+        assert [d.bitwidth for d in (DataType.FP32, DataType.FP16)] == [32, 16]
+        for dtype in DataType:
+            assert (dtype.width, dtype.bitwidth) == (dtype.value, 8 * dtype.value)
 
 
 class TestLayerGraph:
@@ -147,6 +151,35 @@ class TestLayerGraph:
     def test_rejects_bad_gpu_count(self, tiny_arch):
         with pytest.raises(RangeError):
             enumerate_layer_kernels(tiny_arch, 0)
+
+
+class TestSharedLayerGraph:
+    def test_equal_arguments_share_one_graph(self, tiny_arch):
+        graph = enumerate_layer_kernels(tiny_arch, 2)
+        assert enumerate_layer_kernels(dataclasses.replace(tiny_arch), 2) is graph
+        assert enumerate_layer_kernels(tiny_arch, 1) is not graph
+        # TP 2 and TP 4 layers have the same kernels
+        assert enumerate_layer_kernels(tiny_arch, 4) == graph
+
+    def test_shared_graph_is_immutable(self, tiny_arch):
+        graph = enumerate_layer_kernels(tiny_arch, 2)
+        assert isinstance(graph.nodes, tuple) and isinstance(graph.edges, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.nodes = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.nodes[0].dims = (0,) * 6
+
+    def test_errors_are_raised_on_every_call(self, tiny_arch):
+        bad = dataclasses.replace(tiny_arch, head_count=3)
+        for _ in range(2):
+            with pytest.raises(DivisibilityError):
+                enumerate_layer_kernels(bad, 1)
+            with pytest.raises(RangeError):
+                enumerate_layer_kernels(tiny_arch, 0)
+
+    def test_cache_is_bounded_by_a_constant(self):
+        assert isinstance(arch_mod.GRAPH_CACHE_SIZE, int) and arch_mod.GRAPH_CACHE_SIZE > 0
+        assert enumerate_layer_kernels.cache_parameters()["maxsize"] == arch_mod.GRAPH_CACHE_SIZE
 
 
 class TestArchCatalog:

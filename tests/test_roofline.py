@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from infercarbon.arch import DataType, RangeError
+from infercarbon.arch import DataType, RangeError, enumerate_layer_kernels
 from infercarbon.costmodel import CostTriple
+from infercarbon.features import raw_featurize
 from infercarbon.kvfile import ConfigError
 from infercarbon.roofline import (
     GpuSpec,
+    GraphMismatch,
     MissingThroughput,
     ZeroTraffic,
     arithmetic_intensity,
     builtin_gpu_catalog,
+    cost_layer,
     node_performance,
     parse_gpu_catalog,
     ridge_points,
@@ -65,6 +70,12 @@ class TestRidgePoints:
             int8 = ridge_points(gpu, DataType.INT8)
             assert int8.mrp > fp16.mrp > fp32.mrp
             assert int8.nrp > fp16.nrp > fp32.nrp
+
+    def test_carries_the_ceilings(self):
+        gpu = synthetic_gpu()
+        points = ridge_points(gpu, DataType.INT8)
+        assert (points.th, points.bw_max, points.net_max) == (4e12, 1e11, 5e10)
+        assert (points.mrp, points.nrp) == (4e12 / 1e11, 4e12 / 5e10)
 
 
 class TestIntensity:
@@ -125,6 +136,49 @@ class TestPerformance:
         assert node_performance(CostTriple(0, 0, 0), self.A100, DataType.FP16, False) == 0.0
         with pytest.raises(ZeroTraffic):
             roofline_performance(CostTriple(0, 0, 0), self.A100, DataType.FP16, False)
+
+    def test_given_ceilings_equal_the_gpu_lookup(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        for gpu in builtin_gpu_catalog().values():
+            for dtype in gpu.th_max:
+                ceilings = ridge_points(gpu, dtype)
+                for _ in range(50):
+                    cost = CostTriple(*(int(v) for v in rng.integers(0, 10**9, size=3)))
+                    is_ar = bool(rng.integers(2))
+                    perf = node_performance(cost, gpu, dtype, is_ar)
+                    assert node_performance(cost, gpu, dtype, is_ar, ceilings) == perf
+                    if not cost.is_zero():
+                        assert roofline_performance(cost, gpu, dtype, is_ar) == perf
+
+
+class TestLayerGraphCheck:
+    A100 = builtin_gpu_catalog()["a100"]
+
+    def test_single_gpu_graph_refused_for_tensor_parallel_request(self, tiny_arch, tiny_cfg):
+        cfg = dataclasses.replace(tiny_cfg, gpu_count=2)
+        with pytest.raises(GraphMismatch, match="TP degree 2") as err:
+            raw_featurize(enumerate_layer_kernels(tiny_arch, 1), tiny_arch, cfg, self.A100)
+        assert "flash-attention" in str(err.value)
+        assert isinstance(err.value, ValueError)
+
+    def test_flash_graph_refused_for_unfused_architecture(self, tiny_arch, tiny_cfg):
+        unfused = dataclasses.replace(tiny_arch, flash_attention=False)
+        with pytest.raises(GraphMismatch, match="unfused-attention") as err:
+            cost_layer(unfused, tiny_cfg, self.A100, enumerate_layer_kernels(tiny_arch, 1))
+        assert "TP degree 1" in str(err.value)
+
+    def test_graph_of_other_dimensions_refused(self, tiny_arch, tiny_cfg):
+        wider = dataclasses.replace(tiny_arch, intermediate_size=256)
+        with pytest.raises(GraphMismatch):
+            cost_layer(tiny_arch, tiny_cfg, self.A100, enumerate_layer_kernels(wider, 1))
+
+    def test_equal_graphs_are_accepted(self, tiny_arch, tiny_cfg):
+        cfg = dataclasses.replace(tiny_cfg, gpu_count=4)
+        # TP 2 and TP 4 layers have the same kernels
+        given = cost_layer(tiny_arch, cfg, self.A100, enumerate_layer_kernels(tiny_arch, 2))
+        assert given == cost_layer(tiny_arch, cfg, self.A100)
+        rebuilt = dataclasses.replace(enumerate_layer_kernels(tiny_arch, 4))
+        assert cost_layer(tiny_arch, cfg, self.A100, rebuilt).phases == given.phases
 
 
 class TestCatalog:

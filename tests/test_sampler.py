@@ -7,7 +7,8 @@ import pytest
 
 from infercarbon.arch import InferenceConfig, LlmArchitecture, validate_architecture
 from infercarbon.costmodel import Phase
-from infercarbon.gnn import TrainHyper
+from infercarbon import sampler as sampler_mod
+from infercarbon.gnn import TrainHyper, predict_energy
 from infercarbon.kvfile import ConfigError
 from infercarbon.roofline import builtin_gpu_catalog
 from infercarbon.sampler import (
@@ -238,6 +239,23 @@ class TestFocusedLoop:
         assert a.test_set == b.test_set
         for x, y in zip(a.params.as_list(), b.params.as_list()):
             assert np.array_equal(x, y)
+
+    def test_each_test_sample_is_predicted_once_per_round(self, space, monkeypatch):
+        # 160 initial points, two rounds of 8 x 8 refinements: the test set
+        # holds 32, 44 and 56 samples when the MAPE is taken
+        hyper = tiny_loop_hyper(initial_points=160, worst_count=8, refine_per_center=8,
+                                train=TrainHyper(epochs=1, batch_size=32, seed=0),
+                                update_epochs=1)
+        calls = []
+
+        def counted(fg, params):
+            calls.append(fg)
+            return predict_energy(fg, params)
+
+        monkeypatch.setattr(sampler_mod, "predict_energy", counted)
+        result = focused_sampling_loop(space, SyntheticEnergyOracle(), 1e-6, hyper)
+        assert [len(r.centers) for r in result.refinements] == [8, 8]
+        assert len(calls) == 32 + 44 + 56
 
     def test_rejects_bad_threshold(self, space):
         with pytest.raises(ValueError):
