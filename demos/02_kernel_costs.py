@@ -6,17 +6,11 @@ Every kernel gets an operation count, a memory-traffic total and (for
 all-reduce) a network-traffic total, for prefill and decode separately.
 Prefill processes the whole prompt at once; decode walks token by token over
 the KV cache, and its costs carry a (generated_tokens - 1) factor.
+`cost_layer` prices every kernel of a layer once per phase into one table.
 """
 
-from infercarbon import (
-    InferenceConfig,
-    LlmArchitecture,
-    Phase,
-    enumerate_layer_kernels,
-    kernel_cost,
-    layer_totals,
-    model_totals,
-)
+from infercarbon import InferenceConfig, LlmArchitecture, Phase, cost_layer, model_totals
+from infercarbon.roofline import builtin_gpu_catalog
 
 arch = LlmArchitecture(
     hidden_size=2048,
@@ -26,13 +20,12 @@ arch = LlmArchitecture(
     layer_count=22,
 )
 cfg = InferenceConfig(batch_size=1, prompt_length=512, generated_tokens=128, gpu_count=2)
-graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+costs = cost_layer(arch, cfg, builtin_gpu_catalog()["a100"])
 
 print(f"{'kernel':<12} {'prefill ops':>14} {'prefill MB':>11} {'decode ops':>14} "
       f"{'decode MB':>10} {'net MB':>8}")
-for node in graph.nodes:
-    pre = kernel_cost(node, arch, cfg, gpu_s_block=1, phase=Phase.PREFILL)
-    dec = kernel_cost(node, arch, cfg, gpu_s_block=1, phase=Phase.DECODE)
+for node, (pre, _), (dec, _) in zip(costs.graph.nodes, costs.phases[Phase.PREFILL],
+                                    costs.phases[Phase.DECODE]):
     print(
         f"{node.kind.value:<12} {pre.ops:>14,} {pre.mem_bytes / 1e6:>11.2f} "
         f"{dec.ops:>14,} {dec.mem_bytes / 1e6:>10.2f} "
@@ -40,7 +33,7 @@ for node in graph.nodes:
     )
 
 # layer and whole-model totals
-per_layer = layer_totals(graph, arch, cfg, gpu_s_block=1)
+per_layer = costs.totals()
 whole = model_totals(per_layer, arch.layer_count)
 print(f"\nper layer:  prefill {per_layer.prefill.ops / 1e9:.2f} GOPs, "
       f"decode {per_layer.decode.ops / 1e9:.2f} GOPs")

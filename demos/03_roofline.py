@@ -8,17 +8,9 @@ against the interconnect instead of memory.  The ridge point is the peak
 throughput divided by the peak bandwidth, so it shifts with the data type.
 """
 
-from infercarbon import (
-    DataType,
-    InferenceConfig,
-    LlmArchitecture,
-    Phase,
-    enumerate_layer_kernels,
-    kernel_cost,
-    ridge_points,
-)
+from infercarbon import DataType, InferenceConfig, LlmArchitecture, Phase, cost_layer, ridge_points
 from infercarbon.arch import KernelKind
-from infercarbon.roofline import builtin_gpu_catalog, node_performance
+from infercarbon.roofline import builtin_gpu_catalog
 
 catalog = builtin_gpu_catalog()
 
@@ -39,15 +31,16 @@ mrp = ridge_points(gpu, arch.activation_dtype).mrp
 
 print(f"\nA100 FP16, prompt {cfg.prompt_length}, {cfg.generated_tokens} generated tokens:")
 print(f"{'kernel':<12} {'phase':<8} {'OPs/B':>9} {'P (TOPs/s)':>11} bound")
-for node in enumerate_layer_kernels(arch, cfg.gpu_count).nodes:
+# every kernel priced once per phase, with its Roofline performance
+costs = cost_layer(arch, cfg, gpu)
+for i, node in enumerate(costs.graph.nodes):
     for phase in Phase:
-        cost = kernel_cost(node, arch, cfg, gpu.s_block, phase)
+        cost, perf = costs.phases[phase][i]
         if cost.ops == 0:
             continue
         is_ar = node.kind is KernelKind.ALL_REDUCE
         traffic = cost.net_bytes if is_ar else cost.mem_bytes
         intensity = cost.ops / traffic
-        perf = node_performance(cost, gpu, arch.activation_dtype, is_ar)
         if is_ar:
             bound = "network"
         else:

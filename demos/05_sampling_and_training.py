@@ -9,6 +9,9 @@ held-out set.  This demo runs a miniature loop (the CI-scale defaults are
 2000 initial points and 50 refinements per center).
 """
 
+import tempfile
+from pathlib import Path
+
 from infercarbon.gnn import TrainHyper, save_checkpoint, load_checkpoint
 from infercarbon.roofline import builtin_gpu_catalog
 from infercarbon.sampler import (
@@ -42,7 +45,9 @@ for delta, value in sorted(report.eba.items()):
     print(f"  EBA({delta:.0%}) = {value:.1f}%")
 
 # checkpoints round-trip exactly
-save_checkpoint("/tmp/infercarbon-demo-model.json", result.params, result.stats, seed=1)
-params, stats, meta = load_checkpoint("/tmp/infercarbon-demo-model.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.json"
+    save_checkpoint(path, result.params, result.stats, seed=1)
+    params, stats, meta = load_checkpoint(path)
 again = evaluate_model(params, stats, result.test_set)
 print(f"\nreloaded checkpoint reproduces MAPE: {again.mape:.2f}%")

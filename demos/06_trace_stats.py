@@ -27,10 +27,10 @@ for i in range(5000):
     generated = int(rng.lognormal(mean=4.8, sigma=1.0))  # ~130-token median
     rows.append(f"{i},{prompt},{generated}")
 
-path = Path(tempfile.mkdtemp()) / "chat_trace.csv"
-path.write_text("\n".join(rows) + "\n")
-
-records = parse_trace(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "chat_trace.csv"
+    path.write_text("\n".join(rows) + "\n")
+    records = parse_trace(path)
 stats = trace_stats(records)
 print(stats.format_text())
 

@@ -42,7 +42,6 @@ from .costmodel import (
     elementwise_cost,
     fused_attention_cost,
     kernel_cost,
-    layer_totals,
     linear_cost,
     model_totals,
     softmax_cost,
@@ -50,6 +49,7 @@ from .costmodel import (
 from .features import (
     FeatureStats,
     FeaturizedGraph,
+    GraphMismatch,
     NonFiniteFeature,
     UnknownFormat,
     export_graph,
@@ -78,7 +78,6 @@ from .gnn import (
 )
 from .roofline import (
     GpuSpec,
-    GraphMismatch,
     LayerCosts,
     MissingThroughput,
     RidgePoints,
@@ -88,7 +87,6 @@ from .roofline import (
     cost_layer,
     load_gpu_catalog,
     ridge_points,
-    roofline_performance,
 )
 from .sampler import (
     ArchPrior,

@@ -11,13 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arch import (
-    InferenceConfig,
-    LlmArchitecture,
-    RangeError,
-    validate_architecture,
-    validate_inference,
-)
+from .arch import InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase
 from .features import FeatureStats, featurize_raw, raw_features
 from .gnn import GnnParams, predict_energy
@@ -166,9 +160,8 @@ def estimate_request(
 ) -> CarbonReport:
     """Full pipeline for one request: energy prediction, Eq-style operational
     carbon, embodied amortization over the Roofline execution time, which the
-    predictor's breakdown reports as ``roofline_seconds``."""
-    validate_architecture(arch)
-    validate_inference(cfg)
+    predictor's breakdown reports as ``roofline_seconds``.  The predictor
+    prices the request through ``cost_layer``, which validates it."""
     breakdown = predictor.measure_breakdown(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
     total_j = breakdown["total_joules"]
     prefill_j = breakdown["prefill_joules"]

@@ -72,10 +72,10 @@ def _pick(catalog: dict, key: str, what: str):
     return catalog[key]
 
 
-def cmd_estimate(args) -> int:
+def _request(args):
+    """The (architecture, GPU, validated request) that the request flags name."""
     gpus = load_gpus(args.gpu_catalog)
-    archs = load_archs(args.arch_catalog)
-    llm = _pick(archs, args.arch, "architecture")
+    llm = _pick(load_archs(args.arch_catalog), args.arch, "architecture")
     gpu = _pick(gpus, args.gpu, "GPU")
     cfg = arch_mod.validate_inference(
         arch_mod.InferenceConfig(
@@ -85,6 +85,11 @@ def cmd_estimate(args) -> int:
             gpu_count=args.n_gpu,
         )
     )
+    return llm, gpu, cfg
+
+
+def cmd_estimate(args) -> int:
+    llm, gpu, cfg = _request(args)
     if args.oracle:
         predictor = sampler_mod.SyntheticEnergyOracle()
     elif args.checkpoint:
@@ -102,20 +107,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    gpus = load_gpus(args.gpu_catalog)
-    archs = load_archs(args.arch_catalog)
-    llm = _pick(archs, args.arch, "architecture")
-    gpu = _pick(gpus, args.gpu, "GPU")
-    cfg = arch_mod.validate_inference(
-        arch_mod.InferenceConfig(
-            batch_size=args.batch,
-            prompt_length=args.prompt,
-            generated_tokens=args.gen,
-            gpu_count=args.n_gpu,
-        )
-    )
-    if args.format not in ("json", "dot"):
-        raise CliError(f"unknown graph format '{args.format}' (expected 'json' or 'dot')")
+    llm, gpu, cfg = _request(args)
     graph = enumerate_layer_kernels(llm, args.n_gpu)
     fg = featurize(graph, llm, cfg, gpu, identity_stats())
     print(export_graph(fg, args.format))

@@ -9,14 +9,19 @@ and the sum floor-divided exactly once; that equals the floor of the exact
 rational sum, so the equality tests against the brute-force counting oracle
 stay free of float drift.
 
-Two deliberate quirks of the cost equations are preserved in the default
-("faithful") mode rather than silently repaired:
+Two deliberate quirks of the cost equations are preserved rather than
+silently repaired:
 
 * the fused-attention memory total counts the KV-cache load twice and omits
-  the activation store; ``corrected=True`` swaps the duplicated KV term for
-  the activation-store term instead,
+  the activation store; ``fused_attention_cost(..., corrected=True)`` swaps the
+  duplicated KV term for the activation-store term instead, while
+  ``kernel_cost``, and so every priced layer, keeps the faithful total,
 * linear kernels reload their weights once per generated token during decode,
   while prefill loads them a single time.
+
+A layer's per-phase totals come from its priced table
+(``roofline.cost_layer(...).totals()``); ``model_totals`` scales them by the
+layer count.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .arch import (
     LINEAR_KINDS,
     DataType,
     InferenceConfig,
-    KernelGraph,
     KernelKind,
     KernelNode,
     LlmArchitecture,
@@ -60,21 +64,11 @@ class CostTriple:
     mem_bytes: int
     net_bytes: int
 
-    def __add__(self, other: "CostTriple") -> "CostTriple":
-        return CostTriple(
-            self.ops + other.ops,
-            self.mem_bytes + other.mem_bytes,
-            self.net_bytes + other.net_bytes,
-        )
-
     def scaled(self, factor: int) -> "CostTriple":
         return CostTriple(self.ops * factor, self.mem_bytes * factor, self.net_bytes * factor)
 
     def is_zero(self) -> bool:
         return self.ops == 0 and self.mem_bytes == 0 and self.net_bytes == 0
-
-
-ZERO_COST = CostTriple(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,6 @@ def kernel_cost(
     cfg: InferenceConfig,
     gpu_s_block: int,
     phase: Phase,
-    corrected: bool = False,
 ) -> CostTriple:
     """Dispatch a kernel node to its cost equation."""
     kind = node.kind
@@ -283,7 +276,7 @@ def kernel_cost(
     if family == "fused_attention":
         if not arch.flash_attention:
             raise UnsupportedKind("fuse_attn kernel in a non-flash-attention architecture")
-        return fused_attention_cost(arch, cfg, gpu_s_block, phase, corrected=corrected)
+        return fused_attention_cost(arch, cfg, gpu_s_block, phase)
     if family is None:
         raise UnsupportedKind(f"no cost equation for kernel kind {kind.name}")
     # the unfused attention kernels
@@ -292,25 +285,6 @@ def kernel_cost(
     if family == "softmax":
         return softmax_cost(arch, cfg, phase)
     return attention_matmul_cost(kind, arch, cfg, phase)
-
-
-def layer_totals(
-    graph: KernelGraph,
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu_s_block: int,
-    corrected: bool = False,
-) -> LayerTotals:
-    """Component-wise per-phase sums over all kernels of one layer."""
-    if not graph.nodes:
-        raise ValueError("layer graph has no kernels")
-    totals = {}
-    for phase in Phase:
-        acc = ZERO_COST
-        for node in graph.nodes:
-            acc = acc + kernel_cost(node, arch, cfg, gpu_s_block, phase, corrected=corrected)
-        totals[phase] = acc
-    return LayerTotals(prefill=totals[Phase.PREFILL], decode=totals[Phase.DECODE])
 
 
 def model_totals(totals: LayerTotals, layer_count: int) -> LayerTotals:

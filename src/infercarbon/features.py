@@ -51,6 +51,11 @@ class UnknownFormat(ValueError):
     """Unsupported graph export format."""
 
 
+class GraphMismatch(ValueError):
+    """A kernel graph passed for featurizing is not the layer graph of the
+    architecture on the request's GPU count."""
+
+
 @dataclass(frozen=True)
 class FeatureStats:
     """log1p-space mean/std per numeric slot, fitted on the training split."""
@@ -172,8 +177,19 @@ def raw_featurize(
     """Cost every node for both phases and collect the raw feature numbers.
 
     Roofline performance uses the activation data type's peak throughput.
+    `graph` must equal the layer graph of `arch` on `cfg.gpu_count` GPUs, or
+    GraphMismatch is raised.
     """
-    return raw_features(cost_layer(arch, cfg, gpu, graph))
+    costs = cost_layer(arch, cfg, gpu)
+    if graph is not costs.graph and graph != costs.graph:
+        variant = "flash-attention" if arch.flash_attention else "unfused-attention"
+        mlp = "gated" if arch.gated_mlp else "ungated"
+        raise GraphMismatch(
+            f"kernel graph ({len(graph.nodes)} kernels) is not the layer graph of the "
+            f"{variant}, {mlp}-MLP architecture at TP degree {cfg.gpu_count} "
+            f"({len(costs.graph.nodes)} kernels)"
+        )
+    return raw_features(costs)
 
 
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:

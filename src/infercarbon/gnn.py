@@ -470,9 +470,13 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
     """Load a checkpoint; refuses mismatched widths or a foreign format."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "infercarbon-checkpoint" or payload.get("version") != 1:
-        raise ShapeError("not a recognized checkpoint file")
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise ShapeError(f"{path}: unreadable checkpoint: {exc}") from exc
+    if (not isinstance(payload, dict) or payload.get("format") != "infercarbon-checkpoint"
+            or payload.get("version") != 1):
+        raise ShapeError(f"{path}: not a recognized checkpoint file")
     params = GnnParams.from_list(
         [np.asarray(payload["params"][name], dtype=np.float64) for name in PARAM_NAMES]
     )

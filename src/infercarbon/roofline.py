@@ -4,14 +4,17 @@ A kernel's attainable throughput is the bandwidth-limited ceiling below the
 ridge point and the compute ceiling above it.  Ordinary kernels roof against
 memory bandwidth (intensity = ops per memory byte); all-reduce kernels roof
 against the interconnect (intensity = ops per network byte).  `RidgePoints`
-holds a GPU's ceilings at one data type and is the one place the ceiling test
-is written; `roofline_performance` and `node_performance` both use it.
+holds a GPU's ceilings at one data type, and its ``attainable`` is the one
+place the ceiling test is written; `node_performance` applies it to each
+priced kernel.
 
-``cost_layer`` prices every kernel of one layer once per phase and keeps the
-cost triples with their Roofline performance in one table, which the
-features, the energy oracle and the carbon report all read.  It works on the
-shared kernel graph of the layer's (architecture, GPU count) and reads the
-GPU's ceilings once per layer, so only the request-dependent pricing runs per
+``cost_layer(arch, cfg, gpu)`` is the one way to price a layer: it validates
+the architecture and the request, prices every kernel of the layer once per
+phase and keeps the cost triples with their Roofline performance in one
+table, which the features, the energy oracle and the carbon report all read
+(its ``totals()`` and ``phase_seconds()`` included).  It works on the shared
+kernel graph of the layer's (architecture, GPU count) and reads the GPU's
+ceilings once per layer, so only the request-dependent pricing runs per
 kernel.
 """
 
@@ -42,11 +45,6 @@ class MissingThroughput(ValueError):
 
 class ZeroTraffic(ValueError):
     """Arithmetic intensity is undefined: the traffic denominator is zero."""
-
-
-class GraphMismatch(ValueError):
-    """A kernel graph passed for pricing is not the layer graph of the
-    architecture on the request's GPU count."""
 
 
 @dataclass(frozen=True)
@@ -148,32 +146,15 @@ def arithmetic_intensity(cost: CostTriple, kind_is_allreduce: bool) -> float:
     return cost.ops / denom
 
 
-def roofline_performance(
-    cost: CostTriple, gpu: GpuSpec, dtype: DataType, kind_is_allreduce: bool
-) -> float:
-    """Attainable throughput in OPs/s under the Roofline ceilings."""
-    return ridge_points(gpu, dtype).attainable(cost, kind_is_allreduce)
-
-
-def node_performance(
-    cost: CostTriple,
-    gpu: GpuSpec,
-    dtype: DataType,
-    kind_is_allreduce: bool,
-    ceilings: RidgePoints | None = None,
-) -> float:
-    """Roofline performance with the zero-cost convention.
+def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce: bool) -> float:
+    """Roofline performance under `ceilings` with the zero-cost convention.
 
     A kernel whose cost triple is all zero (for example any token-factored
     decode kernel of a request that generates a single token) is assigned
     performance 0 so that every node still has a finite feature value.
-    `ceilings`, when given, are ``ridge_points(gpu, dtype)`` already read by
-    the caller, which prices many kernels on the one GPU.
     """
     if cost.is_zero():
         return 0.0
-    if ceilings is None:
-        ceilings = ridge_points(gpu, dtype)
     return ceilings.attainable(cost, kind_is_allreduce)
 
 
@@ -224,41 +205,21 @@ class LayerCosts:
         return times
 
 
-def cost_layer(
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu: GpuSpec,
-    graph: KernelGraph | None = None,
-) -> LayerCosts:
-    """Price each kernel of one layer for both phases, with its Roofline
-    performance at the activation data type's peak throughput.
-
-    `graph` defaults to the layer graph of `arch` on `cfg.gpu_count` GPUs; a
-    graph that is given must equal it, or GraphMismatch is raised.
-    """
+def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> LayerCosts:
+    """Price each kernel of the layer graph of `arch` on `cfg.gpu_count` GPUs
+    for both phases, with its Roofline performance at the activation data
+    type's peak throughput."""
     validate_architecture(arch)
     validate_inference(cfg)
-    layer_graph = enumerate_layer_kernels(arch, cfg.gpu_count)
-    if graph is None:
-        graph = layer_graph
-    elif graph is not layer_graph and graph != layer_graph:
-        variant = "flash-attention" if arch.flash_attention else "unfused-attention"
-        mlp = "gated" if arch.gated_mlp else "ungated"
-        raise GraphMismatch(
-            f"kernel graph ({len(graph.nodes)} kernels) is not the layer graph of the "
-            f"{variant}, {mlp}-MLP architecture at TP degree {cfg.gpu_count} "
-            f"({len(layer_graph.nodes)} kernels)"
-        )
-    dtype = arch.activation_dtype
-    ceilings = ridge_points(gpu, dtype)
+    graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+    ceilings = ridge_points(gpu, arch.activation_dtype)
     s_block = gpu.s_block
     phases = {}
     for phase in Phase:
         column = []
         for node in graph.nodes:
             cost = kernel_cost(node, arch, cfg, s_block, phase)
-            performance = node_performance(cost, gpu, dtype, node.kind is KernelKind.ALL_REDUCE,
-                                           ceilings)
+            performance = node_performance(cost, ceilings, node.kind is KernelKind.ALL_REDUCE)
             column.append(PricedKernel(cost, performance))
         phases[phase] = tuple(column)
     return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)

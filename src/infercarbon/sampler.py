@@ -318,12 +318,6 @@ DECODE_UTILIZATION = 0.4
 IDLE_FRACTION = 0.1
 
 
-def roofline_phase_times(point: SamplePoint) -> dict[Phase, float]:
-    """Per-phase Roofline execution time of one layer, in seconds (see
-    `LayerCosts.phase_seconds`)."""
-    return cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
-
-
 class SyntheticEnergyOracle:
     """Deterministic stand-in for on-GPU energy measurement.
 
@@ -338,7 +332,7 @@ class SyntheticEnergyOracle:
     identity = "synthetic-roofline-v1"
 
     def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
-        times = roofline_phase_times(point)
+        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
         gpu = point.gpu
         scale = point.arch.layer_count * point.cfg.gpu_count * gpu.power_w
         utilization = {Phase.PREFILL: PREFILL_UTILIZATION, Phase.DECODE: DECODE_UTILIZATION}
@@ -559,16 +553,22 @@ def load_dataset(path) -> list[EnergySample]:
     """Read a dataset file.  Every record must describe a valid architecture,
     request and GPU and carry a finite energy > 0; the first that does not is
     reported as ``path:line``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if header.get("format") != DATASET_FORMAT or header.get("version") != 1:
-            raise ValueError(f"{path}: not a recognized dataset file")
+    # read as bytes and decoded line by line, so that a bad byte is reported
+    # on its own line, not on the line whose read buffered it
+    with open(path, "rb") as handle:
+        try:
+            header = json.loads(handle.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:1: unreadable dataset header: {exc}") from exc
+        if (not isinstance(header, dict) or header.get("format") != DATASET_FORMAT
+                or header.get("version") != 1):
+            raise ConfigError(f"{path}:1: not a recognized dataset file")
         samples = []
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             try:
-                sample = EnergySample.from_dict(json.loads(line))
+                sample = EnergySample.from_dict(json.loads(line.decode("utf-8")))
                 validate_architecture(sample.point.arch)
                 validate_inference(sample.point.cfg)
                 validate_gpu(sample.point.gpu)

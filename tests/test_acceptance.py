@@ -33,7 +33,6 @@ from infercarbon.roofline import (
     CostTriple,
     builtin_gpu_catalog,
     ridge_points,
-    roofline_performance,
 )
 from infercarbon.sampler import (
     LoopHyper,
@@ -209,7 +208,7 @@ def test_criterion_3_roofline():
                 int(rng.integers(1, 10**10)),
             )
             is_ar = bool(rng.integers(2))
-            perf = roofline_performance(cost, gpu, dtype, is_ar)
+            perf = ridge_points(gpu, dtype).attainable(cost, is_ar)
             assert perf <= gpu.th_max[dtype] * (1.0 + 1e-12)
 
         for gpu in gpus:

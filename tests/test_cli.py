@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from infercarbon.cli import main
 
 
@@ -103,6 +105,25 @@ class TestTraceStats:
     def test_missing_file_is_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "trace-stats", str(tmp_path / "absent.csv"))
         assert code == 2
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("text", ["[1]", "", "not json"])
+    def test_checkpoint_is_config_error_naming_the_file(self, capsys, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    @pytest.mark.parametrize("text", ["[1]\n", "", "not json\n"])
+    def test_dataset_is_config_error_naming_the_file(self, capsys, tmp_path, text):
+        path = tmp_path / "data.jsonl"
+        path.write_text(text)
+        code, _, err = run(capsys, "train", "--dataset", str(path),
+                           "--out", str(tmp_path / "model.json"))
+        assert code == 2
+        assert f"{path}:1" in err
 
 
 class TestPipeline:

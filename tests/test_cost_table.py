@@ -1,8 +1,10 @@
-"""The shared layer cost table against independent re-pricing by its consumers'
-former paths: per-node kernel_cost + node_performance, layer_totals, and the
-per-phase Roofline sums."""
+"""The shared layer cost table against independent re-pricing: per-node
+kernel_cost + node_performance rows, per-node sums of the cost triples, and
+the per-phase Roofline sums written out kernel by kernel."""
 
 import dataclasses
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from infercarbon.carbon import (
     estimate_request,
 )
 from infercarbon.cli import load_archs
-from infercarbon.costmodel import PartitionError, Phase, kernel_cost, layer_totals, model_totals
+from infercarbon.costmodel import (
+    CostTriple,
+    LayerTotals,
+    PartitionError,
+    Phase,
+    kernel_cost,
+    model_totals,
+)
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
@@ -29,14 +38,8 @@ from infercarbon.features import (
     raw_featurize,
 )
 from infercarbon.gnn import init_params
-from infercarbon.roofline import builtin_gpu_catalog, cost_layer, node_performance
-from infercarbon.sampler import (
-    SamplePoint,
-    SyntheticEnergyOracle,
-    desk_prior_space,
-    initial_sample,
-    roofline_phase_times,
-)
+from infercarbon.roofline import builtin_gpu_catalog, cost_layer, node_performance, ridge_points
+from infercarbon.sampler import SamplePoint, SyntheticEnergyOracle, desk_prior_space, initial_sample
 
 
 @pytest.fixture(scope="module")
@@ -73,26 +76,36 @@ def test_sweep_covers_the_variants(sweep):
 def test_raw_features_equal_rows_priced_per_node(sweep):
     for p in sweep:
         graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
+        ceilings = ridge_points(p.gpu, p.arch.activation_dtype)
         rows = []
         for node in graph.nodes:
             row = list(node.dims)
             for phase in Phase:
                 cost = kernel_cost(node, p.arch, p.cfg, p.gpu.s_block, phase)
-                perf = node_performance(cost, p.gpu, p.arch.activation_dtype,
-                                        node.kind is KernelKind.ALL_REDUCE)
+                perf = node_performance(cost, ceilings, node.kind is KernelKind.ALL_REDUCE)
                 row += [cost.ops, cost.mem_bytes, cost.net_bytes, perf]
             rows.append(row)
         raw = raw_featurize(graph, p.arch, p.cfg, p.gpu)
         assert np.array_equal(raw.node_numeric, np.array(rows, dtype=np.float64)), p.describe()
 
 
-def test_table_totals_equal_layer_totals(sweep):
+def per_node_sums(p) -> LayerTotals:
+    """Component-wise per-phase sums of every node's kernel_cost."""
+    graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
+    sums = {}
+    for phase in Phase:
+        costs = [kernel_cost(node, p.arch, p.cfg, p.gpu.s_block, phase) for node in graph.nodes]
+        sums[phase] = CostTriple(sum(c.ops for c in costs), sum(c.mem_bytes for c in costs),
+                                 sum(c.net_bytes for c in costs))
+    return LayerTotals(prefill=sums[Phase.PREFILL], decode=sums[Phase.DECODE])
+
+
+def test_table_totals_equal_per_node_sums(sweep):
     for p in sweep:
         graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
-        totals = model_totals(layer_totals(graph, p.arch, p.cfg, p.gpu.s_block),
-                              p.arch.layer_count)
-        assert model_totals(cost_layer(p.arch, p.cfg, p.gpu).totals(),
-                            p.arch.layer_count) == totals
+        layer = per_node_sums(p)
+        assert cost_layer(p.arch, p.cfg, p.gpu).totals() == layer, p.describe()
+        totals = model_totals(layer, p.arch.layer_count)
         summed = [totals.prefill.ops + totals.decode.ops,
                   totals.prefill.mem_bytes + totals.decode.mem_bytes,
                   totals.prefill.net_bytes + totals.decode.net_bytes]
@@ -104,6 +117,7 @@ def test_phase_times_equal_a_per_kernel_sum(sweep):
     # the Roofline sum as written before the table: graph order, zero-op
     # kernels skipped, no decode time for a single generated token
     for p in sweep:
+        ceilings = ridge_points(p.gpu, p.arch.activation_dtype)
         expected = {}
         for phase in Phase:
             total = 0.0
@@ -112,10 +126,9 @@ def test_phase_times_equal_a_per_kernel_sum(sweep):
                     cost = kernel_cost(node, p.arch, p.cfg, p.gpu.s_block, phase)
                     if cost.ops:
                         total += cost.ops / node_performance(
-                            cost, p.gpu, p.arch.activation_dtype,
-                            node.kind is KernelKind.ALL_REDUCE)
+                            cost, ceilings, node.kind is KernelKind.ALL_REDUCE)
             expected[phase] = total
-        assert roofline_phase_times(p) == expected, p.describe()
+        assert cost_layer(p.arch, p.cfg, p.gpu).phase_seconds() == expected, p.describe()
 
 
 def predictors():
@@ -156,3 +169,32 @@ def test_invalid_architecture_is_refused(sweep):
     for predictor in predictors():
         with pytest.raises((RangeError, DivisibilityError)):
             estimate_request(predictor, arch, p.cfg, p.gpu, DatacenterParams(), EmbodiedParams())
+
+
+def test_each_estimate_validates_once(sweep, monkeypatch):
+    # wrap every package attribute that holds a validator, as a tracer would
+    from infercarbon import arch as arch_mod
+
+    calls = Counter()
+    for name in ("validate_architecture", "validate_inference"):
+        original = getattr(arch_mod, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module is None or not (module_name == "infercarbon"
+                                      or module_name.startswith("infercarbon.")):
+                continue
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    dc, ep = DatacenterParams(), EmbodiedParams()
+    for predictor in predictors():
+        for p in sweep[:5]:
+            estimate_request(predictor, p.arch, p.cfg, p.gpu, dc, ep)  # fills the graph cache
+            calls.clear()
+            for _ in range(3):
+                estimate_request(predictor, p.arch, p.cfg, p.gpu, dc, ep)
+            assert calls == {"validate_architecture": 3, "validate_inference": 3}, p.describe()

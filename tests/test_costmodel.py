@@ -14,12 +14,12 @@ from infercarbon.costmodel import (
     elementwise_cost,
     fused_attention_cost,
     kernel_cost,
-    layer_totals,
     linear_cost,
     model_totals,
     softmax_cost,
 )
 from infercarbon.arch import enumerate_layer_kernels
+from infercarbon.roofline import builtin_gpu_catalog, cost_layer
 
 import bruteforce as bf
 from conftest import random_small_arch, random_small_cfg
@@ -207,18 +207,22 @@ class TestDispatchAndTotals:
         with pytest.raises(UnsupportedKind):
             kernel_cost(fuse, non_flash, tiny_cfg, 1, Phase.DECODE)
 
-    def test_layer_totals_match_resum(self, tiny_arch, tiny_cfg):
-        graph = enumerate_layer_kernels(tiny_arch, 1)
-        totals = layer_totals(graph, tiny_arch, tiny_cfg, 1)
-        for phase, total in ((Phase.PREFILL, totals.prefill), (Phase.DECODE, totals.decode)):
-            ops = sum(kernel_cost(n, tiny_arch, tiny_cfg, 1, phase).ops for n in graph.nodes)
-            mem = sum(kernel_cost(n, tiny_arch, tiny_cfg, 1, phase).mem_bytes for n in graph.nodes)
-            net = sum(kernel_cost(n, tiny_arch, tiny_cfg, 1, phase).net_bytes for n in graph.nodes)
-            assert (total.ops, total.mem_bytes, total.net_bytes) == (ops, mem, net)
+    def test_table_totals_match_resum(self, tiny_arch, tiny_cfg):
+        gpu = builtin_gpu_catalog()["a100"]
+        for tp in (1, 2):
+            cfg = dataclasses.replace(tiny_cfg, gpu_count=tp)
+            graph = enumerate_layer_kernels(tiny_arch, tp)
+            totals = cost_layer(tiny_arch, cfg, gpu).totals()
+            for phase, total in ((Phase.PREFILL, totals.prefill), (Phase.DECODE, totals.decode)):
+                costs = [kernel_cost(n, tiny_arch, cfg, gpu.s_block, phase) for n in graph.nodes]
+                ops = sum(c.ops for c in costs)
+                mem = sum(c.mem_bytes for c in costs)
+                net = sum(c.net_bytes for c in costs)
+                assert (total.ops, total.mem_bytes, total.net_bytes) == (ops, mem, net)
+            assert (totals.prefill.net_bytes > 0) == (tp > 1)
 
     def test_model_totals_scale(self, tiny_arch, tiny_cfg):
-        graph = enumerate_layer_kernels(tiny_arch, 1)
-        totals = layer_totals(graph, tiny_arch, tiny_cfg, 1)
+        totals = cost_layer(tiny_arch, tiny_cfg, builtin_gpu_catalog()["a100"]).totals()
         scaled = model_totals(totals, 32)
         assert scaled.prefill.ops == totals.prefill.ops * 32
         assert model_totals(totals, 1) == totals

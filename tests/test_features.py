@@ -10,9 +10,10 @@ from infercarbon.arch import (
     KernelKind,
     enumerate_layer_kernels,
 )
-from infercarbon.costmodel import layer_totals, model_totals
+from infercarbon.costmodel import Phase, kernel_cost
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
+    GLOBAL_SLOT_NAMES,
     NODE_FEATURE_WIDTH,
     NUM_KINDS,
     UnknownFormat,
@@ -84,8 +85,10 @@ class TestEncoding:
 
     def test_global_vector_layout(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        totals = model_totals(layer_totals(graph, tiny_arch, tiny_cfg, a100.s_block),
-                              tiny_arch.layer_count)
+        # whole-model totals: every node's cost in both phases, times the layers
+        costs = [kernel_cost(node, tiny_arch, tiny_cfg, a100.s_block, phase)
+                 for node in graph.nodes for phase in Phase]
+        layers = tiny_arch.layer_count
         raw = raw_featurize(graph, tiny_arch, tiny_cfg, a100)
         vec = featurize_raw(raw, identity_stats()).global_features
         assert vec.shape == (GLOBAL_FEATURE_WIDTH,)
@@ -98,9 +101,9 @@ class TestEncoding:
             tiny_cfg.batch_size,
             tiny_cfg.prompt_length,
             tiny_cfg.generated_tokens,
-            totals.prefill.ops + totals.decode.ops,
-            totals.prefill.mem_bytes + totals.decode.mem_bytes,
-            totals.prefill.net_bytes + totals.decode.net_bytes,
+            layers * sum(c.ops for c in costs),
+            layers * sum(c.mem_bytes for c in costs),
+            layers * sum(c.net_bytes for c in costs),
         ]
         assert np.array_equal(vec, np.log1p(np.array(expected, dtype=np.float64)))
 
@@ -124,14 +127,14 @@ class TestEncoding:
                 expected[v, u] = 1.0 / len(nset)
         assert np.array_equal(first.agg, expected)
 
-    def test_global_flops_double_with_layers(self, tiny_arch, tiny_cfg):
-        graph = enumerate_layer_kernels(tiny_arch, 1)
-        totals = layer_totals(graph, tiny_arch, tiny_cfg, 1)
-        one = model_totals(totals, 1)
-        two = model_totals(totals, 2)
-        raw_one = one.prefill.ops + one.decode.ops
-        raw_two = two.prefill.ops + two.decode.ops
-        assert raw_two == 2 * raw_one
+    def test_global_flops_double_with_layers(self, tiny_arch, tiny_cfg, a100):
+        flops = []
+        for layers in (1, 2):
+            arch = dataclasses.replace(tiny_arch, layer_count=layers)
+            raw = raw_featurize(enumerate_layer_kernels(arch, 1), arch, tiny_cfg, a100)
+            flops.append(raw.global_numeric[GLOBAL_SLOT_NAMES.index("total_flops")])
+        assert flops[0] > 0
+        assert flops[1] == 2 * flops[0]
 
     def test_featurize_deterministic(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -417,4 +418,11 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ShapeError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[1]", "", "not json", '"text"'])
+    def test_refuses_malformed_file_with_path(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
             load_checkpoint(path)

@@ -5,20 +5,17 @@ import pytest
 
 from infercarbon.arch import DataType, RangeError, enumerate_layer_kernels
 from infercarbon.costmodel import CostTriple
-from infercarbon.features import raw_featurize
+from infercarbon.features import GraphMismatch, raw_featurize
 from infercarbon.kvfile import ConfigError
 from infercarbon.roofline import (
     GpuSpec,
-    GraphMismatch,
     MissingThroughput,
     ZeroTraffic,
     arithmetic_intensity,
     builtin_gpu_catalog,
-    cost_layer,
     node_performance,
     parse_gpu_catalog,
     ridge_points,
-    roofline_performance,
     validate_gpu,
 )
 
@@ -99,12 +96,12 @@ class TestPerformance:
 
     def test_memory_bound_value(self):
         cost = CostTriple(1000, 2000, 0)  # MAI = 0.5
-        perf = roofline_performance(cost, self.A100, DataType.FP16, False)
+        perf = ridge_points(self.A100, DataType.FP16).attainable(cost, False)
         assert perf == pytest.approx(2039e9 * 0.5, rel=1e-12)
 
     def test_compute_bound_value(self):
         cost = CostTriple(400_000, 1000, 0)  # MAI = 400 > 306.03
-        perf = roofline_performance(cost, self.A100, DataType.FP16, False)
+        perf = ridge_points(self.A100, DataType.FP16).attainable(cost, False)
         assert perf == pytest.approx(624e12, rel=1e-12)
 
     def test_branches_agree_at_ridge(self):
@@ -126,29 +123,38 @@ class TestPerformance:
             mem = int(rng.integers(1, 10**9))
             net = int(rng.integers(1, 10**9))
             is_ar = bool(rng.integers(2))
-            perf = roofline_performance(CostTriple(ops, mem, net), gpu, dtype, is_ar)
+            ceilings = ridge_points(gpu, dtype)
+            perf = ceilings.attainable(CostTriple(ops, mem, net), is_ar)
             assert perf <= gpu.th_max[dtype] * (1 + 1e-12)
             # more ops on the same traffic can never be slower
-            perf_bigger = roofline_performance(CostTriple(2 * ops, mem, net), gpu, dtype, is_ar)
+            perf_bigger = ceilings.attainable(CostTriple(2 * ops, mem, net), is_ar)
             assert perf_bigger >= perf
 
     def test_zero_cost_convention(self):
-        assert node_performance(CostTriple(0, 0, 0), self.A100, DataType.FP16, False) == 0.0
+        ceilings = ridge_points(self.A100, DataType.FP16)
+        assert node_performance(CostTriple(0, 0, 0), ceilings, False) == 0.0
         with pytest.raises(ZeroTraffic):
-            roofline_performance(CostTriple(0, 0, 0), self.A100, DataType.FP16, False)
+            ceilings.attainable(CostTriple(0, 0, 0), False)
 
     def test_given_ceilings_equal_the_gpu_lookup(self):
         rng = np.random.Generator(np.random.PCG64(12))
         for gpu in builtin_gpu_catalog().values():
             for dtype in gpu.th_max:
                 ceilings = ridge_points(gpu, dtype)
+                th = gpu.th_max[dtype]
                 for _ in range(50):
                     cost = CostTriple(*(int(v) for v in rng.integers(0, 10**9, size=3)))
                     is_ar = bool(rng.integers(2))
-                    perf = node_performance(cost, gpu, dtype, is_ar)
-                    assert node_performance(cost, gpu, dtype, is_ar, ceilings) == perf
-                    if not cost.is_zero():
-                        assert roofline_performance(cost, gpu, dtype, is_ar) == perf
+                    # the ceiling test written out on the GPU's own fields
+                    bandwidth = gpu.net_max if is_ar else gpu.bw_max
+                    traffic = cost.net_bytes if is_ar else cost.mem_bytes
+                    if cost.is_zero():
+                        want = 0.0
+                    elif cost.ops / traffic < th / bandwidth:
+                        want = bandwidth * (cost.ops / traffic)
+                    else:
+                        want = th
+                    assert node_performance(cost, ceilings, is_ar) == want
 
 
 class TestLayerGraphCheck:
@@ -164,21 +170,23 @@ class TestLayerGraphCheck:
     def test_flash_graph_refused_for_unfused_architecture(self, tiny_arch, tiny_cfg):
         unfused = dataclasses.replace(tiny_arch, flash_attention=False)
         with pytest.raises(GraphMismatch, match="unfused-attention") as err:
-            cost_layer(unfused, tiny_cfg, self.A100, enumerate_layer_kernels(tiny_arch, 1))
+            raw_featurize(enumerate_layer_kernels(tiny_arch, 1), unfused, tiny_cfg, self.A100)
         assert "TP degree 1" in str(err.value)
 
     def test_graph_of_other_dimensions_refused(self, tiny_arch, tiny_cfg):
         wider = dataclasses.replace(tiny_arch, intermediate_size=256)
         with pytest.raises(GraphMismatch):
-            cost_layer(tiny_arch, tiny_cfg, self.A100, enumerate_layer_kernels(wider, 1))
+            raw_featurize(enumerate_layer_kernels(wider, 1), tiny_arch, tiny_cfg, self.A100)
 
     def test_equal_graphs_are_accepted(self, tiny_arch, tiny_cfg):
         cfg = dataclasses.replace(tiny_cfg, gpu_count=4)
         # TP 2 and TP 4 layers have the same kernels
-        given = cost_layer(tiny_arch, cfg, self.A100, enumerate_layer_kernels(tiny_arch, 2))
-        assert given == cost_layer(tiny_arch, cfg, self.A100)
+        own = raw_featurize(enumerate_layer_kernels(tiny_arch, 4), tiny_arch, cfg, self.A100)
         rebuilt = dataclasses.replace(enumerate_layer_kernels(tiny_arch, 4))
-        assert cost_layer(tiny_arch, cfg, self.A100, rebuilt).phases == given.phases
+        for graph in (enumerate_layer_kernels(tiny_arch, 2), rebuilt):
+            given = raw_featurize(graph, tiny_arch, cfg, self.A100)
+            assert np.array_equal(given.node_numeric, own.node_numeric)
+            assert np.array_equal(given.global_numeric, own.global_numeric)
 
 
 class TestCatalog:

@@ -10,7 +10,7 @@ from infercarbon.costmodel import Phase
 from infercarbon import sampler as sampler_mod
 from infercarbon.gnn import TrainHyper, predict_energy
 from infercarbon.kvfile import ConfigError
-from infercarbon.roofline import builtin_gpu_catalog
+from infercarbon.roofline import builtin_gpu_catalog, cost_layer
 from infercarbon.sampler import (
     EmptyPrior,
     EnergySample,
@@ -28,7 +28,6 @@ from infercarbon.sampler import (
     initial_sample,
     label_points,
     load_dataset,
-    roofline_phase_times,
     save_dataset,
     select_high_error,
 )
@@ -179,7 +178,8 @@ class TestSyntheticOracle:
         assert oracle.measure(doubled) == pytest.approx(2.0 * oracle.measure(point), rel=1e-12)
 
     def test_phase_times_positive(self, gpus):
-        times = roofline_phase_times(center_point(gpus))
+        point = center_point(gpus)
+        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
         assert times[Phase.PREFILL] > 0
         assert times[Phase.DECODE] > 0
 
@@ -287,6 +287,24 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "nope", "version": 9}\n')
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("header", [b"[1]\n", b"", b"not json\n", b'"text"\n', b"\xff\n"])
+    def test_rejects_malformed_header_with_path(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(header)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1: ")):
+            load_dataset(path)
+
+    def test_undecodable_record_is_reported_on_its_line(self, tmp_path, gpus):
+        samples = label_points([center_point(gpus, prompt_length=8 + i) for i in range(2)],
+                               SyntheticEnergyOracle())
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, samples)
+        lines = path.read_bytes().splitlines()
+        lines[2] = lines[2][:-1] + b"\xff}"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: ")):
             load_dataset(path)
 
     @pytest.mark.parametrize(
