@@ -5,14 +5,16 @@ Two layer variants exist: with fused (flash) attention the whole attention
 computation is one kernel, without it the score matmul, softmax and value
 matmul appear as separate kernels.  When the layer runs tensor-parallel across
 two or more GPUs, an all-reduce kernel follows each of the two GEMM blocks.
-The graph depends only on the architecture and the GPU count, so one
-immutable graph per (architecture, GPU count) is built and shared.
+A graph is pure topology: its nodes carry a kind and an id, and a kernel's
+dimensions come from ``node_dims(kind, arch)``.  So there is one graph per
+(attention, MLP, TP>=2) topology, at most eight, each built once and shared.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 from .kvfile import ConfigError, SectionReader, parse_sections
@@ -205,101 +207,82 @@ def derive_head_dim(arch: LlmArchitecture) -> int:
 
 @dataclass(frozen=True)
 class KernelNode:
-    """One kernel in the layer graph.
-
-    dims is a fixed 6-slot vector (in_dim, out_dim, weight_rows, weight_cols,
-    head_dim, head_count), zero-padded for slots a kernel does not use.
-    """
+    """One kernel in the layer graph."""
 
     kind: KernelKind
-    dims: tuple[int, int, int, int, int, int]
     id: int
 
 
 @dataclass(frozen=True)
 class KernelGraph:
-    """Directed acyclic kernel graph of one transformer layer."""
+    """Directed acyclic kernel graph of one transformer layer; every edge
+    runs from a lower node id to a higher one."""
 
     nodes: tuple[KernelNode, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def topological_order(self) -> list[int]:
-        """Kahn topological sort; raises ValueError if the graph has a cycle."""
-        indeg = [0] * len(self.nodes)
-        succ: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.edges:
-            succ[src].append(dst)
-            indeg[dst] += 1
-        ready = [i for i, d in enumerate(indeg) if d == 0]
-        order: list[int] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for nxt in succ[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(self.nodes):
-            raise ValueError("kernel graph contains a cycle")
-        return order
+
+# node_dims runs for every node of every request, so it reads each slot from
+# a table rather than testing the kind.  An entry names the architecture
+# quantity in each of a kernel's six slots, as an index into the tuple
+# node_dims builds; _ZERO pads the slots a kernel does not use.
+_ZERO, _HIDDEN, _INTER, _HEAD_DIM, _KV_OUT, _HEADS, _KV_HEADS = range(7)
+_SLOT_SOURCES = {
+    KernelKind.Q_PROJ: (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _HEADS),
+    **dict.fromkeys((KernelKind.K_PROJ, KernelKind.V_PROJ),
+                    (_HIDDEN, _KV_OUT, _HIDDEN, _KV_OUT, _ZERO, _KV_HEADS)),
+    KernelKind.OUT_PROJ: (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _ZERO),
+    **dict.fromkeys((KernelKind.GATE_PROJ, KernelKind.UP_PROJ),
+                    (_HIDDEN, _INTER, _HIDDEN, _INTER, _ZERO, _ZERO)),
+    KernelKind.DOWN_PROJ: (_INTER, _HIDDEN, _INTER, _HIDDEN, _ZERO, _ZERO),
+    **dict.fromkeys((KernelKind.FUSE_ATTN, KernelKind.MATMUL_QK, KernelKind.MATMUL_SV),
+                    (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _HEAD_DIM, _HEADS)),
+    KernelKind.SOFTMAX: (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _HEADS),
+    KernelKind.ACT_MLP: (_INTER, _INTER, _ZERO, _ZERO, _ZERO, _ZERO),
+    # norm / residual-add / all-reduce operate on hidden-size activations
+    **dict.fromkeys((KernelKind.NORM_ATTN, KernelKind.ADD_ATTN, KernelKind.NORM_MLP,
+                     KernelKind.ADD_MLP, KernelKind.ALL_REDUCE),
+                    (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _ZERO)),
+}
+_SLOTS_OF = {kind: operator.itemgetter(*slots) for kind, slots in _SLOT_SOURCES.items()}
 
 
 def node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, int, int, int]:
-    """A kernel's dims slots; a linear kernel's first two are its weight
-    matrix's (input, output) dimensions."""
-    h = arch.hidden_size
-    inter = arch.intermediate_size
+    """A kernel's fixed 6-slot dims vector (in_dim, out_dim, weight_rows,
+    weight_cols, head_dim, head_count), zero-padded for slots the kernel does
+    not use; a linear kernel's first two are its weight matrix's (input,
+    output) dimensions."""
     d_h = arch.hidden_size // arch.head_count
-    kv_out = d_h * arch.kv_head_count
-    if kind is KernelKind.Q_PROJ:
-        return (h, h, h, h, 0, arch.head_count)
-    if kind in (KernelKind.K_PROJ, KernelKind.V_PROJ):
-        return (h, kv_out, h, kv_out, 0, arch.kv_head_count)
-    if kind is KernelKind.OUT_PROJ:
-        return (h, h, h, h, 0, 0)
-    if kind in (KernelKind.GATE_PROJ, KernelKind.UP_PROJ):
-        return (h, inter, h, inter, 0, 0)
-    if kind is KernelKind.DOWN_PROJ:
-        return (inter, h, inter, h, 0, 0)
-    if kind in (KernelKind.FUSE_ATTN, KernelKind.MATMUL_QK, KernelKind.MATMUL_SV):
-        return (h, h, 0, 0, d_h, arch.head_count)
-    if kind is KernelKind.SOFTMAX:
-        return (h, h, 0, 0, 0, arch.head_count)
-    if kind is KernelKind.ACT_MLP:
-        return (inter, inter, 0, 0, 0, 0)
-    # norm / residual-add / all-reduce operate on hidden-size activations
-    return (h, h, 0, 0, 0, 0)
+    return _SLOTS_OF[kind]((0, arch.hidden_size, arch.intermediate_size, d_h,
+                            d_h * arch.kv_head_count, arch.head_count, arch.kv_head_count))
 
 
-# A process sees few distinct (architecture, GPU count) pairs: a catalog's
-# archs at TP 1/2/4, or the archs of one sampling run.  A miss rebuilds a
-# 13-17 node graph.
-GRAPH_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
-    """The kernel DAG of one transformer layer for the given variant.
+    """The kernel DAG of one transformer layer of `arch` on `n_gpu` GPUs.
 
     All-reduce kernels are present only when n_gpu >= 2: with a single GPU
     there is no tensor parallelism and no communication step at all.
     Residual-path edges run from the attention-input juncture (norm_attn) to
-    add_attn, and from add_attn to add_mlp.  Equal arguments return the same
-    shared, immutable graph; invalid ones raise on every call.
+    add_attn, and from add_attn to add_mlp.  Arguments of one topology return
+    the same shared, immutable graph; invalid ones raise on every call.
     """
     validate_architecture(arch)
     if n_gpu < 1:
         raise RangeError(f"n_gpu must be >= 1, got {n_gpu}")
+    return _layer_graph(arch.flash_attention, arch.gated_mlp, n_gpu >= 2)
 
+
+@functools.cache
+def _layer_graph(flash_attention: bool, gated_mlp: bool, tensor_parallel: bool) -> KernelGraph:
+    """The layer graph of one topology; node ids follow insertion order, so
+    each edge is added after both of its ends."""
     nodes: list[KernelNode] = []
     edges: list[tuple[int, int]] = []
 
     def add(kind: KernelKind) -> int:
-        node = KernelNode(kind=kind, dims=node_dims(kind, arch), id=len(nodes))
+        node = KernelNode(kind=kind, id=len(nodes))
         nodes.append(node)
         return node.id
-
-    tensor_parallel = n_gpu >= 2
 
     norm_attn = add(KernelKind.NORM_ATTN)
     q = add(KernelKind.Q_PROJ)
@@ -307,7 +290,7 @@ def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
     v = add(KernelKind.V_PROJ)
     edges += [(norm_attn, q), (norm_attn, k), (norm_attn, v)]
 
-    if arch.flash_attention:
+    if flash_attention:
         fuse = add(KernelKind.FUSE_ATTN)
         edges += [(q, fuse), (k, fuse), (v, fuse)]
         attn_tail = fuse
@@ -335,7 +318,7 @@ def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
     edges.append((add_attn, norm_mlp))
 
     act_inputs: list[int] = []
-    if arch.gated_mlp:
+    if gated_mlp:
         gate = add(KernelKind.GATE_PROJ)
         edges.append((norm_mlp, gate))
         act_inputs.append(gate)

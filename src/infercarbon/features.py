@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import KIND_ORDER, InferenceConfig, KernelGraph, KernelKind, LlmArchitecture
+from .arch import (
+    KIND_ORDER,
+    InferenceConfig,
+    KernelGraph,
+    KernelKind,
+    LlmArchitecture,
+    node_dims,
+)
 from .costmodel import LayerTotals, Phase, model_totals
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
@@ -53,7 +60,7 @@ class UnknownFormat(ValueError):
 
 class GraphMismatch(ValueError):
     """A kernel graph passed for featurizing is not the layer graph of the
-    architecture on the request's GPU count."""
+    request's (attention, MLP, TP>=2) topology."""
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,7 @@ def _global_numeric_row(
     )
 
 
-# Distinct layer topologies are few (flash x gated x tensor-parallel); a
-# handful more covers hand-built graphs.
-AGG_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=AGG_CACHE_SIZE)
+@functools.cache
 def _aggregation_matrix(n: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Row-normalized undirected adjacency, shared read-only by every graph of
     one topology."""
@@ -177,8 +179,8 @@ def raw_featurize(
     """Cost every node for both phases and collect the raw feature numbers.
 
     Roofline performance uses the activation data type's peak throughput.
-    `graph` must equal the layer graph of `arch` on `cfg.gpu_count` GPUs, or
-    GraphMismatch is raised.
+    `graph` must equal the layer graph of the topology of `arch` on
+    `cfg.gpu_count` GPUs, or GraphMismatch is raised.
     """
     costs = cost_layer(arch, cfg, gpu)
     if graph is not costs.graph and graph != costs.graph:
@@ -195,17 +197,17 @@ def raw_featurize(
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     """The raw feature numbers of an already-costed layer."""
     graph = costs.graph
+    dims = tuple(node_dims(node.kind, costs.arch) for node in graph.nodes)
     # per node: dims, then (ops, mem, net, perf) for prefill and for decode
     rows = [
-        [*node.dims, pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
+        [*slots, pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
          dec.cost.ops, dec.cost.mem_bytes, dec.cost.net_bytes, dec.performance]
-        for node, pre, dec in zip(graph.nodes, costs.phases[Phase.PREFILL],
-                                  costs.phases[Phase.DECODE])
+        for slots, pre, dec in zip(dims, costs.phases[Phase.PREFILL], costs.phases[Phase.DECODE])
     ]
     totals = model_totals(costs.totals(), costs.arch.layer_count)
     return RawGraphFeatures(
         kinds=tuple(node.kind for node in graph.nodes),
-        dims=tuple(node.dims for node in graph.nodes),
+        dims=dims,
         node_numeric=np.array(rows, dtype=np.float64),
         edges=graph.edges,
         global_numeric=_global_numeric_row(costs.arch, costs.cfg, totals),

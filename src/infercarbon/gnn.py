@@ -25,11 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureStats, FeaturizedGraph
+from .features import NUM_KINDS, FeatureStats, FeaturizedGraph
 
 HIDDEN_WIDTH = 64
 # Graphs per forward/backward pass: bounds one step's activations at any batch size.
 CHUNK_GRAPHS = 64
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 PARAM_NAMES = (
     "conv1_w",
@@ -86,6 +90,8 @@ class GnnParams:
         return self.head1_w.shape[0] - self.hidden_width
 
     def validate(self) -> "GnnParams":
+        if self.conv1_w.ndim != 2 or self.head1_w.ndim != 2:
+            raise ShapeError("conv1 and head1 weights must be matrices")
         h = self.hidden_width
         checks = [
             (self.conv1_w.shape[0] % 2 == 0, "conv1 input must be 2 x node width"),
@@ -285,9 +291,6 @@ class TrainHyper:
     batch_size: int = 512
     epochs: int = 200
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -313,11 +316,11 @@ def adam_step(
     new_m = []
     new_v = []
     for value, grad, m, v in zip(params.as_list(), grads, state.m, state.v):
-        m_next = hyper.beta1 * m + (1.0 - hyper.beta1) * grad
-        v_next = hyper.beta2 * v + (1.0 - hyper.beta2) * grad * grad
-        m_hat = m_next / (1.0 - hyper.beta1**t)
-        v_hat = v_next / (1.0 - hyper.beta2**t)
-        new_params.append(value - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon))
+        m_next = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v_next = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m_next / (1.0 - ADAM_BETA1**t)
+        v_hat = v_next / (1.0 - ADAM_BETA2**t)
+        new_params.append(value - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m_next)
         new_v.append(v_next)
     return GnnParams.from_list(new_params), AdamState(m=new_m, v=new_v, step=t)
@@ -327,13 +330,13 @@ def train(
     samples: list[tuple[FeaturizedGraph, float]],
     hyper: TrainHyper,
     params: GnnParams | None = None,
-    state: AdamState | None = None,
 ) -> tuple[GnnParams, list[float]]:
     """Mini-batch Adam training; returns final parameters and per-epoch mean loss.
 
-    Passing existing params/state continues training (used by the sampling
-    loop's model updates); otherwise parameters are freshly initialized from
-    the first sample's feature widths with the run seed.
+    Passing existing params continues training from them with fresh Adam
+    moments (the sampling loop's model updates); otherwise parameters are
+    freshly initialized from the first sample's feature widths with the run
+    seed.
     """
     if not samples:
         raise ValueError("training set must not be empty")
@@ -345,8 +348,7 @@ def train(
             seed=hyper.seed,
         )
     _check_widths([fg for fg, _ in samples], params)
-    if state is None:
-        state = init_adam_state(params)
+    state = init_adam_state(params)
     rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
     history = []
     for epoch in range(hyper.epochs):
@@ -468,7 +470,8 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
-    """Load a checkpoint; refuses mismatched widths or a foreign format."""
+    """Load a checkpoint; refuses a foreign format, malformed weights or
+    statistics and mismatched widths with a ShapeError naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -477,14 +480,24 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
     if (not isinstance(payload, dict) or payload.get("format") != "infercarbon-checkpoint"
             or payload.get("version") != 1):
         raise ShapeError(f"{path}: not a recognized checkpoint file")
-    params = GnnParams.from_list(
-        [np.asarray(payload["params"][name], dtype=np.float64) for name in PARAM_NAMES]
-    )
-    params.validate()
-    expected = (payload["node_width"], payload["global_width"], payload["hidden_width"])
-    actual = (params.node_width, params.global_width, params.hidden_width)
-    if expected != actual:
-        raise ShapeError(f"checkpoint widths {expected} do not match weights {actual}")
-    stats = FeatureStats.from_dict(payload["stats"])
+    try:
+        params = GnnParams.from_list(
+            [np.asarray(payload["params"][name], dtype=np.float64) for name in PARAM_NAMES]
+        ).validate()
+        expected = (payload["node_width"], payload["global_width"], payload["hidden_width"])
+        actual = (params.node_width, params.global_width, params.hidden_width)
+        if expected != actual:
+            raise ShapeError(f"checkpoint widths {expected} do not match weights {actual}")
+        stats = FeatureStats.from_dict(payload["stats"])
+        node_slots = (params.node_width - NUM_KINDS,)
+        for arr, shape in ((stats.node_mean, node_slots), (stats.node_std, node_slots),
+                           (stats.global_mean, (params.global_width,)),
+                           (stats.global_std, (params.global_width,))):
+            if arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise ShapeError(f"feature statistics do not fit the weights' widths {actual}")
+    except KeyError as exc:
+        raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{path}: malformed checkpoint: {exc}") from exc
     meta = {"seed": payload.get("seed"), "extra": payload.get("extra", {})}
     return params, stats, meta

@@ -13,8 +13,8 @@ the architecture and the request, prices every kernel of the layer once per
 phase and keeps the cost triples with their Roofline performance in one
 table, which the features, the energy oracle and the carbon report all read
 (its ``totals()`` and ``phase_seconds()`` included).  It works on the shared
-kernel graph of the layer's (architecture, GPU count) and reads the GPU's
-ceilings once per layer, so only the request-dependent pricing runs per
+kernel graph of the layer's (attention, MLP, TP>=2) topology and reads the
+GPU's ceilings once per layer, so only the request-dependent pricing runs per
 kernel.
 """
 
@@ -31,7 +31,7 @@ from .arch import (
     KernelKind,
     LlmArchitecture,
     RangeError,
-    enumerate_layer_kernels,
+    _layer_graph,
     validate_architecture,
     validate_inference,
 )
@@ -211,7 +211,7 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
     type's peak throughput."""
     validate_architecture(arch)
     validate_inference(cfg)
-    graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+    graph = _layer_graph(arch.flash_attention, arch.gated_mlp, cfg.gpu_count >= 2)
     ceilings = ridge_points(gpu, arch.activation_dtype)
     s_block = gpu.s_block
     phases = {}

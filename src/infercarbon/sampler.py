@@ -121,9 +121,7 @@ class ArchPrior:
     head_dim_choices: tuple[int, ...] = ()
     kv_group_choices: tuple[int, ...] = (1,)
     layer_delta: int = 1
-    intermediate_delta: int = 0
-    intermediate_step: int = 64
-    intermediate_ratio_choices: tuple[float, ...] = ()  # overrides delta: ratio x hidden
+    intermediate_ratio_choices: tuple[float, ...] = ()  # intermediate = ratio x hidden
     weight_dtype_choices: tuple[DataType, ...] = ()
 
 
@@ -189,9 +187,6 @@ def _sample_arch(prior: ArchPrior, rng: np.random.Generator) -> LlmArchitecture:
             int(rng.integers(len(prior.intermediate_ratio_choices)))
         ]
         inter = max(1, int(round(ratio * hidden)))
-    elif prior.intermediate_delta:
-        steps = int(rng.integers(-prior.intermediate_delta, prior.intermediate_delta + 1))
-        inter = max(1, inter + steps * prior.intermediate_step)
     weight_dtype = base.weight_dtype
     if prior.weight_dtype_choices:
         weight_dtype = prior.weight_dtype_choices[int(rng.integers(len(prior.weight_dtype_choices)))]

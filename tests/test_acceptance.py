@@ -76,7 +76,7 @@ def test_criterion_1_cost_equation_exactness():
         rng = np.random.Generator(np.random.PCG64(101))
         for kind in KernelKind:
             flash = kind not in (KernelKind.MATMUL_QK, KernelKind.SOFTMAX, KernelKind.MATMUL_SV)
-            node = KernelNode(kind=kind, dims=(0, 0, 0, 0, 0, 0), id=0)
+            node = KernelNode(kind=kind, id=0)
             checked = 0
             while checked < 1000:
                 arch = random_small_arch(rng, flash=flash)
@@ -149,7 +149,7 @@ def test_criterion_2_scaling_laws():
             )
             kinds = {n.kind for n in enumerate_layer_kernels(arch, base.gpu_count).nodes}
             for kind in kinds:
-                node = KernelNode(kind=kind, dims=(0, 0, 0, 0, 0, 0), id=0)
+                node = KernelNode(kind=kind, id=0)
                 gen = base.generated_tokens
                 decode = [
                     _cost_at(node, arch, base, Phase.DECODE, generated_tokens=gen + 2 * i)

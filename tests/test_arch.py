@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from infercarbon import arch as arch_mod
 from infercarbon.arch import (
     DataType,
     DivisibilityError,
@@ -13,6 +12,7 @@ from infercarbon.arch import (
     RangeError,
     derive_head_dim,
     enumerate_layer_kernels,
+    node_dims,
     parse_arch_catalog,
     validate_architecture,
     validate_inference,
@@ -106,8 +106,9 @@ class TestLayerGraph:
     def test_every_variant_is_acyclic(self, tiny_arch, flash, gated, n_gpu):
         arch = dataclasses.replace(tiny_arch, flash_attention=flash, gated_mlp=gated)
         graph = enumerate_layer_kernels(arch, n_gpu)
-        order = graph.topological_order()
-        assert len(order) == len(graph.nodes)
+        assert [n.id for n in graph.nodes] == list(range(len(graph.nodes)))
+        # ids follow a topological order, so no edge can close a cycle
+        assert all(src < dst for src, dst in graph.edges)
         allreduce = sum(1 for n in graph.nodes if n.kind is KernelKind.ALL_REDUCE)
         assert allreduce == (2 if n_gpu >= 2 else 0)
 
@@ -144,9 +145,27 @@ class TestLayerGraph:
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(50):
             arch = random_small_arch(rng)
-            for node in enumerate_layer_kernels(arch, 2).nodes:
-                assert len(node.dims) == 6
-                assert all(d >= 0 for d in node.dims)
+            for kind in KernelKind:
+                dims = node_dims(kind, arch)
+                assert len(dims) == 6
+                assert all(d >= 0 for d in dims)
+
+    def test_dims_fill_the_slot_layout(self):
+        arch = make_arch()  # 32 heads of dim 128, 8 KV heads
+        h, inter, kv_out = 4096, 11008, 1024
+        expected = {
+            KernelKind.Q_PROJ: (h, h, h, h, 0, 32),
+            KernelKind.V_PROJ: (h, kv_out, h, kv_out, 0, 8),
+            KernelKind.OUT_PROJ: (h, h, h, h, 0, 0),
+            KernelKind.GATE_PROJ: (h, inter, h, inter, 0, 0),
+            KernelKind.DOWN_PROJ: (inter, h, inter, h, 0, 0),
+            KernelKind.MATMUL_QK: (h, h, 0, 0, 128, 32),
+            KernelKind.SOFTMAX: (h, h, 0, 0, 0, 32),
+            KernelKind.ACT_MLP: (inter, inter, 0, 0, 0, 0),
+            KernelKind.ALL_REDUCE: (h, h, 0, 0, 0, 0),
+        }
+        for kind, dims in expected.items():
+            assert node_dims(kind, arch) == dims, kind
 
     def test_rejects_bad_gpu_count(self, tiny_arch):
         with pytest.raises(RangeError):
@@ -167,7 +186,7 @@ class TestSharedLayerGraph:
         with pytest.raises(dataclasses.FrozenInstanceError):
             graph.nodes = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            graph.nodes[0].dims = (0,) * 6
+            graph.nodes[0].kind = KernelKind.ADD_MLP
 
     def test_errors_are_raised_on_every_call(self, tiny_arch):
         bad = dataclasses.replace(tiny_arch, head_count=3)
@@ -178,8 +197,16 @@ class TestSharedLayerGraph:
                 enumerate_layer_kernels(tiny_arch, 0)
 
     def test_cache_is_bounded_by_a_constant(self):
-        assert isinstance(arch_mod.GRAPH_CACHE_SIZE, int) and arch_mod.GRAPH_CACHE_SIZE > 0
-        assert enumerate_layer_kernels.cache_parameters()["maxsize"] == arch_mod.GRAPH_CACHE_SIZE
+        rng = np.random.Generator(np.random.PCG64(11))
+        by_topology = {}
+        for _ in range(200):
+            arch = random_small_arch(rng)
+            n_gpu = int(rng.integers(1, 5))
+            graph = enumerate_layer_kernels(arch, n_gpu)
+            key = (arch.flash_attention, arch.gated_mlp, n_gpu >= 2)
+            assert by_topology.setdefault(key, graph) is graph
+        assert len(by_topology) == 8
+        assert len({id(g) for g in by_topology.values()}) == 8
 
 
 class TestArchCatalog:

@@ -108,7 +108,12 @@ class TestTraceStats:
 
 
 class TestMalformedFiles:
-    @pytest.mark.parametrize("text", ["[1]", "", "not json"])
+    @pytest.mark.parametrize("text", [
+        "[1]", "", "not json",
+        '{"format": "infercarbon-checkpoint", "version": 1, "params": [1]}',
+        '{"format": "infercarbon-checkpoint", "version": 1}',
+        '{"format": "infercarbon-checkpoint", "version": 1, "params": {"conv1_w": [["x"]]}}',
+    ])
     def test_checkpoint_is_config_error_naming_the_file(self, capsys, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

@@ -15,6 +15,7 @@ from infercarbon.arch import (
     KernelKind,
     RangeError,
     enumerate_layer_kernels,
+    node_dims,
 )
 from infercarbon.carbon import (
     DatacenterParams,
@@ -79,7 +80,7 @@ def test_raw_features_equal_rows_priced_per_node(sweep):
         ceilings = ridge_points(p.gpu, p.arch.activation_dtype)
         rows = []
         for node in graph.nodes:
-            row = list(node.dims)
+            row = list(node_dims(node.kind, p.arch))
             for phase in Phase:
                 cost = kernel_cost(node, p.arch, p.cfg, p.gpu.s_block, phase)
                 perf = node_performance(cost, ceilings, node.kind is KernelKind.ALL_REDUCE)

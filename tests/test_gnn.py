@@ -414,13 +414,33 @@ class TestCheckpoint:
         with pytest.raises(ShapeError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("slot", ["node_mean", "global_std"])
+    def test_refuses_statistics_of_other_widths(self, tmp_path, slot):
+        import json
+
+        graphs = random_graphs(1, seed=43)
+        stats = fit_stats([g.raw for g in graphs])
+        params = init_params(graphs[0].features.shape[1], graphs[0].global_features.shape[0])
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, stats, seed=0)
+        payload = json.loads(path.read_text())
+        payload["stats"][slot].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_refuses_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ShapeError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("text", ["[1]", "", "not json", '"text"'])
+    @pytest.mark.parametrize("text", [
+        "[1]", "", "not json", '"text"',
+        '{"format": "infercarbon-checkpoint", "version": 1, "params": [1]}',
+        '{"format": "infercarbon-checkpoint", "version": 1}',
+        '{"format": "infercarbon-checkpoint", "version": 1, "params": {"conv1_w": [["x"]]}}',
+    ])
     def test_refuses_malformed_file_with_path(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)
