@@ -8,6 +8,10 @@ two or more GPUs, an all-reduce kernel follows each of the two GEMM blocks.
 A graph is pure topology: its nodes carry a kind and an id, and a kernel's
 dimensions come from ``node_dims(kind, arch)``.  So there is one graph per
 (attention, MLP, TP>=2) topology, at most eight, each built once and shared.
+
+What a kernel's kind decides (its one-hot position, its cost-equation family,
+its dims slots and the all-reduce and K/V store flags) is written once, in
+the ``KernelKind`` table, and carried by each kind as plain attributes.
 """
 
 from __future__ import annotations
@@ -48,53 +52,58 @@ def parse_dtype(name: str) -> DataType:
         raise ConfigError(f"unknown data type '{name}' (expected FP32, FP16 or INT8)") from None
 
 
-class KernelKind(enum.Enum):
-    """Fixed kernel vocabulary; declaration order defines the one-hot layout."""
+# A kernel's dims vector has six slots (see node_dims); a kind's row names
+# the architecture quantity in each, as an index into the tuple node_dims
+# builds.  _ZERO pads the slots a kernel does not use.
+_ZERO, _HIDDEN, _INTER, _HEAD_DIM, _KV_OUT, _HEADS, _KV_HEADS = range(7)
+_HIDDEN_ACT = (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _ZERO)  # hidden-size activations
+_KV_PROJ = (_HIDDEN, _KV_OUT, _HIDDEN, _KV_OUT, _ZERO, _KV_HEADS)
+_UP_PROJ = (_HIDDEN, _INTER, _HIDDEN, _INTER, _ZERO, _ZERO)
+_ATTN_MATMUL = (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _HEAD_DIM, _HEADS)
 
-    NORM_ATTN = "norm_attn"
-    Q_PROJ = "q_proj"
-    K_PROJ = "k_proj"
-    V_PROJ = "v_proj"
-    FUSE_ATTN = "fuse_attn"
-    MATMUL_QK = "matmul_qk"
-    SOFTMAX = "softmax"
-    MATMUL_SV = "matmul_sv"
-    OUT_PROJ = "out_proj"
-    ADD_ATTN = "add_attn"
-    NORM_MLP = "norm_mlp"
-    GATE_PROJ = "gate_proj"
-    UP_PROJ = "up_proj"
-    ACT_MLP = "act_mlp"
-    DOWN_PROJ = "down_proj"
-    ADD_MLP = "add_mlp"
-    ALL_REDUCE = "all_reduce"
+
+class KernelKind(enum.Enum):
+    """Fixed kernel vocabulary, one row per kind: its name (the enum value),
+    the family of cost equations that prices it and its six dims slots.
+
+    Each kind carries what its row decides as plain attributes, set once here,
+    since the cost equations and the features read them per kernel: ``index``
+    (its one-hot position, which is declaration order), ``family``,
+    ``pick_dims`` (the dims slot getter of ``node_dims``), ``is_allreduce``
+    (it roofs against the interconnect) and ``stores_activation`` (a linear
+    kernel whose store stream is plain activations, not the KV cache).
+    """
+
+    NORM_ATTN = ("norm_attn", "elementwise", _HIDDEN_ACT)
+    Q_PROJ = ("q_proj", "linear", (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _HEADS))
+    K_PROJ = ("k_proj", "linear", _KV_PROJ)
+    V_PROJ = ("v_proj", "linear", _KV_PROJ)
+    FUSE_ATTN = ("fuse_attn", "fused_attention", _ATTN_MATMUL)
+    MATMUL_QK = ("matmul_qk", "attention_matmul", _ATTN_MATMUL)
+    SOFTMAX = ("softmax", "softmax", (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _HEADS))
+    MATMUL_SV = ("matmul_sv", "attention_matmul", _ATTN_MATMUL)
+    OUT_PROJ = ("out_proj", "linear", (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _ZERO))
+    ADD_ATTN = ("add_attn", "elementwise", _HIDDEN_ACT)
+    NORM_MLP = ("norm_mlp", "elementwise", _HIDDEN_ACT)
+    GATE_PROJ = ("gate_proj", "linear", _UP_PROJ)
+    UP_PROJ = ("up_proj", "linear", _UP_PROJ)
+    ACT_MLP = ("act_mlp", "elementwise", (_INTER, _INTER, _ZERO, _ZERO, _ZERO, _ZERO))
+    DOWN_PROJ = ("down_proj", "linear", (_INTER, _HIDDEN, _INTER, _HIDDEN, _ZERO, _ZERO))
+    ADD_MLP = ("add_mlp", "elementwise", _HIDDEN_ACT)
+    ALL_REDUCE = ("all_reduce", "allreduce", _HIDDEN_ACT)
+
+    def __new__(cls, value: str, family: str, slots: tuple[int, ...]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.index = len(cls.__members__)
+        kind.family = family
+        kind.pick_dims = operator.itemgetter(*slots)
+        kind.is_allreduce = family == "allreduce"
+        kind.stores_activation = value in ("k_proj", "v_proj")
+        return kind
 
 
 KIND_ORDER = tuple(KernelKind)
-
-LINEAR_KINDS = frozenset(
-    {
-        KernelKind.Q_PROJ,
-        KernelKind.K_PROJ,
-        KernelKind.V_PROJ,
-        KernelKind.OUT_PROJ,
-        KernelKind.GATE_PROJ,
-        KernelKind.UP_PROJ,
-        KernelKind.DOWN_PROJ,
-    }
-)
-
-ATTN_MATMUL_KINDS = frozenset({KernelKind.MATMUL_QK, KernelKind.MATMUL_SV})
-
-ELEMENTWISE_KINDS = frozenset(
-    {
-        KernelKind.NORM_ATTN,
-        KernelKind.NORM_MLP,
-        KernelKind.ADD_ATTN,
-        KernelKind.ADD_MLP,
-        KernelKind.ACT_MLP,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -222,38 +231,13 @@ class KernelGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-# node_dims runs for every node of every request, so it reads each slot from
-# a table rather than testing the kind.  An entry names the architecture
-# quantity in each of a kernel's six slots, as an index into the tuple
-# node_dims builds; _ZERO pads the slots a kernel does not use.
-_ZERO, _HIDDEN, _INTER, _HEAD_DIM, _KV_OUT, _HEADS, _KV_HEADS = range(7)
-_SLOT_SOURCES = {
-    KernelKind.Q_PROJ: (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _HEADS),
-    **dict.fromkeys((KernelKind.K_PROJ, KernelKind.V_PROJ),
-                    (_HIDDEN, _KV_OUT, _HIDDEN, _KV_OUT, _ZERO, _KV_HEADS)),
-    KernelKind.OUT_PROJ: (_HIDDEN, _HIDDEN, _HIDDEN, _HIDDEN, _ZERO, _ZERO),
-    **dict.fromkeys((KernelKind.GATE_PROJ, KernelKind.UP_PROJ),
-                    (_HIDDEN, _INTER, _HIDDEN, _INTER, _ZERO, _ZERO)),
-    KernelKind.DOWN_PROJ: (_INTER, _HIDDEN, _INTER, _HIDDEN, _ZERO, _ZERO),
-    **dict.fromkeys((KernelKind.FUSE_ATTN, KernelKind.MATMUL_QK, KernelKind.MATMUL_SV),
-                    (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _HEAD_DIM, _HEADS)),
-    KernelKind.SOFTMAX: (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _HEADS),
-    KernelKind.ACT_MLP: (_INTER, _INTER, _ZERO, _ZERO, _ZERO, _ZERO),
-    # norm / residual-add / all-reduce operate on hidden-size activations
-    **dict.fromkeys((KernelKind.NORM_ATTN, KernelKind.ADD_ATTN, KernelKind.NORM_MLP,
-                     KernelKind.ADD_MLP, KernelKind.ALL_REDUCE),
-                    (_HIDDEN, _HIDDEN, _ZERO, _ZERO, _ZERO, _ZERO)),
-}
-_SLOTS_OF = {kind: operator.itemgetter(*slots) for kind, slots in _SLOT_SOURCES.items()}
-
-
 def node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, int, int, int]:
     """A kernel's fixed 6-slot dims vector (in_dim, out_dim, weight_rows,
     weight_cols, head_dim, head_count), zero-padded for slots the kernel does
     not use; a linear kernel's first two are its weight matrix's (input,
     output) dimensions."""
     d_h = arch.hidden_size // arch.head_count
-    return _SLOTS_OF[kind]((0, arch.hidden_size, arch.intermediate_size, d_h,
+    return kind.pick_dims((0, arch.hidden_size, arch.intermediate_size, d_h,
                             d_h * arch.kv_head_count, arch.head_count, arch.kv_head_count))
 
 

@@ -170,6 +170,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")

@@ -1,9 +1,13 @@
 """Per-kernel operation counts, memory traffic and network traffic.
 
 Every cost is evaluated for the prefill phase (all prompt tokens at once) and
-the decode phase (token-by-token generation against the KV cache).  Each
-quantity is a sum of integer products divided by the GPU count (and by the
-/2 factors of the attention terms).  The terms are put over their common
+the decode phase (token-by-token generation against the KV cache).  A kernel
+kind's ``family`` names the equation that prices it: ``kernel_cost``
+dispatches on it, and each equation that takes a kind rejects a kind of
+another family with ``UnsupportedKind``.
+
+Each quantity is a sum of integer products divided by the GPU count (and by
+the /2 factors of the attention terms).  The terms are put over their common
 denominator (``g`` or ``2g``), their numerators summed in plain integers,
 and the sum floor-divided exactly once; that equals the floor of the exact
 rational sum, so the equality tests against the brute-force counting oracle
@@ -30,9 +34,6 @@ import enum
 from dataclasses import dataclass
 
 from .arch import (
-    ATTN_MATMUL_KINDS,
-    ELEMENTWISE_KINDS,
-    LINEAR_KINDS,
     DataType,
     InferenceConfig,
     KernelKind,
@@ -107,7 +108,7 @@ def linear_cost(
     the KV cache instead (the roles differ only when the activation and
     KV-cache data types differ).
     """
-    if kind not in LINEAR_KINDS:
+    if kind.family != "linear":
         raise UnsupportedKind(f"{kind.name} is not a linear kernel")
     d_in, d_out = node_dims(kind, arch)[:2]
     b = cfg.batch_size
@@ -120,7 +121,7 @@ def linear_cost(
     ops = 2 * b * d_in * d_out * t
     m_weight = d_in * d_out * d_w * (t if phase is Phase.DECODE else 1)
     m_act_load = d_in * b * d_a * t
-    d_store = d_a if kind in (KernelKind.K_PROJ, KernelKind.V_PROJ) else d_kv
+    d_store = d_a if kind.stores_activation else d_kv
     m_store = d_out * b * d_store * t
     return CostTriple(ops // g, (m_weight + m_act_load + m_store) // g, 0)
 
@@ -129,7 +130,7 @@ def attention_matmul_cost(
     kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase
 ) -> CostTriple:
     """Score (QK) or value (SV) matmul of the unfused attention variant."""
-    if kind not in ATTN_MATMUL_KINDS:
+    if kind.family != "attention_matmul":
         raise UnsupportedKind(f"{kind.name} is not an attention matmul kernel")
     b = cfg.batch_size
     n_h = arch.head_count
@@ -196,7 +197,7 @@ def elementwise_cost(
     kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase
 ) -> CostTriple:
     """Normalization, residual-add and MLP-activation kernels."""
-    if kind not in ELEMENTWISE_KINDS:
+    if kind.family != "elementwise":
         raise UnsupportedKind(f"{kind.name} is not an elementwise kernel")
     b = cfg.batch_size
     g = cfg.gpu_count
@@ -242,18 +243,6 @@ def allreduce_cost(
     return CostTriple(cells // l, 2 * cells * width // l, cells * (l - 1) * width // l)
 
 
-# The cost equation of each kernel kind, so that kernel_cost dispatches on
-# one lookup; the equations themselves are called through their module names.
-_FAMILY = {
-    **dict.fromkeys(LINEAR_KINDS, "linear"),
-    **dict.fromkeys(ATTN_MATMUL_KINDS, "attention_matmul"),
-    KernelKind.SOFTMAX: "softmax",
-    KernelKind.FUSE_ATTN: "fused_attention",
-    **dict.fromkeys(ELEMENTWISE_KINDS, "elementwise"),
-    KernelKind.ALL_REDUCE: "allreduce",
-}
-
-
 def kernel_cost(
     node: KernelNode,
     arch: LlmArchitecture,
@@ -261,9 +250,10 @@ def kernel_cost(
     gpu_s_block: int,
     phase: Phase,
 ) -> CostTriple:
-    """Dispatch a kernel node to its cost equation."""
+    """Dispatch a kernel node to the cost equation its kind's family names;
+    the equations are called through their module names."""
     kind = node.kind
-    family = _FAMILY.get(kind)
+    family = kind.family
     if family == "linear":
         return linear_cost(kind, arch, cfg, phase)
     if family == "elementwise":
@@ -277,8 +267,6 @@ def kernel_cost(
         if not arch.flash_attention:
             raise UnsupportedKind("fuse_attn kernel in a non-flash-attention architecture")
         return fused_attention_cost(arch, cfg, gpu_s_block, phase)
-    if family is None:
-        raise UnsupportedKind(f"no cost equation for kernel kind {kind.name}")
     # the unfused attention kernels
     if arch.flash_attention:
         raise UnsupportedKind(f"{kind.name} kernel in a flash-attention architecture")

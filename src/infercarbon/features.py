@@ -1,9 +1,12 @@
 """Fixed-width numeric features for costed kernel graphs, and graph export.
 
-Each node carries a one-hot kernel-type block, its dimension vector and two
-cost/performance sets (prefill and decode).  The type and dimension slots are
-the same for both phases, so they are stored once; the phase-specific slots
-are operation count, memory bytes, network bytes and Roofline performance.
+Each node carries a one-hot kernel-type block (at its kind's ``index``), its
+dimension vector and two cost/performance sets (prefill and decode).  The
+type and dimension slots are the same for both phases, so they are stored
+once; the phase-specific slots are operation count, memory bytes, network
+bytes and Roofline performance.  A request's raw features hold the shared
+layer graph itself and one numeric row per node, whose first six slots are
+the dims; the kinds, edges and dims of an export are read from those two.
 Numeric slots span many orders of magnitude, so they are log1p-transformed
 and standardized with statistics fitted on the training split only.
 """
@@ -16,19 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import (
-    KIND_ORDER,
-    InferenceConfig,
-    KernelGraph,
-    KernelKind,
-    LlmArchitecture,
-    node_dims,
-)
+from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture, node_dims
 from .costmodel import LayerTotals, Phase, model_totals
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
-_KIND_INDEX = {kind: i for i, kind in enumerate(KIND_ORDER)}
 _ONE_HOT = np.eye(NUM_KINDS)
 
 NODE_NUMERIC_SLOTS = 6 + 8  # dims, then (ops, mem, net, perf) per phase
@@ -102,12 +97,11 @@ def identity_stats() -> FeatureStats:
 
 @dataclass(frozen=True)
 class RawGraphFeatures:
-    """Pre-transform per-node and global numbers of one costed graph."""
+    """Pre-transform per-node and global numbers of one costed graph: row i of
+    ``node_numeric`` belongs to ``graph.nodes[i]``."""
 
-    kinds: tuple[KernelKind, ...]
-    dims: tuple[tuple[int, ...], ...]
+    graph: KernelGraph  # the shared layer graph of the request's topology
     node_numeric: np.ndarray  # (n, NODE_NUMERIC_SLOTS), raw magnitudes
-    edges: tuple[tuple[int, int], ...]
     global_numeric: np.ndarray  # (GLOBAL_FEATURE_WIDTH,), raw magnitudes
 
 
@@ -196,31 +190,31 @@ def raw_featurize(
 
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     """The raw feature numbers of an already-costed layer."""
-    graph = costs.graph
-    dims = tuple(node_dims(node.kind, costs.arch) for node in graph.nodes)
+    graph, arch = costs.graph, costs.arch
     # per node: dims, then (ops, mem, net, perf) for prefill and for decode
     rows = [
-        [*slots, pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
+        [*node_dims(node.kind, arch),
+         pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
          dec.cost.ops, dec.cost.mem_bytes, dec.cost.net_bytes, dec.performance]
-        for slots, pre, dec in zip(dims, costs.phases[Phase.PREFILL], costs.phases[Phase.DECODE])
+        for node, pre, dec in zip(graph.nodes, costs.phases[Phase.PREFILL],
+                                  costs.phases[Phase.DECODE])
     ]
-    totals = model_totals(costs.totals(), costs.arch.layer_count)
+    totals = model_totals(costs.totals(), arch.layer_count)
     return RawGraphFeatures(
-        kinds=tuple(node.kind for node in graph.nodes),
-        dims=dims,
+        graph=graph,
         node_numeric=np.array(rows, dtype=np.float64),
-        edges=graph.edges,
-        global_numeric=_global_numeric_row(costs.arch, costs.cfg, totals),
+        global_numeric=_global_numeric_row(arch, costs.cfg, totals),
     )
 
 
 def featurize_raw(raw: RawGraphFeatures, stats: FeatureStats) -> FeaturizedGraph:
     """Standardize an already-costed graph with the given statistics."""
-    onehot = _ONE_HOT[[_KIND_INDEX[kind] for kind in raw.kinds]]
+    nodes = raw.graph.nodes
+    onehot = _ONE_HOT[[node.kind.index for node in nodes]]
     numeric = _standardize(raw.node_numeric, stats.node_mean, stats.node_std)
     return FeaturizedGraph(
         features=np.hstack([onehot, numeric]),
-        agg=_aggregation_matrix(len(raw.kinds), raw.edges),
+        agg=_aggregation_matrix(len(nodes), raw.graph.edges),
         global_features=_standardize(raw.global_numeric, stats.global_mean, stats.global_std),
         raw=raw,
     )
@@ -253,13 +247,12 @@ def fit_stats(raws: list[RawGraphFeatures]) -> FeatureStats:
 
 def _graph_json_obj(raw: RawGraphFeatures) -> dict:
     nodes = []
-    for i, kind in enumerate(raw.kinds):
-        row = raw.node_numeric[i]
+    for node, row in zip(raw.graph.nodes, raw.node_numeric):
         nodes.append(
             {
-                "id": i,
-                "kind": kind.value,
-                "dims": [int(x) for x in raw.dims[i]],
+                "id": node.id,
+                "kind": node.kind.value,
+                "dims": [int(x) for x in row[:6]],
                 "prefill": {
                     "ops": int(row[6]),
                     "mem_bytes": int(row[7]),
@@ -282,7 +275,7 @@ def _graph_json_obj(raw: RawGraphFeatures) -> dict:
         "format": "infercarbon-graph",
         "version": 1,
         "nodes": nodes,
-        "edges": [[int(s), int(d)] for s, d in raw.edges],
+        "edges": [[s, d] for s, d in raw.graph.edges],
         "global": global_fields,
     }
 
@@ -293,9 +286,10 @@ def export_graph(fg: FeaturizedGraph, format: str = "json") -> str:
         return json.dumps(_graph_json_obj(fg.raw), indent=2)
     if format == "dot":
         lines = ["digraph layer {"]
-        for i, kind in enumerate(fg.raw.kinds):
-            lines.append(f'  n{i} [label="{kind.value}"];')
-        for src, dst in fg.raw.edges:
+        graph = fg.raw.graph
+        for node in graph.nodes:
+            lines.append(f'  n{node.id} [label="{node.kind.value}"];')
+        for src, dst in graph.edges:
             lines.append(f"  n{src} -> n{dst};")
         lines.append("}")
         return "\n".join(lines)

@@ -28,7 +28,6 @@ from .arch import (
     DataType,
     InferenceConfig,
     KernelGraph,
-    KernelKind,
     LlmArchitecture,
     RangeError,
     _layer_graph,
@@ -219,7 +218,7 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
         column = []
         for node in graph.nodes:
             cost = kernel_cost(node, arch, cfg, s_block, phase)
-            performance = node_performance(cost, ceilings, node.kind is KernelKind.ALL_REDUCE)
+            performance = node_performance(cost, ceilings, node.kind.is_allreduce)
             column.append(PricedKernel(cost, performance))
         phases[phase] = tuple(column)
     return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)

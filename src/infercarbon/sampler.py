@@ -138,13 +138,17 @@ class ParametricInferencePrior:
                  batch_mixture=None):
         self.prompt_range = prompt_range
         self.gen_range = gen_range
-        self.batch_mixture = dict(batch_mixture or {1: 0.6, 2: 0.3, 4: 0.1})
+        self.batch_mixture = dict(batch_mixture or DEFAULT_BATCH_MIXTURE)
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int, int]:
         batch = draw_batch_size(self.batch_mixture, rng)
         prompt = _log_uniform_int(rng, *self.prompt_range)
         gen = _log_uniform_int(rng, *self.gen_range)
         return batch, prompt, gen
+
+
+# batch size -> weight: the small-batch mixture both inference priors draw from
+DEFAULT_BATCH_MIXTURE = {1: 0.6, 2: 0.3, 4: 0.1}
 
 
 def draw_batch_size(mixture: dict[int, float], rng: np.random.Generator) -> int:

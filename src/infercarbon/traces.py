@@ -11,15 +11,14 @@ per-request trace does not record.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampler import draw_batch_size
-
-DEFAULT_BATCH_MIXTURE = {1: 0.6, 2: 0.3, 4: 0.1}
+from .sampler import DEFAULT_BATCH_MIXTURE, draw_batch_size
 
 # bucket edges: [0,1), [1,2), [2,4), ... [2^19, 2^20), [2^20, inf)
 HISTOGRAM_EDGES = [0] + [2**i for i in range(21)]
@@ -114,16 +113,10 @@ def nearest_rank(sorted_values: list[int], percentile: float) -> int:
 
 
 def _histogram(values: list[int]) -> list[int]:
-    counts = [0] * (len(HISTOGRAM_EDGES))
+    counts = [0] * len(HISTOGRAM_EDGES)
     for v in values:
-        placed = False
-        for i in range(len(HISTOGRAM_EDGES) - 1):
-            if HISTOGRAM_EDGES[i] <= v < HISTOGRAM_EDGES[i + 1]:
-                counts[i] += 1
-                placed = True
-                break
-        if not placed:
-            counts[-1] += 1  # overflow bucket
+        # the last edge opens the overflow bucket
+        counts[bisect.bisect_right(HISTOGRAM_EDGES, v) - 1] += 1
     return counts
 
 

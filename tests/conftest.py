@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 from infercarbon.arch import DataType, InferenceConfig, LlmArchitecture
 
@@ -19,6 +21,15 @@ def tiny_arch():
 @pytest.fixture
 def tiny_cfg():
     return InferenceConfig(batch_size=1, prompt_length=16, generated_tokens=4, gpu_count=1)
+
+
+def src_first_env() -> dict[str, str]:
+    """The environment for a child Python that must import the package from
+    this checkout's src/, ahead of any PYTHONPATH already set."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 DTYPES = (DataType.FP32, DataType.FP16, DataType.INT8)

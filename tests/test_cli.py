@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from infercarbon import sampler
 from infercarbon.cli import main
+from infercarbon.roofline import builtin_gpu_catalog
+
+from conftest import src_first_env
 
 
 def run(capsys, *argv):
@@ -63,7 +67,7 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "infercarbon.cli", "estimate", "tiny-flash", "t4",
              "--oracle", "--json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_first_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["total_g"] > 0
@@ -129,6 +133,22 @@ class TestMalformedFiles:
                            "--out", str(tmp_path / "model.json"))
         assert code == 2
         assert f"{path}:1" in err
+
+
+class TestTrainFlags:
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_epochs_below_one_exit_2_naming_the_flag(self, capsys, tmp_path, epochs):
+        space = sampler.desk_prior_space(builtin_gpu_catalog())
+        samples = sampler.label_points(sampler.initial_sample(space, 4, seed=1),
+                                       sampler.SyntheticEnergyOracle())
+        dataset = tmp_path / "data.jsonl"
+        sampler.save_dataset(dataset, samples)
+        out = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(out),
+                           "--epochs", epochs)
+        assert code == 2
+        assert "--epochs" in err
+        assert not out.exists()
 
 
 class TestPipeline:

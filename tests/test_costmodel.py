@@ -183,6 +183,31 @@ class TestAllReduce:
             previous = cost.net_bytes
 
 
+class TestKindTable:
+    def test_index_is_declaration_position(self):
+        assert [kind.index for kind in KernelKind] == list(range(len(KernelKind)))
+
+    @pytest.mark.parametrize("family, equation", [
+        ("linear", linear_cost),
+        ("attention_matmul", attention_matmul_cost),
+        ("elementwise", elementwise_cost),
+    ])
+    def test_equation_accepts_exactly_its_family(self, family, equation, tiny_arch, tiny_cfg):
+        assert any(kind.family == family for kind in KernelKind)
+        for kind in KernelKind:
+            for phase in Phase:
+                if kind.family == family:
+                    assert isinstance(equation(kind, tiny_arch, tiny_cfg, phase), CostTriple)
+                else:
+                    with pytest.raises(UnsupportedKind):
+                        equation(kind, tiny_arch, tiny_cfg, phase)
+
+    def test_flags(self):
+        assert {k for k in KernelKind if k.is_allreduce} == {KernelKind.ALL_REDUCE}
+        assert {k for k in KernelKind if k.stores_activation} == \
+            {KernelKind.K_PROJ, KernelKind.V_PROJ}
+
+
 class TestDispatchAndTotals:
     def test_dispatch_matches_direct_calls(self, tiny_arch, tiny_cfg):
         graph = enumerate_layer_kernels(tiny_arch, 1)

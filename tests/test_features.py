@@ -48,20 +48,21 @@ class TestEncoding:
         cfg = tiny_cfg_with_gpus(tiny_cfg, 2)
         graph = enumerate_layer_kernels(tiny_arch, 2)
         fg = featurize(graph, tiny_arch, cfg, a100, identity_stats())
-        ar_rows = [i for i, k in enumerate(fg.raw.kinds) if k is KernelKind.ALL_REDUCE]
+        nodes = fg.raw.graph.nodes
+        ar_rows = [i for i, n in enumerate(nodes) if n.kind is KernelKind.ALL_REDUCE]
         assert ar_rows
         for i in ar_rows:
             # raw net bytes sit in numeric slots 8 (prefill) and 12 (decode)
             assert fg.raw.node_numeric[i, 8] > 0
             assert fg.raw.node_numeric[i, 12] > 0
-        others = [i for i in range(len(fg.raw.kinds)) if i not in ar_rows]
+        others = [i for i in range(len(nodes)) if i not in ar_rows]
         assert all(fg.raw.node_numeric[i, 8] == 0 for i in others)
 
     def test_single_token_decode_gets_zero_slots(self, tiny_arch, a100):
         cfg = InferenceConfig(batch_size=1, prompt_length=8, generated_tokens=1, gpu_count=1)
         graph = enumerate_layer_kernels(tiny_arch, 1)
         fg = featurize(graph, tiny_arch, cfg, a100, identity_stats())
-        q = fg.raw.kinds.index(KernelKind.Q_PROJ)
+        q = [n.kind for n in fg.raw.graph.nodes].index(KernelKind.Q_PROJ)
         assert np.all(fg.raw.node_numeric[q, 10:14] == 0)
         assert np.all(fg.features[q, NUM_KINDS + 10 : NUM_KINDS + 14] == np.log1p(0.0))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infercarbon.traces import (
+    HISTOGRAM_EDGES,
     ColumnMap,
     EmptyTrace,
     MissingColumn,
@@ -97,6 +98,19 @@ class TestStats:
         stats = trace_stats(records)
         assert sum(stats.prompt_histogram) == 500
         assert sum(stats.generated_histogram) == 500
+
+    @pytest.mark.parametrize("tokens, bucket", [
+        (0, 0), (1, 1), (2, 2), (3, 2), (2**20 - 1, 20), (2**20, 21),
+    ])
+    def test_histogram_bucket_placement(self, tokens, bucket):
+        # buckets are [0,1), [1,2), [2,4), ... [2^19, 2^20), then overflow
+        stats = trace_stats([TraceRecord("0", tokens, tokens)])
+        expected = [0] * len(HISTOGRAM_EDGES)
+        expected[bucket] = 1
+        assert stats.prompt_histogram == expected
+        assert stats.generated_histogram == expected
+        assert bucket == len(HISTOGRAM_EDGES) - 1 or (
+            HISTOGRAM_EDGES[bucket] <= tokens < HISTOGRAM_EDGES[bucket + 1])
 
     def test_percentiles_permutation_invariant(self):
         rng = np.random.Generator(np.random.PCG64(5))
