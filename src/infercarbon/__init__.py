@@ -19,8 +19,6 @@ from .arch import (
     derive_head_dim,
     enumerate_layer_kernels,
     load_arch_catalog,
-    validate_architecture,
-    validate_inference,
 )
 from .carbon import (
     CarbonReport,

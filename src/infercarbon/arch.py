@@ -46,10 +46,19 @@ class DataType(enum.Enum):
 
 
 def parse_dtype(name: str) -> DataType:
+    """A catalog's data type name, in any case."""
     try:
         return DataType[name.strip().upper()]
     except KeyError:
         raise ConfigError(f"unknown data type '{name}' (expected FP32, FP16 or INT8)") from None
+
+
+def dtype_named(name: str) -> DataType:
+    """The data type called exactly `name`, as dataset and checkpoint files write it."""
+    try:
+        return DataType[name]
+    except KeyError:
+        raise ConfigError(f"unknown data type '{name}'") from None
 
 
 # A kernel's dims vector has six slots (see node_dims); a kind's row names
@@ -108,7 +117,8 @@ KIND_ORDER = tuple(KernelKind)
 
 @dataclass(frozen=True)
 class LlmArchitecture:
-    """Structural description of a decoder-only LLM (one repeated layer)."""
+    """Structural description of a decoder-only LLM (one repeated layer);
+    an invalid one cannot be built."""
 
     hidden_size: int
     intermediate_size: int
@@ -120,6 +130,24 @@ class LlmArchitecture:
     kv_dtype: DataType = DataType.FP16
     flash_attention: bool = True
     gated_mlp: bool = True
+
+    def __post_init__(self):
+        for name in ("hidden_size", "intermediate_size", "head_count", "kv_head_count",
+                     "layer_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise RangeError(f"{name} must be >= 1, got {value}")
+        if self.hidden_size % self.head_count != 0:
+            raise DivisibilityError(
+                f"hidden_size {self.hidden_size} is not divisible by head_count {self.head_count}"
+            )
+        if self.kv_head_count > self.head_count:
+            raise RangeError(
+                f"kv_head_count {self.kv_head_count} exceeds head_count {self.head_count}"
+            )
+        if self.head_count % self.kv_head_count != 0:
+            raise DivisibilityError(f"head_count {self.head_count} is not divisible by "
+                                    f"kv_head_count {self.kv_head_count}")
 
     def to_dict(self) -> dict:
         return {
@@ -143,9 +171,9 @@ class LlmArchitecture:
             head_count=int(d["head_count"]),
             kv_head_count=int(d["kv_head_count"]),
             layer_count=int(d["layer_count"]),
-            weight_dtype=DataType[d["weight_dtype"]],
-            activation_dtype=DataType[d["activation_dtype"]],
-            kv_dtype=DataType[d["kv_dtype"]],
+            weight_dtype=dtype_named(d["weight_dtype"]),
+            activation_dtype=dtype_named(d["activation_dtype"]),
+            kv_dtype=dtype_named(d["kv_dtype"]),
             flash_attention=bool(d["flash_attention"]),
             gated_mlp=bool(d["gated_mlp"]),
         )
@@ -153,12 +181,19 @@ class LlmArchitecture:
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """One inference request: batch size, prompt length, generation length, GPUs."""
+    """One inference request: batch size, prompt length, generation length, GPUs;
+    every count is at least 1."""
 
     batch_size: int
     prompt_length: int
     generated_tokens: int
     gpu_count: int = 1
+
+    def __post_init__(self):
+        for name in ("batch_size", "prompt_length", "generated_tokens", "gpu_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise RangeError(f"{name} must be >= 1, got {value}")
 
     def to_dict(self) -> dict:
         return {
@@ -178,39 +213,8 @@ class InferenceConfig:
         )
 
 
-def validate_architecture(arch: LlmArchitecture) -> LlmArchitecture:
-    """Check all architecture invariants; returns the architecture unchanged."""
-    for name in ("hidden_size", "intermediate_size", "head_count", "kv_head_count", "layer_count"):
-        value = getattr(arch, name)
-        if value < 1:
-            raise RangeError(f"{name} must be >= 1, got {value}")
-    if arch.hidden_size % arch.head_count != 0:
-        raise DivisibilityError(
-            f"hidden_size {arch.hidden_size} is not divisible by head_count {arch.head_count}"
-        )
-    if arch.kv_head_count > arch.head_count:
-        raise RangeError(
-            f"kv_head_count {arch.kv_head_count} exceeds head_count {arch.head_count}"
-        )
-    if arch.head_count % arch.kv_head_count != 0:
-        raise DivisibilityError(
-            f"head_count {arch.head_count} is not divisible by kv_head_count {arch.kv_head_count}"
-        )
-    return arch
-
-
-def validate_inference(cfg: InferenceConfig) -> InferenceConfig:
-    """Check all inference-request invariants; returns the config unchanged."""
-    for name in ("batch_size", "prompt_length", "generated_tokens", "gpu_count"):
-        value = getattr(cfg, name)
-        if value < 1:
-            raise RangeError(f"{name} must be >= 1, got {value}")
-    return cfg
-
-
 def derive_head_dim(arch: LlmArchitecture) -> int:
     """Attention head dimension: hidden size divided by the number of heads."""
-    validate_architecture(arch)
     return arch.hidden_size // arch.head_count
 
 
@@ -248,9 +252,8 @@ def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:
     there is no tensor parallelism and no communication step at all.
     Residual-path edges run from the attention-input juncture (norm_attn) to
     add_attn, and from add_attn to add_mlp.  Arguments of one topology return
-    the same shared, immutable graph; invalid ones raise on every call.
+    the same shared, immutable graph; an invalid GPU count raises on every call.
     """
-    validate_architecture(arch)
     if n_gpu < 1:
         raise RangeError(f"n_gpu must be >= 1, got {n_gpu}")
     return _layer_graph(arch.flash_attention, arch.gated_mlp, n_gpu >= 2)
@@ -326,26 +329,12 @@ def _layer_graph(flash_attention: bool, gated_mlp: bool, tensor_parallel: bool) 
     return KernelGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-_ARCH_FIELDS = (
-    "hidden_size",
-    "intermediate_size",
-    "head_count",
-    "kv_head_count",
-    "layer_count",
-    "weight_dtype",
-    "activation_dtype",
-    "kv_dtype",
-    "flash_attention",
-    "gated_mlp",
-)
-
-
 def parse_arch_catalog(text: str, source: str = "<arch catalog>") -> dict[str, LlmArchitecture]:
     """Parse an architecture catalog file: one [section] per architecture."""
     catalog: dict[str, LlmArchitecture] = {}
     for name, fields in parse_sections(text, source).items():
         reader = SectionReader(name, fields, source)
-        arch = LlmArchitecture(
+        values = dict(
             hidden_size=reader.get_int("hidden_size"),
             intermediate_size=reader.get_int("intermediate_size"),
             head_count=reader.get_int("head_count"),
@@ -359,10 +348,9 @@ def parse_arch_catalog(text: str, source: str = "<arch catalog>") -> dict[str, L
         )
         reader.reject_unknown()
         try:
-            validate_architecture(arch)
+            catalog[name] = LlmArchitecture(**values)
         except (RangeError, DivisibilityError) as exc:
             raise ConfigError(f"{source}: section '{name}': {exc}") from exc
-        catalog[name] = arch
     return catalog
 
 

@@ -160,8 +160,8 @@ def estimate_request(
 ) -> CarbonReport:
     """Full pipeline for one request: energy prediction, Eq-style operational
     carbon, embodied amortization over the Roofline execution time, which the
-    predictor's breakdown reports as ``roofline_seconds``.  The predictor
-    prices the request through ``cost_layer``, which validates it."""
+    predictor's breakdown reports as ``roofline_seconds``.  Nothing here
+    re-validates the records: each checked itself when it was built."""
     breakdown = predictor.measure_breakdown(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
     total_j = breakdown["total_joules"]
     prefill_j = breakdown["prefill_joules"]

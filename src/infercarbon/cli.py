@@ -73,17 +73,15 @@ def _pick(catalog: dict, key: str, what: str):
 
 
 def _request(args):
-    """The (architecture, GPU, validated request) that the request flags name."""
+    """The (architecture, GPU, request) that the request flags name."""
     gpus = load_gpus(args.gpu_catalog)
     llm = _pick(load_archs(args.arch_catalog), args.arch, "architecture")
     gpu = _pick(gpus, args.gpu, "GPU")
-    cfg = arch_mod.validate_inference(
-        arch_mod.InferenceConfig(
-            batch_size=args.batch,
-            prompt_length=args.prompt,
-            generated_tokens=args.gen,
-            gpu_count=args.n_gpu,
-        )
+    cfg = arch_mod.InferenceConfig(
+        batch_size=args.batch,
+        prompt_length=args.prompt,
+        generated_tokens=args.gen,
+        gpu_count=args.n_gpu,
     )
     return llm, gpu, cfg
 
@@ -189,7 +187,8 @@ def cmd_train(args) -> int:
             "epochs": args.epochs,
             "final_train_loss": history[-1],
             "config_hash": sampler_mod.config_hash(
-                {"dataset": str(args.dataset), "epochs": args.epochs, "seed": args.seed}
+                {"dataset": str(args.dataset), "epochs": args.epochs, "seed": args.seed,
+                 "learning_rate": args.lr, "batch_size": args.batch_size}
             ),
         },
     )

@@ -8,14 +8,15 @@ holds a GPU's ceilings at one data type, and its ``attainable`` is the one
 place the ceiling test is written; `node_performance` applies it to each
 priced kernel.
 
-``cost_layer(arch, cfg, gpu)`` is the one way to price a layer: it validates
-the architecture and the request, prices every kernel of the layer once per
-phase and keeps the cost triples with their Roofline performance in one
-table, which the features, the energy oracle and the carbon report all read
-(its ``totals()`` and ``phase_seconds()`` included).  It works on the shared
+``cost_layer(arch, cfg, gpu)`` is the one way to price a layer: it prices
+every kernel of the layer once per phase and keeps the cost triples with
+their Roofline performance in one table, which the features, the energy
+oracle and the carbon report all read (its ``totals()`` and
+``phase_seconds()`` included).  It works on the shared
 kernel graph of the layer's (attention, MLP, TP>=2) topology and reads the
 GPU's ceilings once per layer, so only the request-dependent pricing runs per
-kernel.
+kernel.  It validates nothing: an architecture, a request and a GPU check
+themselves when they are built.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .arch import (
     LlmArchitecture,
     RangeError,
     _layer_graph,
-    validate_architecture,
-    validate_inference,
+    dtype_named,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
@@ -52,7 +52,8 @@ class GpuSpec:
 
     th_max maps each supported data type to peak throughput in OPs/s;
     bw_max and net_max are bytes/s.  s_block is the number of KV heads the
-    fused attention kernel can keep resident on chip.
+    fused attention kernel can keep resident on chip.  A GPU with no peak
+    throughput, or with a rate, power or s_block out of range, cannot be built.
     """
 
     name: str
@@ -64,6 +65,17 @@ class GpuSpec:
     area_mm2: float = 0.0
     tech_nm: int = 0
     s_block: int = 1
+
+    def __post_init__(self):
+        if not self.th_max:
+            raise RangeError(f"GPU '{self.name}' defines no peak throughput")
+        if self.bw_max <= 0 or self.net_max <= 0 or self.power_w <= 0:
+            raise RangeError(f"GPU '{self.name}' rates and power must be positive")
+        for dtype, rate in self.th_max.items():
+            if rate <= 0:
+                raise RangeError(f"GPU '{self.name}' {dtype.name} throughput must be positive")
+        if self.s_block < 1:
+            raise RangeError(f"GPU '{self.name}' s_block must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +94,7 @@ class GpuSpec:
     def from_dict(cls, d: dict) -> "GpuSpec":
         return cls(
             name=str(d["name"]),
-            th_max={DataType[k]: float(v) for k, v in d["th_max"].items()},
+            th_max={dtype_named(k): float(v) for k, v in d["th_max"].items()},
             bw_max=float(d["bw_max"]),
             net_max=float(d["net_max"]),
             power_w=float(d["power_w"]),
@@ -111,17 +123,6 @@ class RidgePoints:
         if kind_is_allreduce:
             return self.net_max * intensity if intensity < self.nrp else self.th
         return self.bw_max * intensity if intensity < self.mrp else self.th
-
-
-def validate_gpu(gpu: GpuSpec) -> GpuSpec:
-    if gpu.bw_max <= 0 or gpu.net_max <= 0 or gpu.power_w <= 0:
-        raise RangeError(f"GPU '{gpu.name}' rates and power must be positive")
-    for dtype, rate in gpu.th_max.items():
-        if rate <= 0:
-            raise RangeError(f"GPU '{gpu.name}' {dtype.name} throughput must be positive")
-    if gpu.s_block < 1:
-        raise RangeError(f"GPU '{gpu.name}' s_block must be >= 1")
-    return gpu
 
 
 def ridge_points(gpu: GpuSpec, dtype: DataType) -> RidgePoints:
@@ -208,8 +209,6 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
     """Price each kernel of the layer graph of `arch` on `cfg.gpu_count` GPUs
     for both phases, with its Roofline performance at the activation data
     type's peak throughput."""
-    validate_architecture(arch)
-    validate_inference(cfg)
     graph = _layer_graph(arch.flash_attention, arch.gated_mlp, cfg.gpu_count >= 2)
     ceilings = ridge_points(gpu, arch.activation_dtype)
     s_block = gpu.s_block
@@ -241,11 +240,7 @@ def parse_gpu_catalog(text: str, source: str = "<gpu catalog>") -> dict[str, Gpu
             tops = reader.get_float(key, None)
             if tops is not None:
                 th_max[dtype] = tops * 1e12
-        if not th_max:
-            raise ConfigError(f"{source}: section '{name}' defines no peak throughput")
-        gpu = GpuSpec(
-            name=name,
-            th_max=th_max,
+        values = dict(
             bw_max=reader.get_float("memory_gbs") * 1e9,
             net_max=reader.get_float("network_gbs") * 1e9,
             power_w=reader.get_float("power_w"),
@@ -256,10 +251,9 @@ def parse_gpu_catalog(text: str, source: str = "<gpu catalog>") -> dict[str, Gpu
         )
         reader.reject_unknown()
         try:
-            validate_gpu(gpu)
+            catalog[name] = GpuSpec(name=name, th_max=th_max, **values)
         except RangeError as exc:
             raise ConfigError(f"{source}: section '{name}': {exc}") from exc
-        catalog[name] = gpu
     return catalog
 
 

@@ -22,19 +22,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import (
-    DataType,
-    InferenceConfig,
-    LlmArchitecture,
-    RangeError,
-    validate_architecture,
-    validate_inference,
-)
+from .arch import DataType, InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase, check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_energy, train
 from .kvfile import ConfigError
-from .roofline import GpuSpec, cost_layer, validate_gpu
+from .roofline import GpuSpec, cost_layer, ridge_points
 
 
 class EmptyPrior(ValueError):
@@ -194,7 +187,7 @@ def _sample_arch(prior: ArchPrior, rng: np.random.Generator) -> LlmArchitecture:
     weight_dtype = base.weight_dtype
     if prior.weight_dtype_choices:
         weight_dtype = prior.weight_dtype_choices[int(rng.integers(len(prior.weight_dtype_choices)))]
-    arch = replace(
+    return replace(
         base,
         hidden_size=hidden,
         head_count=heads,
@@ -203,7 +196,6 @@ def _sample_arch(prior: ArchPrior, rng: np.random.Generator) -> LlmArchitecture:
         intermediate_size=inter,
         weight_dtype=weight_dtype,
     )
-    return validate_architecture(arch)
 
 
 def initial_sample(space: PriorSpace, a: int, seed: int) -> list[SamplePoint]:
@@ -225,10 +217,8 @@ def initial_sample(space: PriorSpace, a: int, seed: int) -> list[SamplePoint]:
         if not counts:
             counts = [1]
         gpu_count = int(rng.choice(counts))
-        cfg = validate_inference(
-            InferenceConfig(batch_size=batch, prompt_length=prompt,
-                            generated_tokens=gen, gpu_count=gpu_count)
-        )
+        cfg = InferenceConfig(batch_size=batch, prompt_length=prompt,
+                              generated_tokens=gen, gpu_count=gpu_count)
         points.append(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
     return points
 
@@ -290,18 +280,13 @@ def fine_grained_sampling(
                 if valid:
                     gpu_count = _snap(int(rng.integers(lo, hi + 1)), valid)
 
-            arch = validate_architecture(
-                replace(arch0, layer_count=layers, intermediate_size=inter,
-                        head_count=heads, hidden_size=hidden)
-            )
-            cfg = validate_inference(
-                InferenceConfig(
-                    batch_size=_jitter_int(rng, cfg0.batch_size, radii.batch_size),
-                    prompt_length=_jitter_int(rng, cfg0.prompt_length, radii.prompt_length),
-                    generated_tokens=_jitter_int(rng, cfg0.generated_tokens,
-                                                 radii.generated_tokens),
-                    gpu_count=gpu_count,
-                )
+            arch = replace(arch0, layer_count=layers, intermediate_size=inter,
+                           head_count=heads, hidden_size=hidden)
+            cfg = InferenceConfig(
+                batch_size=_jitter_int(rng, cfg0.batch_size, radii.batch_size),
+                prompt_length=_jitter_int(rng, cfg0.prompt_length, radii.prompt_length),
+                generated_tokens=_jitter_int(rng, cfg0.generated_tokens, radii.generated_tokens),
+                gpu_count=gpu_count,
             )
             out.append(SamplePoint(arch=arch, cfg=cfg, gpu=center.gpu))
     return out
@@ -550,8 +535,10 @@ def append_dataset(path, samples: list[EnergySample]) -> None:
 
 def load_dataset(path) -> list[EnergySample]:
     """Read a dataset file.  Every record must describe a valid architecture,
-    request and GPU and carry a finite energy > 0; the first that does not is
-    reported as ``path:line``."""
+    request and GPU (each checks itself when built), split the hidden size
+    across its GPUs, give the GPU a peak throughput at the activation data
+    type and carry a finite energy > 0; the first that does not is reported
+    as ``path:line``."""
     # read as bytes and decoded line by line, so that a bad byte is reported
     # on its own line, not on the line whose read buffered it
     with open(path, "rb") as handle:
@@ -568,11 +555,11 @@ def load_dataset(path) -> list[EnergySample]:
                 continue
             try:
                 sample = EnergySample.from_dict(json.loads(line.decode("utf-8")))
-                validate_architecture(sample.point.arch)
-                validate_inference(sample.point.cfg)
-                validate_gpu(sample.point.gpu)
+                point = sample.point
                 # tensor parallelism splits the hidden dimension across the GPUs
-                check_partition(sample.point.arch.hidden_size, sample.point.cfg.gpu_count)
+                check_partition(point.arch.hidden_size, point.cfg.gpu_count)
+                # and every kernel roofs against the activation type's peak
+                ridge_points(point.gpu, point.arch.activation_dtype)
                 if not (math.isfinite(sample.energy_joules) and sample.energy_joules > 0):
                     raise RangeError(f"energy_joules must be finite and > 0, "
                                      f"got {sample.energy_joules}")

@@ -14,8 +14,6 @@ from infercarbon.arch import (
     enumerate_layer_kernels,
     node_dims,
     parse_arch_catalog,
-    validate_architecture,
-    validate_inference,
 )
 from infercarbon.kvfile import ConfigError
 
@@ -33,31 +31,49 @@ def make_arch(**overrides):
 class TestValidation:
     def test_valid_architecture_roundtrips(self):
         arch = make_arch()
-        assert validate_architecture(arch) is arch
+        assert LlmArchitecture.from_dict(arch.to_dict()) == arch
         assert derive_head_dim(arch) == 128
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(DivisibilityError):
-            validate_architecture(make_arch(hidden_size=100))
+            make_arch(hidden_size=100)
 
     def test_zero_layer_count_rejected(self):
         with pytest.raises(RangeError):
-            validate_architecture(make_arch(layer_count=0))
+            make_arch(layer_count=0)
 
     def test_kv_heads_must_divide_heads(self):
         with pytest.raises(DivisibilityError):
-            validate_architecture(make_arch(kv_head_count=3))
+            make_arch(kv_head_count=3)
 
     def test_kv_heads_cannot_exceed_heads(self):
         with pytest.raises(RangeError):
-            validate_architecture(make_arch(kv_head_count=64))
+            make_arch(kv_head_count=64)
 
     def test_inference_config_bounds(self):
-        validate_inference(InferenceConfig(1, 1, 1, 1))
+        InferenceConfig(1, 1, 1, 1)
         with pytest.raises(RangeError):
-            validate_inference(InferenceConfig(0, 1, 1, 1))
+            InferenceConfig(0, 1, 1, 1)
         with pytest.raises(RangeError):
-            validate_inference(InferenceConfig(1, 1, 0, 1))
+            InferenceConfig(1, 1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "record, change, error, message",
+        [
+            (make_arch(), dict(head_count=3), DivisibilityError,
+             "hidden_size 4096 is not divisible by head_count 3"),
+            (make_arch(), dict(kv_head_count=0), RangeError, "kv_head_count must be >= 1, got 0"),
+            (InferenceConfig(1, 1, 1, 1), dict(batch_size=0), RangeError,
+             "batch_size must be >= 1, got 0"),
+        ],
+    )
+    def test_every_way_of_building_checks(self, record, change, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            dataclasses.replace(record, **change)
+        with pytest.raises(error, match=f"^{message}$"):
+            type(record).from_dict({**record.to_dict(), **change})
+        with pytest.raises(error, match=f"^{message}$"):
+            type(record)(**{**vars(record), **change})
 
     def test_head_dim_examples(self):
         assert derive_head_dim(make_arch(hidden_size=8, head_count=2, kv_head_count=2)) == 4
@@ -189,10 +205,9 @@ class TestSharedLayerGraph:
             graph.nodes[0].kind = KernelKind.ADD_MLP
 
     def test_errors_are_raised_on_every_call(self, tiny_arch):
-        bad = dataclasses.replace(tiny_arch, head_count=3)
         for _ in range(2):
             with pytest.raises(DivisibilityError):
-                enumerate_layer_kernels(bad, 1)
+                enumerate_layer_kernels(dataclasses.replace(tiny_arch, head_count=3), 1)
             with pytest.raises(RangeError):
                 enumerate_layer_kernels(tiny_arch, 0)
 

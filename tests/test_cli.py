@@ -151,6 +151,23 @@ class TestTrainFlags:
         assert not out.exists()
 
 
+class TestTrainConfigHash:
+    def test_hash_covers_every_training_flag(self, capsys, tmp_path):
+        space = sampler.desk_prior_space(builtin_gpu_catalog())
+        samples = sampler.label_points(sampler.initial_sample(space, 4, seed=1),
+                                       sampler.SyntheticEnergyOracle())
+        dataset = tmp_path / "data.jsonl"
+        sampler.save_dataset(dataset, samples)
+        hashes = set()
+        for flags in (["--lr", "0.001"], ["--lr", "0.01"], ["--batch-size", "2"]):
+            out = tmp_path / "model.json"
+            code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(out),
+                               "--epochs", "1", *flags)
+            assert code == 0, err
+            hashes.add(json.loads(out.read_text())["extra"]["config_hash"])
+        assert len(hashes) == 3
+
+
 class TestPipeline:
     def test_sample_train_eval_estimate(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -3,7 +3,6 @@ kernel_cost + node_performance rows, per-node sums of the cost triples, and
 the per-phase Roofline sums written out kernel by kernel."""
 
 import dataclasses
-import sys
 from collections import Counter
 
 import numpy as np
@@ -13,6 +12,7 @@ from infercarbon.arch import (
     DivisibilityError,
     InferenceConfig,
     KernelKind,
+    LlmArchitecture,
     RangeError,
     enumerate_layer_kernels,
     node_dims,
@@ -39,7 +39,13 @@ from infercarbon.features import (
     raw_featurize,
 )
 from infercarbon.gnn import init_params
-from infercarbon.roofline import builtin_gpu_catalog, cost_layer, node_performance, ridge_points
+from infercarbon.roofline import (
+    GpuSpec,
+    builtin_gpu_catalog,
+    cost_layer,
+    node_performance,
+    ridge_points,
+)
 from infercarbon.sampler import SamplePoint, SyntheticEnergyOracle, desk_prior_space, initial_sample
 
 
@@ -156,41 +162,36 @@ def test_exec_seconds_equal_oracle_roofline_seconds(sweep):
     ],
 )
 def test_invalid_requests_are_refused(sweep, change, error):
-    # a TP degree of 3 does not divide the hidden size
+    # a TP degree of 3 does not divide the hidden size; the request refuses a
+    # count below 1 when it is built, the estimate refuses the partition
     p = next(p for p in sweep if p.arch.hidden_size % 3)
-    cfg = dataclasses.replace(p.cfg, **change)
     for predictor in predictors():
         with pytest.raises(error):
+            cfg = dataclasses.replace(p.cfg, **change)
             estimate_request(predictor, p.arch, cfg, p.gpu, DatacenterParams(), EmbodiedParams())
 
 
 def test_invalid_architecture_is_refused(sweep):
     p = sweep[0]
-    arch = dataclasses.replace(p.arch, head_count=p.arch.hidden_size + 1)
     for predictor in predictors():
         with pytest.raises((RangeError, DivisibilityError)):
+            arch = dataclasses.replace(p.arch, head_count=p.arch.hidden_size + 1)
             estimate_request(predictor, arch, p.cfg, p.gpu, DatacenterParams(), EmbodiedParams())
 
 
 def test_each_estimate_validates_once(sweep, monkeypatch):
-    # wrap every package attribute that holds a validator, as a tracer would
-    from infercarbon import arch as arch_mod
-
+    # an architecture, a request and a GPU validate once, when they are built,
+    # so a warm estimate runs no validation
     calls = Counter()
-    for name in ("validate_architecture", "validate_inference"):
-        original = getattr(arch_mod, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
 
-        for module_name, module in list(sys.modules.items()):
-            if module is None or not (module_name == "infercarbon"
-                                      or module_name.startswith("infercarbon.")):
-                continue
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    for cls in (LlmArchitecture, InferenceConfig, GpuSpec):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
     dc, ep = DatacenterParams(), EmbodiedParams()
     for predictor in predictors():
         for p in sweep[:5]:
@@ -198,4 +199,6 @@ def test_each_estimate_validates_once(sweep, monkeypatch):
             calls.clear()
             for _ in range(3):
                 estimate_request(predictor, p.arch, p.cfg, p.gpu, dc, ep)
-            assert calls == {"validate_architecture": 3, "validate_inference": 3}, p.describe()
+            assert calls == {}, p.describe()
+    dataclasses.replace(sweep[0].cfg)  # the counters are live: a build counts
+    assert calls == {"InferenceConfig": 1}

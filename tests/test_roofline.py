@@ -16,7 +16,6 @@ from infercarbon.roofline import (
     node_performance,
     parse_gpu_catalog,
     ridge_points,
-    validate_gpu,
 )
 
 
@@ -214,11 +213,33 @@ class TestCatalog:
 
     def test_rates_must_be_positive(self):
         with pytest.raises(RangeError):
-            validate_gpu(synthetic_gpu(bw_max=0.0))
+            synthetic_gpu(bw_max=0.0)
 
     def test_s_block_minimum(self):
         with pytest.raises(RangeError):
-            validate_gpu(synthetic_gpu(s_block=0))
+            synthetic_gpu(s_block=0)
+
+    def test_every_way_of_building_checks(self):
+        gpu = synthetic_gpu()
+        message = "^GPU 'synthetic' FP16 throughput must be positive$"
+        with pytest.raises(RangeError, match=message):
+            dataclasses.replace(gpu, th_max={DataType.FP16: -1.0})
+        with pytest.raises(RangeError, match=message):
+            GpuSpec.from_dict({**gpu.to_dict(), "th_max": {"FP16": -1.0}})
+        with pytest.raises(RangeError, match="^GPU 'synthetic' defines no peak throughput$"):
+            synthetic_gpu(th_max={})
+
+    def test_catalog_reports_section_of_invalid_gpu(self):
+        with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': GPU 'g' s_block must be >= 1$"):
+            parse_gpu_catalog("[g]\nfp16_tops = 1\nmemory_gbs = 1\nnetwork_gbs = 1\n"
+                              "power_w = 1\ns_block = 0\n", source="g.cfg")
+        with pytest.raises(ConfigError, match="defines no peak throughput"):
+            parse_gpu_catalog("[g]\nmemory_gbs = 1\nnetwork_gbs = 1\npower_w = 1\n")
+
+    def test_catalog_reports_unknown_field_before_bad_value(self):
+        text = "[g]\nfp16_tops = 1\nmemory_gbs = 0\nnetwork_gbs = 1\npower_w = 1\nwarp = 32\n"
+        with pytest.raises(ConfigError, match=r"^g\.cfg:6: unknown field 'warp'"):
+            parse_gpu_catalog(text, source="g.cfg")
 
     def test_roundtrip_dict(self):
         gpu = synthetic_gpu()

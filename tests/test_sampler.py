@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from infercarbon.arch import InferenceConfig, LlmArchitecture, validate_architecture
+from infercarbon.arch import InferenceConfig, LlmArchitecture
 from infercarbon.costmodel import Phase
 from infercarbon import sampler as sampler_mod
 from infercarbon.gnn import TrainHyper, predict_energy
@@ -58,7 +58,7 @@ class TestInitialSample:
         second = initial_sample(space, 40, seed=5)
         assert first == second
         for point in first:
-            validate_architecture(point.arch)
+            assert dataclasses.replace(point.arch) == point.arch  # rebuilding re-runs its checks
             assert point.cfg.batch_size >= 1
             assert point.arch.hidden_size % point.cfg.gpu_count == 0
 
@@ -118,7 +118,7 @@ class TestFineGrainedSampling:
         center = center_point(gpus, gpu_count=2)
         radii = JitterRadii(hidden_size=8, head_count=2, gpu_count=1)
         for p in fine_grained_sampling([center], 300, radii, seed=11):
-            validate_architecture(p.arch)
+            assert dataclasses.replace(p.arch) == p.arch  # rebuilding re-runs its checks
             assert abs(p.arch.hidden_size - 64) <= 8
             assert abs(p.arch.head_count - 4) <= 2
             assert abs(p.cfg.gpu_count - 2) <= 1
@@ -354,6 +354,28 @@ class TestDatasetIO:
         path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ConfigError,
                            match=re.escape(f"{path}:2: missing field 'energy_joules'")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("arch", "weight_dtype", "FP8", "unknown data type 'FP8'"),
+            ("arch", "kv_dtype", "fp16", "unknown data type 'fp16'"),  # names are exact
+            ("gpu", "th_max", {"FP16": 1e14, "BF16": 1e14}, "unknown data type 'BF16'"),
+            ("gpu", "th_max", {}, "GPU 'l4' defines no peak throughput"),
+            ("gpu", "th_max", {"INT8": 1e14}, "GPU 'l4' has no peak throughput for FP16"),
+        ],
+    )
+    def test_reports_what_is_wrong_with_a_record(self, tmp_path, gpus, section, field, value,
+                                                 message):
+        samples = label_points([center_point(gpus)], SyntheticEnergyOracle())
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, samples)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[section][field] = value
+        path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             load_dataset(path)
 
     def test_manifest_fields(self):
