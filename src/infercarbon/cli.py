@@ -112,11 +112,15 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+def _require_epochs(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value < 1:
+            raise CliError(f"--{flag} must be >= 1, got {value}")
 
 
 def cmd_sample(args) -> int:
+    _require_epochs(args, "epochs", "update-epochs")
     gpus = load_gpus(args.gpu_catalog)
     if args.trace:
         records = traces_mod.parse_trace(args.trace)
@@ -158,7 +162,7 @@ def cmd_sample(args) -> int:
             "test_count": len(result.test_set),
         },
     )
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     print(
         f"sampling finished: {result.termination} after {result.iterations} refinement "
         f"iteration(s); final MAPE {result.error_log[-1]:.2f}% "
@@ -168,8 +172,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.epochs < 1:
-        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
+    _require_epochs(args, "epochs")
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")

@@ -10,7 +10,8 @@ One forward/backward path serves a stack of graphs, each zero-padded to the
 widest: weight products are 2-D GEMMs over all stacked node rows, neighbor
 means a batched (b, n, n) product with each graph's own aggregation matrix.
 A prediction is its batch of one.  A training step runs its mini-batch in
-chunks of CHUNK_GRAPHS graphs and adds their gradients in batch order.
+chunks of CHUNK_GRAPHS graphs and adds their gradients in batch order.  Every
+forward and backward shares one bounded, process-wide activation scratch.
 
 Gradients are reverse-mode by hand and checked against central finite
 differences.  Training is deterministic for a fixed seed: shuffling comes
@@ -148,7 +149,9 @@ def _check_widths(graphs, params: GnnParams) -> None:
 
 class _Scratch:
     """Float64 buffers by name, grown to the largest request and handed out as
-    views, so the chunks of one step reuse their activation arrays."""
+    views.  The process keeps one, `_SCRATCH`, that every forward and backward
+    reuses.  The package is single-threaded: a forward's arrays are views that
+    stay valid only until the next forward in the process."""
 
     def __init__(self):
         self.flat: dict[str, np.ndarray] = {}
@@ -159,6 +162,10 @@ class _Scratch:
         if flat is None or flat.size < size:
             flat = self.flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
+
+
+# About nine buffers of CHUNK_GRAPHS x widest graph (17 nodes) x HIDDEN_WIDTH floats: <= ~5 MB.
+_SCRATCH = _Scratch()
 
 
 def _forward(graphs, params: GnnParams, scratch: _Scratch) -> tuple:
@@ -237,7 +244,7 @@ def _backward(
 def model_forward(fg: FeaturizedGraph, params: GnnParams) -> float:
     """Predicted energy in model (log) space: the batch-of-one forward."""
     _check_widths([fg], params)
-    return float(_forward([fg], params, _Scratch())[-1][0])
+    return float(_forward([fg], params, _SCRATCH)[-1][0])
 
 
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
@@ -264,13 +271,12 @@ def loss_and_gradients(
     inv = 1.0 / len(batch)
     total = 0.0
     grads = [np.zeros_like(arr) for arr in params.as_list()]
-    scratch = _Scratch()
     for start in range(0, len(batch), CHUNK_GRAPHS):
         chunk = batch[start : start + CHUNK_GRAPHS]
-        act = _forward([fg for fg, _ in chunk], params, scratch)
+        act = _forward([fg for fg, _ in chunk], params, _SCRATCH)
         residual = act[-1] - np.array([target_transform(energy) for _, energy in chunk])
         total += float(residual @ residual)
-        for acc, g in zip(grads, _backward(act, params, 2.0 * inv * residual, scratch)):
+        for acc, g in zip(grads, _backward(act, params, 2.0 * inv * residual, _SCRATCH)):
             acc += g
     loss = total * inv
     if not math.isfinite(loss):
@@ -430,7 +436,7 @@ def gradient_check(
         """Squared error and relu sign patterns with one coordinate moved."""
         moved = [arr.copy() for arr in arrays]
         moved[slot].ravel()[inner] += delta
-        *_, h1, _, h2, _, h3, y = _forward([fg], GnnParams.from_list(moved), _Scratch())
+        *_, h1, _, h2, _, h3, y = _forward([fg], GnnParams.from_list(moved), _SCRATCH)
         residual = float(y[0]) - target_transform(energy)
         return residual * residual, (h1 > 0, h2 > 0, h3 > 0)
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .arch import (
     DataType,
@@ -50,14 +51,15 @@ class ZeroTraffic(ValueError):
 class GpuSpec:
     """One GPU model: peak rates, power and physical parameters.
 
-    th_max maps each supported data type to peak throughput in OPs/s;
-    bw_max and net_max are bytes/s.  s_block is the number of KV heads the
-    fused attention kernel can keep resident on chip.  A GPU with no peak
-    throughput, or with a rate, power or s_block out of range, cannot be built.
+    th_max maps each supported data type to peak throughput in OPs/s (a
+    read-only copy of the mapping given); bw_max and net_max are bytes/s.
+    s_block is the number of KV heads the fused attention kernel can keep
+    resident on chip.  A GPU with no peak throughput, or with a rate, power
+    or s_block out of range, cannot be built.
     """
 
     name: str
-    th_max: dict[DataType, float]
+    th_max: Mapping[DataType, float]
     bw_max: float
     net_max: float
     power_w: float
@@ -67,6 +69,7 @@ class GpuSpec:
     s_block: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "th_max", MappingProxyType(dict(self.th_max)))
         if not self.th_max:
             raise RangeError(f"GPU '{self.name}' defines no peak throughput")
         if self.bw_max <= 0 or self.net_max <= 0 or self.power_w <= 0:

@@ -151,6 +151,24 @@ class TestTrainFlags:
         assert not out.exists()
 
 
+class TestSampleFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--update-epochs", "0"), ("--update-epochs", "-3"),
+    ])
+    def test_epochs_below_one_exit_2_before_sampling(self, capsys, tmp_path, monkeypatch,
+                                                     flag, value):
+        def refuse(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(sampler, "focused_sampling_loop", refuse)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "sample", "--out", str(out_dir), "--a", "5", "--b", "2",
+                           "--k", "1", flag, value)
+        assert code == 2
+        assert err == f"error: {flag} must be >= 1, got {value}\n"
+        assert not out_dir.exists()
+
+
 class TestTrainConfigHash:
     def test_hash_covers_every_training_flag(self, capsys, tmp_path):
         space = sampler.desk_prior_space(builtin_gpu_catalog())

@@ -319,6 +319,32 @@ class TestBatchedPath:
         assert first[0] == again[0]
         assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
 
+    def test_narrow_chunk_after_wide_one_matches_fresh_scratch(self, monkeypatch):
+        batch = mixed_batch()
+        params = biased_params(batch[0][0], seed=8)
+        widest = max(fg.node_count for fg, _ in batch)
+        wide = [s for s in batch if s[0].node_count == widest] * 5
+        # mixed widths below the widest: this chunk pads some of its own rows
+        narrow = [s for s in batch if s[0].node_count < widest]
+        assert len({fg.node_count for fg, _ in narrow}) >= 2
+        loss_and_gradients(wide, params)
+        got = loss_and_gradients(narrow, params)
+        monkeypatch.setattr(gnn, "_SCRATCH", gnn._Scratch())
+        want = loss_and_gradients(narrow, params)
+        assert got[0] == want[0]
+        assert len(got[1]) == len(gnn.PARAM_NAMES)
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+    def test_repeated_step_replaces_no_scratch_array(self):
+        batch = mixed_batch() * 3
+        params = biased_params(batch[0][0], seed=9)
+        loss_and_gradients(batch, params)
+        before = dict(gnn._SCRATCH.flat)
+        loss_and_gradients(batch, params)
+        model_forward(batch[0][0], params)
+        assert gnn._SCRATCH.flat.keys() == before.keys()
+        assert all(gnn._SCRATCH.flat[name] is arr for name, arr in before.items())
+
     def test_train_checks_every_sample_before_training(self):
         batch = mixed_batch()
         fg = batch[3][0]

@@ -229,6 +229,19 @@ class TestCatalog:
         with pytest.raises(RangeError, match="^GPU 'synthetic' defines no peak throughput$"):
             synthetic_gpu(th_max={})
 
+    def test_peak_rates_are_read_only(self):
+        t4 = builtin_gpu_catalog()["t4"]
+        with pytest.raises(TypeError):
+            t4.th_max[DataType.FP16] = -1.0
+        assert ridge_points(t4, DataType.FP16).th == pytest.approx(65e12)
+        rates = {DataType.FP16: 2e12}
+        gpu = synthetic_gpu(th_max=rates)
+        rates[DataType.FP16] = -1.0
+        assert gpu.th_max == {DataType.FP16: 2e12}
+        assert GpuSpec.from_dict(gpu.to_dict()) == gpu
+        assert dataclasses.replace(gpu) == gpu
+        assert dataclasses.replace(gpu, power_w=1.0) != gpu
+
     def test_catalog_reports_section_of_invalid_gpu(self):
         with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': GPU 'g' s_block must be >= 1$"):
             parse_gpu_catalog("[g]\nfp16_tops = 1\nmemory_gbs = 1\nnetwork_gbs = 1\n"
