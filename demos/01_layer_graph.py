@@ -10,8 +10,8 @@ tensor-parallel (two all-reduce kernels appear for 2+ GPUs).
 
 import dataclasses
 
-from infercarbon import LlmArchitecture, enumerate_layer_kernels, export_graph, featurize
-from infercarbon.features import identity_stats
+from infercarbon import LlmArchitecture, enumerate_layer_kernels, export_graph
+from infercarbon.features import raw_featurize
 from infercarbon.arch import InferenceConfig
 from infercarbon.roofline import builtin_gpu_catalog
 
@@ -41,9 +41,9 @@ bloom_like = dataclasses.replace(
 unfused = enumerate_layer_kernels(bloom_like, n_gpu=1)
 print(f"unfused + ungated, 1 GPU: {len(unfused.nodes)} kernels")
 
-# graphs export to DOT for visualization
+# costed graphs export to DOT for visualization (or JSON with their raw features)
 cfg = InferenceConfig(batch_size=1, prompt_length=64, generated_tokens=8, gpu_count=4)
 gpu = builtin_gpu_catalog()["a100"]
-fg = featurize(graph, llama_like, cfg, gpu, identity_stats())
+raw = raw_featurize(graph, llama_like, cfg, gpu)
 print("\nDOT export (first lines):")
-print("\n".join(export_graph(fg, "dot").splitlines()[:6]))
+print("\n".join(export_graph(raw, "dot").splitlines()[:6]))

@@ -16,7 +16,6 @@ from .arch import (
     KernelNode,
     LlmArchitecture,
     RangeError,
-    derive_head_dim,
     enumerate_layer_kernels,
     load_arch_catalog,
 )
@@ -51,7 +50,6 @@ from .features import (
     NonFiniteFeature,
     UnknownFormat,
     export_graph,
-    featurize,
     fit_stats,
     identity_stats,
 )

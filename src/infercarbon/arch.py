@@ -213,11 +213,6 @@ class InferenceConfig:
         )
 
 
-def derive_head_dim(arch: LlmArchitecture) -> int:
-    """Attention head dimension: hidden size divided by the number of heads."""
-    return arch.hidden_size // arch.head_count
-
-
 @dataclass(frozen=True)
 class KernelNode:
     """One kernel in the layer graph."""

@@ -20,8 +20,7 @@ from . import carbon as carbon_mod
 from . import gnn as gnn_mod
 from . import sampler as sampler_mod
 from . import traces as traces_mod
-from .arch import enumerate_layer_kernels
-from .features import export_graph, featurize, featurize_raw, fit_stats, identity_stats
+from .features import export_graph, featurize_raw, fit_stats
 from .kvfile import ConfigError
 from .roofline import builtin_gpu_catalog, load_gpu_catalog
 
@@ -106,9 +105,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_graph(args) -> int:
     llm, gpu, cfg = _request(args)
-    graph = enumerate_layer_kernels(llm, args.n_gpu)
-    fg = featurize(graph, llm, cfg, gpu, identity_stats())
-    print(export_graph(fg, args.format))
+    point = sampler_mod.SamplePoint(arch=llm, cfg=cfg, gpu=gpu)
+    print(export_graph(sampler_mod.raw_featurize_point(point), args.format))
     return 0
 
 

@@ -17,9 +17,7 @@ Two deliberate quirks of the cost equations are preserved rather than
 silently repaired:
 
 * the fused-attention memory total counts the KV-cache load twice and omits
-  the activation store; ``fused_attention_cost(..., corrected=True)`` swaps the
-  duplicated KV term for the activation-store term instead, while
-  ``kernel_cost``, and so every priced layer, keeps the faithful total,
+  the activation store,
 * linear kernels reload their weights once per generated token during decode,
   while prefill loads them a single time.
 
@@ -160,15 +158,13 @@ def fused_attention_cost(
     cfg: InferenceConfig,
     gpu_s_block: int,
     phase: Phase,
-    corrected: bool = False,
 ) -> CostTriple:
     """Fused (flash) attention kernel cost.
 
     Operation count is the unfused matmul+softmax total (times the prompt
-    length in prefill).  The memory total follows the faithful accounting by
-    default: activation load plus the KV-cache load counted twice, with no
-    activation-store term; ``corrected=True`` replaces the duplicate KV term
-    with the activation store.
+    length in prefill).  The memory total follows the faithful accounting:
+    activation load plus the KV-cache load counted twice, with no
+    activation-store term.
     """
     if gpu_s_block < 1:
         raise RangeError(f"gpu_s_block must be >= 1, got {gpu_s_block}")
@@ -186,10 +182,7 @@ def fused_attention_cost(
     # the activation stream is per token over g; scaled onto the common denominator
     m_act = d_h * b * n_h * d_a * _token_factor(cfg, phase) * (den // cfg.gpu_count)
     m_kv_load = 2 * b * gpu_s_block * d_h * n_kv * d_kv * span
-    if corrected:  # activation load + store (2x), one KV-cache load
-        mem = 3 * m_act + m_kv_load
-    else:  # activation load, the KV-cache load twice
-        mem = m_act + 2 * m_kv_load
+    mem = m_act + 2 * m_kv_load  # activation load, the KV-cache load twice
     return CostTriple(ops // den, mem // den, 0)
 
 

@@ -6,7 +6,8 @@ type and dimension slots are the same for both phases, so they are stored
 once; the phase-specific slots are operation count, memory bytes, network
 bytes and Roofline performance.  A request's raw features hold the shared
 layer graph itself and one numeric row per node, whose first six slots are
-the dims; the kinds, edges and dims of an export are read from those two.
+the dims; an export reads its kinds, edges and dims from those two, so it
+needs no statistics.
 Numeric slots span many orders of magnitude, so they are log1p-transformed
 and standardized with statistics fitted on the training split only.
 """
@@ -112,7 +113,6 @@ class FeaturizedGraph:
     features: np.ndarray  # (n, NODE_FEATURE_WIDTH)
     agg: np.ndarray  # (n, n) row-normalized undirected adjacency
     global_features: np.ndarray  # (GLOBAL_FEATURE_WIDTH,)
-    raw: RawGraphFeatures
 
     @property
     def node_count(self) -> int:
@@ -216,19 +216,7 @@ def featurize_raw(raw: RawGraphFeatures, stats: FeatureStats) -> FeaturizedGraph
         features=np.hstack([onehot, numeric]),
         agg=_aggregation_matrix(len(nodes), raw.graph.edges),
         global_features=_standardize(raw.global_numeric, stats.global_mean, stats.global_std),
-        raw=raw,
     )
-
-
-def featurize(
-    graph: KernelGraph,
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu: GpuSpec,
-    stats: FeatureStats,
-) -> FeaturizedGraph:
-    """Full pipeline: cost model + Roofline + encoding, deterministic."""
-    return featurize_raw(raw_featurize(graph, arch, cfg, gpu), stats)
 
 
 def fit_stats(raws: list[RawGraphFeatures]) -> FeatureStats:
@@ -280,13 +268,13 @@ def _graph_json_obj(raw: RawGraphFeatures) -> dict:
     }
 
 
-def export_graph(fg: FeaturizedGraph, format: str = "json") -> str:
-    """Serialize a featurized graph: 'json' with raw features, or 'dot'."""
+def export_graph(raw: RawGraphFeatures, format: str = "json") -> str:
+    """Serialize a costed graph: 'json' with its raw features, or 'dot'."""
     if format == "json":
-        return json.dumps(_graph_json_obj(fg.raw), indent=2)
+        return json.dumps(_graph_json_obj(raw), indent=2)
     if format == "dot":
         lines = ["digraph layer {"]
-        graph = fg.raw.graph
+        graph = raw.graph
         for node in graph.nodes:
             lines.append(f'  n{node.id} [label="{node.kind.value}"];')
         for src, dst in graph.edges:

@@ -118,10 +118,9 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(
-    node_width: int, global_width: int, hidden: int = HIDDEN_WIDTH, seed: int = 0
-) -> GnnParams:
+def init_params(node_width: int, global_width: int, seed: int = 0) -> GnnParams:
     rng = np.random.Generator(np.random.PCG64(seed))
+    hidden = HIDDEN_WIDTH
     return GnnParams(
         conv1_w=_xavier(rng, 2 * node_width, hidden),
         conv1_b=np.zeros(hidden),
@@ -406,7 +405,9 @@ class EvalReport:
                 "eba_percent": {f"{delta:g}": value for delta, value in self.eba.items()}}
 
 
-def evaluate(preds, truths, deltas=(0.05, 0.10, 0.30)) -> EvalReport:
+def evaluate(preds, truths) -> EvalReport:
+    """MAPE and EBA at the 5%, 10% and 30% error bounds."""
+    deltas = (0.05, 0.10, 0.30)
     return EvalReport(mape=mape(preds, truths), eba={d: eba(preds, truths, d) for d in deltas})
 
 

@@ -125,18 +125,13 @@ class HardwarePrior:
 
 
 class ParametricInferencePrior:
-    """Log-uniform prompt/generation lengths and a small-batch mixture."""
-
-    def __init__(self, prompt_range=(8, 512), gen_range=(1, 64),
-                 batch_mixture=None):
-        self.prompt_range = prompt_range
-        self.gen_range = gen_range
-        self.batch_mixture = dict(batch_mixture or DEFAULT_BATCH_MIXTURE)
+    """Log-uniform prompt (16-2048) and generation (1-256) lengths and the
+    default small-batch mixture."""
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int, int]:
-        batch = draw_batch_size(self.batch_mixture, rng)
-        prompt = _log_uniform_int(rng, *self.prompt_range)
-        gen = _log_uniform_int(rng, *self.gen_range)
+        batch = draw_batch_size(DEFAULT_BATCH_MIXTURE, rng)
+        prompt = _log_uniform_int(rng, 16, 2048)
+        gen = _log_uniform_int(rng, 1, 256)
         return batch, prompt, gen
 
 
@@ -227,10 +222,10 @@ def _snap(target: int, candidates: list[int]) -> int:
     return min(candidates, key=lambda c: (abs(c - target), c))
 
 
-def _jitter_int(rng: np.random.Generator, center: int, radius: int, lo: int = 1) -> int:
+def _jitter_int(rng: np.random.Generator, center: int, radius: int) -> int:
     if radius == 0:
         return center
-    return max(lo, int(rng.integers(center - radius, center + radius + 1)))
+    return max(1, int(rng.integers(center - radius, center + radius + 1)))
 
 
 def fine_grained_sampling(
@@ -240,8 +235,9 @@ def fine_grained_sampling(
 
     Integer dimensions are rounded and clamped back into validity: counts stay
     >= 1, and jittered hidden sizes / head counts / GPU counts snap to the
-    nearest value inside the window that keeps the architecture divisible.
-    A dimension with radius 0 is copied from the center unchanged.
+    nearest value inside the window that keeps the architecture divisible
+    and the hidden size split across the GPUs.  A dimension with radius 0 is
+    copied from the center unchanged.
     """
     if b < 1:
         raise ValueError("samples per center must be >= 1")
@@ -268,7 +264,10 @@ def fine_grained_sampling(
             if radii.hidden_size:
                 lo = max(heads, arch0.hidden_size - radii.hidden_size)
                 hi = arch0.hidden_size + radii.hidden_size
-                valid = [hs for hs in range(lo, hi + 1) if hs % heads == 0]
+                # the center's GPU count must still split the hidden size, so
+                # the GPU snap below always has the center's count to keep
+                valid = [hs for hs in range(lo, hi + 1)
+                         if hs % heads == 0 and hs % cfg0.gpu_count == 0]
                 if valid:
                     hidden = _snap(int(rng.integers(lo, hi + 1)), valid)
 
@@ -291,11 +290,6 @@ def fine_grained_sampling(
             out.append(SamplePoint(arch=arch, cfg=cfg, gpu=center.gpu))
     return out
 
-
-# full-scale sampling sizes for fleets with real measurement; the desk-scale
-# LoopHyper defaults (2000 / 50) are what CI and the synthetic oracle use
-FULL_SCALE_INITIAL_POINTS = 50_000
-FULL_SCALE_REFINE_PER_CENTER = 100
 
 PREFILL_UTILIZATION = 0.8
 DECODE_UTILIZATION = 0.4
@@ -373,6 +367,12 @@ class LoopHyper:
     seed: int = 0
     train: TrainHyper = field(default_factory=TrainHyper)
     update_epochs: int = 60
+
+    def __post_init__(self):
+        if self.worst_count < 1:
+            raise ValueError(f"worst_count must be >= 1, got {self.worst_count}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
     def to_dict(self) -> dict:
         return {
@@ -505,12 +505,11 @@ def raw_featurize_point(point: SamplePoint):
     return raw_features(cost_layer(point.arch, point.cfg, point.gpu))
 
 
-def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample],
-                   deltas=(0.05, 0.10, 0.30)):
+def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample]):
     preds = [predict_energy(featurize_raw(raw_featurize_point(s.point), stats), params)
              for s in samples]
     truths = [s.energy_joules for s in samples]
-    return evaluate(preds, truths, deltas)
+    return evaluate(preds, truths)
 
 
 DATASET_FORMAT = "infercarbon-dataset"
@@ -521,14 +520,6 @@ def save_dataset(path, samples: list[EnergySample]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"format": DATASET_FORMAT, "version": 1,
                                  "count": len(samples)}) + "\n")
-        for sample in samples:
-            handle.write(json.dumps(sample.to_dict()) + "\n")
-
-
-def append_dataset(path, samples: list[EnergySample]) -> None:
-    """Append records to an existing dataset file (header count goes stale;
-    load_dataset trusts the records, not the count)."""
-    with open(path, "a", encoding="utf-8") as handle:
         for sample in samples:
             handle.write(json.dumps(sample.to_dict()) + "\n")
 
@@ -587,7 +578,7 @@ def build_manifest(hyper: LoopHyper, oracle, threshold: float, extra: dict | Non
     return manifest
 
 
-def desk_prior_space(gpus, inference_prior=None, gpu_counts=(1, 2, 4)) -> PriorSpace:
+def desk_prior_space(gpus, inference_prior=None) -> PriorSpace:
     """A compact prior space over realistically-sized models.
 
     "Desk scale" limits the number of points, not the tensor dimensions: the
@@ -627,7 +618,6 @@ def desk_prior_space(gpus, inference_prior=None, gpu_counts=(1, 2, 4)) -> PriorS
     )
     return PriorSpace(
         arch_priors=priors,
-        inference_prior=inference_prior
-        or ParametricInferencePrior(prompt_range=(16, 2048), gen_range=(1, 256)),
-        hardware_prior=HardwarePrior(gpus=gpu_tuple, gpu_counts=tuple(gpu_counts)),
+        inference_prior=inference_prior or ParametricInferencePrior(),
+        hardware_prior=HardwarePrior(gpus=gpu_tuple),
     )

@@ -104,7 +104,7 @@ def bf_softmax(arch, cfg, phase):
     return ops, mem, 0
 
 
-def bf_fused(arch, cfg, s_block, phase, corrected=False):
+def bf_fused(arch, cfg, s_block, phase):
     b, g = cfg.batch_size, cfg.gpu_count
     n_h, n_kv = arch.head_count, arch.kv_head_count
     d_h = arch.hidden_size // arch.head_count
@@ -116,19 +116,14 @@ def bf_fused(arch, cfg, s_block, phase, corrected=False):
         o_sm = Fraction(5 * count(b, n_h, 2 * seq + gen, gen), 2 * g)
         ops = math.floor(2 * o_mm + o_sm)
         a_load = Fraction(count(d_h, b, n_h, gen - 1) * d_a, g)
-        a_store = Fraction(2 * count(d_h, b, n_h, gen - 1) * d_a, g)
         kv = Fraction(2 * count(b, s_block, d_h, n_kv, 2 * seq + gen, gen) * d_kv, 2 * g)
     else:
         o_mm = Fraction(2 * count(b, d_h, n_h, seq), g)
         o_sm = Fraction(5 * count(b, n_h, seq), g)
         ops = math.floor((2 * o_mm + o_sm) * seq)
         a_load = Fraction(count(d_h, b, n_h, seq) * d_a, g)
-        a_store = Fraction(2 * count(d_h, b, n_h, seq) * d_a, g)
         kv = Fraction(2 * count(b, s_block, d_h, n_kv, seq) * d_kv, g)
-    if corrected:
-        mem = math.floor(a_load + a_store + kv)
-    else:
-        mem = math.floor(a_load + 2 * kv)
+    mem = math.floor(a_load + 2 * kv)  # the KV-cache load counted twice, no store
     return ops, mem, 0
 
 

@@ -10,7 +10,6 @@ from infercarbon.arch import (
     KernelKind,
     LlmArchitecture,
     RangeError,
-    derive_head_dim,
     enumerate_layer_kernels,
     node_dims,
     parse_arch_catalog,
@@ -32,7 +31,7 @@ class TestValidation:
     def test_valid_architecture_roundtrips(self):
         arch = make_arch()
         assert LlmArchitecture.from_dict(arch.to_dict()) == arch
-        assert derive_head_dim(arch) == 128
+        assert node_dims(KernelKind.MATMUL_QK, arch)[4] == 128  # the head-dim slot
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(DivisibilityError):
@@ -76,8 +75,11 @@ class TestValidation:
             type(record)(**{**vars(record), **change})
 
     def test_head_dim_examples(self):
-        assert derive_head_dim(make_arch(hidden_size=8, head_count=2, kv_head_count=2)) == 4
-        assert derive_head_dim(make_arch(hidden_size=32, head_count=32, kv_head_count=32)) == 1
+        def head_dim(**overrides):
+            return node_dims(KernelKind.FUSE_ATTN, make_arch(**overrides))[4]
+
+        assert head_dim(hidden_size=8, head_count=2, kv_head_count=2) == 4
+        assert head_dim(hidden_size=32, head_count=32, kv_head_count=32) == 1
 
     def test_dtype_widths(self):
         assert DataType.FP32.width == 4

@@ -168,6 +168,24 @@ class TestSampleFlags:
         assert err == f"error: {flag} must be >= 1, got {value}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "worst_count must be >= 1, got 0"),
+        ("--k", "-2", "worst_count must be >= 1, got -2"),
+        ("--max-iterations", "-1", "max_iterations must be >= 0, got -1"),
+    ])
+    def test_loop_counts_out_of_range_exit_2_before_sampling(self, capsys, tmp_path,
+                                                             monkeypatch, flag, value, message):
+        def refuse(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(sampler, "focused_sampling_loop", refuse)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "sample", "--out", str(out_dir), "--a", "5", "--b", "2",
+                           flag, value)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
 
 class TestTrainConfigHash:
     def test_hash_covers_every_training_flag(self, capsys, tmp_path):

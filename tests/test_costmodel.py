@@ -93,13 +93,6 @@ class TestAttention:
         cost = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.DECODE)
         assert cost == CostTriple(336, 528, 0)  # 16 + 256 + 256, no act-store
 
-    def test_fused_corrected_mode_swaps_duplicate_for_store(self):
-        faithful = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.DECODE)
-        corrected = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.DECODE, corrected=True)
-        # act-store (32) replaces the second KV load (256)
-        assert corrected.mem_bytes == faithful.mem_bytes - 256 + 32
-        assert corrected.ops == faithful.ops
-
     def test_fused_prefill_quadratic_multiplier(self):
         cost = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.PREFILL)
         assert cost.ops == (2 * 48 + 30) * 3  # (matmuls + softmax) * L_seq

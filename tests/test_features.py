@@ -18,7 +18,6 @@ from infercarbon.features import (
     NUM_KINDS,
     UnknownFormat,
     export_graph,
-    featurize,
     featurize_raw,
     fit_stats,
     identity_stats,
@@ -37,7 +36,8 @@ def a100():
 class TestEncoding:
     def test_node_vector_layout(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 2)
-        fg = featurize(graph, tiny_arch, tiny_cfg_with_gpus(tiny_cfg, 2), a100, identity_stats())
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg_with_gpus(tiny_cfg, 2), a100)
+        fg = featurize_raw(raw, identity_stats())
         assert fg.features.shape == (15, NODE_FEATURE_WIDTH)
         # exactly one 1 in each one-hot block
         onehot = fg.features[:, :NUM_KINDS]
@@ -47,23 +47,24 @@ class TestEncoding:
     def test_allreduce_node_has_network_feature(self, tiny_arch, tiny_cfg, a100):
         cfg = tiny_cfg_with_gpus(tiny_cfg, 2)
         graph = enumerate_layer_kernels(tiny_arch, 2)
-        fg = featurize(graph, tiny_arch, cfg, a100, identity_stats())
-        nodes = fg.raw.graph.nodes
+        raw = raw_featurize(graph, tiny_arch, cfg, a100)
+        nodes = raw.graph.nodes
         ar_rows = [i for i, n in enumerate(nodes) if n.kind is KernelKind.ALL_REDUCE]
         assert ar_rows
         for i in ar_rows:
             # raw net bytes sit in numeric slots 8 (prefill) and 12 (decode)
-            assert fg.raw.node_numeric[i, 8] > 0
-            assert fg.raw.node_numeric[i, 12] > 0
+            assert raw.node_numeric[i, 8] > 0
+            assert raw.node_numeric[i, 12] > 0
         others = [i for i in range(len(nodes)) if i not in ar_rows]
-        assert all(fg.raw.node_numeric[i, 8] == 0 for i in others)
+        assert all(raw.node_numeric[i, 8] == 0 for i in others)
 
     def test_single_token_decode_gets_zero_slots(self, tiny_arch, a100):
         cfg = InferenceConfig(batch_size=1, prompt_length=8, generated_tokens=1, gpu_count=1)
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        fg = featurize(graph, tiny_arch, cfg, a100, identity_stats())
-        q = [n.kind for n in fg.raw.graph.nodes].index(KernelKind.Q_PROJ)
-        assert np.all(fg.raw.node_numeric[q, 10:14] == 0)
+        raw = raw_featurize(graph, tiny_arch, cfg, a100)
+        fg = featurize_raw(raw, identity_stats())
+        q = [n.kind for n in raw.graph.nodes].index(KernelKind.Q_PROJ)
+        assert np.all(raw.node_numeric[q, 10:14] == 0)
         assert np.all(fg.features[q, NUM_KINDS + 10 : NUM_KINDS + 14] == np.log1p(0.0))
 
     def test_encode_node_deterministic(self, tiny_arch, tiny_cfg, a100):
@@ -111,9 +112,8 @@ class TestEncoding:
     def test_aggregation_matrix_shared_per_topology(self, tiny_arch, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
         first, second = (
-            featurize(graph, tiny_arch, InferenceConfig(batch_size=b, prompt_length=8,
-                                                        generated_tokens=2), a100,
-                      identity_stats())
+            featurize_raw(raw_featurize(graph, tiny_arch, InferenceConfig(
+                batch_size=b, prompt_length=8, generated_tokens=2), a100), identity_stats())
             for b in (1, 3)
         )
         assert first.agg is second.agg
@@ -139,8 +139,10 @@ class TestEncoding:
 
     def test_featurize_deterministic(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        first = featurize(graph, tiny_arch, tiny_cfg, a100, identity_stats())
-        second = featurize(graph, tiny_arch, tiny_cfg, a100, identity_stats())
+        first, second = (
+            featurize_raw(raw_featurize(graph, tiny_arch, tiny_cfg, a100), identity_stats())
+            for _ in range(2)
+        )
         assert np.array_equal(first.features, second.features)
         assert np.array_equal(first.global_features, second.global_features)
 
@@ -148,7 +150,7 @@ class TestEncoding:
         non_flash = dataclasses.replace(tiny_arch, flash_attention=False)
         graph = enumerate_layer_kernels(tiny_arch, 1)  # fused node inside
         with pytest.raises(Exception):
-            featurize(graph, non_flash, tiny_cfg, a100, identity_stats())
+            raw_featurize(graph, non_flash, tiny_cfg, a100)
 
     def test_width_constant_across_variants(self, a100):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -159,7 +161,7 @@ class TestEncoding:
             if arch.hidden_size % cfg.gpu_count:
                 continue
             graph = enumerate_layer_kernels(arch, cfg.gpu_count)
-            fg = featurize(graph, arch, cfg, a100, identity_stats())
+            fg = featurize_raw(raw_featurize(graph, arch, cfg, a100), identity_stats())
             widths.add(fg.features.shape[1])
             assert fg.global_features.shape == (GLOBAL_FEATURE_WIDTH,)
         assert widths == {NODE_FEATURE_WIDTH}
@@ -209,8 +211,8 @@ def tiny_cfg_with_gpus(cfg, n):
 class TestExport:
     def test_dot_output_structure(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 2)
-        fg = featurize(graph, tiny_arch, tiny_cfg_with_gpus(tiny_cfg, 2), a100, identity_stats())
-        dot = export_graph(fg, "dot")
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg_with_gpus(tiny_cfg, 2), a100)
+        dot = export_graph(raw, "dot")
         assert dot.startswith("digraph layer {") and dot.endswith("}")
         assert dot.count("[label=") == 15
         assert dot.count("->") == len(graph.edges)
@@ -218,18 +220,18 @@ class TestExport:
 
     def test_json_roundtrip_structure(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        fg = featurize(graph, tiny_arch, tiny_cfg, a100, identity_stats())
-        payload = json.loads(export_graph(fg, "json"))
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg, a100)
+        payload = json.loads(export_graph(raw, "json"))
         assert payload["format"] == "infercarbon-graph"
         assert len(payload["nodes"]) == len(graph.nodes)
         assert payload["edges"] == [[s, d] for s, d in graph.edges]
         # raw, pre-transform features in the export
         q = next(n for n in payload["nodes"] if n["kind"] == "q_proj")
         assert q["decode"]["ops"] > 0
-        assert payload == json.loads(export_graph(fg, "json"))
+        assert payload == json.loads(export_graph(raw, "json"))
 
     def test_unknown_format(self, tiny_arch, tiny_cfg, a100):
         graph = enumerate_layer_kernels(tiny_arch, 1)
-        fg = featurize(graph, tiny_arch, tiny_cfg, a100, identity_stats())
+        raw = raw_featurize(graph, tiny_arch, tiny_cfg, a100)
         with pytest.raises(UnknownFormat):
-            export_graph(fg, "xml")
+            export_graph(raw, "xml")

@@ -8,8 +8,9 @@ import pytest
 from infercarbon import gnn
 from infercarbon.arch import InferenceConfig, LlmArchitecture, enumerate_layer_kernels
 from infercarbon.features import (
+    GLOBAL_FEATURE_WIDTH,
+    NODE_FEATURE_WIDTH,
     FeaturizedGraph,
-    featurize,
     featurize_raw,
     fit_stats,
     identity_stats,
@@ -39,22 +40,21 @@ from infercarbon.roofline import builtin_gpu_catalog
 from conftest import random_small_arch, random_small_cfg
 
 
-def graph_for(arch, cfg, stats=None):
+def random_raws(count, seed=0):
     gpu = builtin_gpu_catalog()["a100"]
-    graph = enumerate_layer_kernels(arch, cfg.gpu_count)
-    return featurize(graph, arch, cfg, gpu, stats or identity_stats())
-
-
-def random_graphs(count, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    graphs = []
-    while len(graphs) < count:
+    raws = []
+    while len(raws) < count:
         arch = random_small_arch(rng)
         cfg = random_small_cfg(rng)
         if arch.hidden_size % cfg.gpu_count:
             continue
-        graphs.append(graph_for(arch, cfg))
-    return graphs
+        raws.append(raw_featurize(enumerate_layer_kernels(arch, cfg.gpu_count), arch, cfg, gpu))
+    return raws
+
+
+def random_graphs(count, seed=0):
+    return [featurize_raw(raw, identity_stats()) for raw in random_raws(count, seed)]
 
 
 def hand_params(conv1_w, conv2_w, head1_w, head2_w) -> GnnParams:
@@ -76,7 +76,6 @@ def hand_graph(features, agg, global_features=()) -> FeaturizedGraph:
         features=np.asarray(features, dtype=np.float64),
         agg=np.asarray(agg, dtype=np.float64),
         global_features=np.asarray(global_features, dtype=np.float64),
-        raw=None,
     )
 
 
@@ -131,7 +130,6 @@ class TestModelForward:
             features=fg.features[perm],
             agg=fg.agg[np.ix_(perm, perm)],
             global_features=fg.global_features,
-            raw=fg.raw,
         )
         assert model_forward(permuted, params) == pytest.approx(
             model_forward(fg, params), rel=1e-12
@@ -145,7 +143,6 @@ class TestModelForward:
             features=np.vstack([fg.features, fg.features]),
             agg=np.block([[fg.agg, np.zeros((n, n))], [np.zeros((n, n)), fg.agg]]),
             global_features=fg.global_features,
-            raw=fg.raw,
         )
         assert model_forward(doubled, params) == pytest.approx(
             model_forward(fg, params), rel=1e-12
@@ -412,11 +409,8 @@ class TestGradientCheck:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        graphs = random_graphs(3, seed=41)
-        stats = fit_stats([g.raw for g in graphs])
-        params = init_params(
-            graphs[0].features.shape[1], graphs[0].global_features.shape[0], seed=11
-        )
+        stats = fit_stats(random_raws(3, seed=41))
+        params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=11)
         path = tmp_path / "model.json"
         save_checkpoint(path, params, stats, seed=11, extra={"note": "test"})
         loaded, loaded_stats, meta = load_checkpoint(path)
@@ -429,9 +423,8 @@ class TestCheckpoint:
     def test_refuses_width_mismatch(self, tmp_path):
         import json
 
-        graphs = random_graphs(1, seed=43)
-        stats = fit_stats([g.raw for g in graphs])
-        params = init_params(graphs[0].features.shape[1], graphs[0].global_features.shape[0])
+        stats = fit_stats(random_raws(1, seed=43))
+        params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH)
         path = tmp_path / "model.json"
         save_checkpoint(path, params, stats, seed=0)
         payload = json.loads(path.read_text())
@@ -444,9 +437,8 @@ class TestCheckpoint:
     def test_refuses_statistics_of_other_widths(self, tmp_path, slot):
         import json
 
-        graphs = random_graphs(1, seed=43)
-        stats = fit_stats([g.raw for g in graphs])
-        params = init_params(graphs[0].features.shape[1], graphs[0].global_features.shape[0])
+        stats = fit_stats(random_raws(1, seed=43))
+        params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH)
         path = tmp_path / "model.json"
         save_checkpoint(path, params, stats, seed=0)
         payload = json.loads(path.read_text())

@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infercarbon.arch import InferenceConfig, LlmArchitecture
-from infercarbon.costmodel import Phase
+from infercarbon.costmodel import Phase, check_partition
 from infercarbon import sampler as sampler_mod
 from infercarbon.gnn import TrainHyper, predict_energy
 from infercarbon.kvfile import ConfigError
@@ -123,6 +125,20 @@ class TestFineGrainedSampling:
             assert abs(p.arch.head_count - 4) <= 2
             assert abs(p.cfg.gpu_count - 2) <= 1
             assert p.arch.hidden_size % p.cfg.gpu_count == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(hidden=st.integers(1, 16), heads=st.integers(0, 3), gpu_count=st.integers(0, 2),
+           seed=st.integers(0, 2**16))
+    def test_hidden_jitter_keeps_the_gpu_split(self, gpus, hidden, heads, gpu_count, seed):
+        arch = LlmArchitecture(
+            hidden_size=64, intermediate_size=128, head_count=2, kv_head_count=2, layer_count=4
+        )
+        center = SamplePoint(arch=arch, cfg=InferenceConfig(batch_size=1, prompt_length=32,
+                                                            generated_tokens=8, gpu_count=4),
+                             gpu=gpus["l4"])
+        radii = JitterRadii(hidden_size=hidden, head_count=heads, gpu_count=gpu_count)
+        for p in fine_grained_sampling([center], 50, radii, seed=seed):
+            check_partition(p.arch.hidden_size, p.cfg.gpu_count)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -257,6 +273,15 @@ class TestFocusedLoop:
         assert [len(r.centers) for r in result.refinements] == [8, 8]
         assert len(calls) == 32 + 44 + 56
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("worst_count", 0, "worst_count must be >= 1, got 0"),
+        ("worst_count", -2, "worst_count must be >= 1, got -2"),
+        ("max_iterations", -1, "max_iterations must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_loop_counts(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LoopHyper(**{field: value})
+
     def test_rejects_bad_threshold(self, space):
         with pytest.raises(ValueError):
             focused_sampling_loop(space, SyntheticEnergyOracle(), 0.0, tiny_loop_hyper())
@@ -271,17 +296,6 @@ class TestDatasetIO:
         save_dataset(path, samples)
         loaded = load_dataset(path)
         assert loaded == samples
-
-    def test_append_only_growth(self, tmp_path, gpus):
-        from infercarbon.sampler import append_dataset
-
-        oracle = SyntheticEnergyOracle()
-        first = label_points([center_point(gpus, prompt_length=10)], oracle)
-        second = label_points([center_point(gpus, prompt_length=20)], oracle)
-        path = tmp_path / "data.jsonl"
-        save_dataset(path, first)
-        append_dataset(path, second)
-        assert load_dataset(path) == first + second
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -387,16 +401,10 @@ class TestDatasetIO:
         assert len(manifest["config_hash"]) == 16
 
     def test_scale_defaults(self):
-        from infercarbon.sampler import (
-            FULL_SCALE_INITIAL_POINTS,
-            FULL_SCALE_REFINE_PER_CENTER,
-        )
-
-        # desk-scale loop defaults, full-scale constants for real fleets
+        # desk-scale loop defaults
         hyper = LoopHyper()
         assert (hyper.initial_points, hyper.refine_per_center, hyper.worst_count) == (2000, 50, 50)
         assert hyper.max_iterations == 10
-        assert (FULL_SCALE_INITIAL_POINTS, FULL_SCALE_REFINE_PER_CENTER) == (50_000, 100)
         radii = JitterRadii()
         assert (radii.prompt_length, radii.generated_tokens, radii.layer_count) == (10, 1, 1)
         assert (TrainHyper().learning_rate, TrainHyper().batch_size) == (0.001, 512)
