@@ -51,7 +51,6 @@ from .features import (
     UnknownFormat,
     export_graph,
     fit_stats,
-    identity_stats,
 )
 from .gnn import (
     EvalReport,
@@ -67,7 +66,6 @@ from .gnn import (
     load_checkpoint,
     loss_and_gradients,
     mape,
-    model_forward,
     predict_energy,
     save_checkpoint,
     train,
@@ -78,7 +76,6 @@ from .roofline import (
     MissingThroughput,
     RidgePoints,
     ZeroTraffic,
-    arithmetic_intensity,
     builtin_gpu_catalog,
     cost_layer,
     load_gpu_catalog,

@@ -110,15 +110,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _require_epochs(args, *flags: str) -> None:
-    for flag in flags:
-        value = getattr(args, flag.replace("-", "_"))
-        if value < 1:
-            raise CliError(f"--{flag} must be >= 1, got {value}")
+# flag -> least value; checked before any sampling or training starts
+FLAG_MINIMUMS = {"a": 1, "b": 1, "k": 1, "max-iterations": 0, "epochs": 1, "update-epochs": 1}
+
+
+def _check_counts(args) -> None:
+    for flag, minimum in FLAG_MINIMUMS.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is not None and value < minimum:
+            raise CliError(f"--{flag} must be >= {minimum}, got {value}")
 
 
 def cmd_sample(args) -> int:
-    _require_epochs(args, "epochs", "update-epochs")
+    _check_counts(args)
     gpus = load_gpus(args.gpu_catalog)
     if args.trace:
         records = traces_mod.parse_trace(args.trace)
@@ -170,7 +174,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_epochs(args, "epochs")
+    _check_counts(args)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")

@@ -86,16 +86,6 @@ class FeatureStats:
         )
 
 
-def identity_stats() -> FeatureStats:
-    """Zero-mean / unit-std stats: features stay plain log1p values."""
-    return FeatureStats(
-        node_mean=np.zeros(NODE_NUMERIC_SLOTS),
-        node_std=np.ones(NODE_NUMERIC_SLOTS),
-        global_mean=np.zeros(GLOBAL_FEATURE_WIDTH),
-        global_std=np.ones(GLOBAL_FEATURE_WIDTH),
-    )
-
-
 @dataclass(frozen=True)
 class RawGraphFeatures:
     """Pre-transform per-node and global numbers of one costed graph: row i of

@@ -240,15 +240,10 @@ def _backward(
             q.T @ ds3, ds3.sum(axis=0), (h3.T @ dy)[:, None], np.array([dy.sum()])]
 
 
-def model_forward(fg: FeaturizedGraph, params: GnnParams) -> float:
-    """Predicted energy in model (log) space: the batch-of-one forward."""
-    _check_widths([fg], params)
-    return float(_forward([fg], params, _SCRATCH)[-1][0])
-
-
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
-    """Predicted energy in joules."""
-    return float(np.expm1(model_forward(fg, params)))
+    """Predicted energy in joules: the batch-of-one forward, out of log space."""
+    _check_widths([fg], params)
+    return float(np.expm1(_forward([fg], params, _SCRATCH)[-1][0]))
 
 
 def target_transform(energy_joules: float) -> float:

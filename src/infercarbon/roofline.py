@@ -121,11 +121,17 @@ class RidgePoints:
     nrp: float
 
     def attainable(self, cost: CostTriple, kind_is_allreduce: bool) -> float:
-        """Attainable throughput in OPs/s of a kernel with this cost."""
-        intensity = arithmetic_intensity(cost, kind_is_allreduce)
+        """Attainable throughput in OPs/s of a kernel with this cost, from its
+        arithmetic intensity: ops per byte moved, counting network bytes for
+        an all-reduce and memory bytes otherwise."""
         if kind_is_allreduce:
-            return self.net_max * intensity if intensity < self.nrp else self.th
-        return self.bw_max * intensity if intensity < self.mrp else self.th
+            bytes_moved, bandwidth, ridge = cost.net_bytes, self.net_max, self.nrp
+        else:
+            bytes_moved, bandwidth, ridge = cost.mem_bytes, self.bw_max, self.mrp
+        if bytes_moved == 0:
+            raise ZeroTraffic("arithmetic intensity undefined for zero traffic")
+        intensity = cost.ops / bytes_moved
+        return bandwidth * intensity if intensity < ridge else self.th
 
 
 def ridge_points(gpu: GpuSpec, dtype: DataType) -> RidgePoints:
@@ -139,14 +145,6 @@ def ridge_points(gpu: GpuSpec, dtype: DataType) -> RidgePoints:
         ) from None
     return RidgePoints(th=th, bw_max=gpu.bw_max, net_max=gpu.net_max,
                        mrp=th / gpu.bw_max, nrp=th / gpu.net_max)
-
-
-def arithmetic_intensity(cost: CostTriple, kind_is_allreduce: bool) -> float:
-    """Ops per byte moved: memory bytes normally, network bytes for all-reduce."""
-    denom = cost.net_bytes if kind_is_allreduce else cost.mem_bytes
-    if denom == 0:
-        raise ZeroTraffic("arithmetic intensity undefined for zero traffic")
-    return cost.ops / denom
 
 
 def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce: bool) -> float:

@@ -85,24 +85,16 @@ class EnergySample:
 
 @dataclass(frozen=True)
 class JitterRadii:
-    """Per-dimension half-widths for fine-grained sampling around a center."""
+    """Half-widths of the three dimensions fine-grained sampling jitters."""
 
     prompt_length: int = 10
     generated_tokens: int = 1
     layer_count: int = 1
-    batch_size: int = 0
-    hidden_size: int = 0
-    intermediate_size: int = 0
-    head_count: int = 0
-    gpu_count: int = 0
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
                 raise ValueError(f"jitter radius {name} must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -218,10 +210,6 @@ def initial_sample(space: PriorSpace, a: int, seed: int) -> list[SamplePoint]:
     return points
 
 
-def _snap(target: int, candidates: list[int]) -> int:
-    return min(candidates, key=lambda c: (abs(c - target), c))
-
-
 def _jitter_int(rng: np.random.Generator, center: int, radius: int) -> int:
     if radius == 0:
         return center
@@ -231,13 +219,12 @@ def _jitter_int(rng: np.random.Generator, center: int, radius: int) -> int:
 def fine_grained_sampling(
     centers: list[SamplePoint], b: int, radii: JitterRadii, seed: int
 ) -> list[SamplePoint]:
-    """Sample `b` points per center, each dimension uniform within +-C.
+    """Sample `b` points per center, jittering the layer count, prompt length
+    and generated tokens each uniformly within +-radius, clamped to >= 1.
 
-    Integer dimensions are rounded and clamped back into validity: counts stay
-    >= 1, and jittered hidden sizes / head counts / GPU counts snap to the
-    nearest value inside the window that keeps the architecture divisible
-    and the hidden size split across the GPUs.  A dimension with radius 0 is
-    copied from the center unchanged.
+    Everything else (the rest of the architecture, the batch size, the GPU
+    count and the GPU) is copied from the center, so every point stays as
+    valid as its center.  A dimension with radius 0 is copied too.
     """
     if b < 1:
         raise ValueError("samples per center must be >= 1")
@@ -247,47 +234,13 @@ def fine_grained_sampling(
         arch0, cfg0 = center.arch, center.cfg
         for _ in range(b):
             layers = _jitter_int(rng, arch0.layer_count, radii.layer_count)
-            inter = _jitter_int(rng, arch0.intermediate_size, radii.intermediate_size)
-
-            heads = arch0.head_count
-            if radii.head_count:
-                lo = max(1, arch0.head_count - radii.head_count)
-                hi = arch0.head_count + radii.head_count
-                valid = [
-                    hc for hc in range(lo, hi + 1)
-                    if arch0.hidden_size % hc == 0 and hc % arch0.kv_head_count == 0
-                ]
-                if valid:
-                    heads = _snap(int(rng.integers(lo, hi + 1)), valid)
-
-            hidden = arch0.hidden_size
-            if radii.hidden_size:
-                lo = max(heads, arch0.hidden_size - radii.hidden_size)
-                hi = arch0.hidden_size + radii.hidden_size
-                # the center's GPU count must still split the hidden size, so
-                # the GPU snap below always has the center's count to keep
-                valid = [hs for hs in range(lo, hi + 1)
-                         if hs % heads == 0 and hs % cfg0.gpu_count == 0]
-                if valid:
-                    hidden = _snap(int(rng.integers(lo, hi + 1)), valid)
-
-            gpu_count = cfg0.gpu_count
-            if radii.gpu_count:
-                lo = max(1, cfg0.gpu_count - radii.gpu_count)
-                hi = cfg0.gpu_count + radii.gpu_count
-                valid = [g for g in range(lo, hi + 1) if hidden % g == 0]
-                if valid:
-                    gpu_count = _snap(int(rng.integers(lo, hi + 1)), valid)
-
-            arch = replace(arch0, layer_count=layers, intermediate_size=inter,
-                           head_count=heads, hidden_size=hidden)
-            cfg = InferenceConfig(
-                batch_size=_jitter_int(rng, cfg0.batch_size, radii.batch_size),
+            cfg = replace(
+                cfg0,
                 prompt_length=_jitter_int(rng, cfg0.prompt_length, radii.prompt_length),
                 generated_tokens=_jitter_int(rng, cfg0.generated_tokens, radii.generated_tokens),
-                gpu_count=gpu_count,
             )
-            out.append(SamplePoint(arch=arch, cfg=cfg, gpu=center.gpu))
+            out.append(SamplePoint(arch=replace(arch0, layer_count=layers), cfg=cfg,
+                                   gpu=center.gpu))
     return out
 
 
@@ -362,24 +315,23 @@ class LoopHyper:
     initial_points: int = 2000
     refine_per_center: int = 50
     worst_count: int = 50
-    radii: JitterRadii = field(default_factory=JitterRadii)
     max_iterations: int = 10
     seed: int = 0
     train: TrainHyper = field(default_factory=TrainHyper)
     update_epochs: int = 60
 
     def __post_init__(self):
-        if self.worst_count < 1:
-            raise ValueError(f"worst_count must be >= 1, got {self.worst_count}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        for name, minimum in (("initial_points", 1), ("refine_per_center", 1),
+                              ("worst_count", 1), ("max_iterations", 0)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
     def to_dict(self) -> dict:
         return {
             "initial_points": self.initial_points,
             "refine_per_center": self.refine_per_center,
             "worst_count": self.worst_count,
-            "radii": self.radii.to_dict(),
             "max_iterations": self.max_iterations,
             "seed": self.seed,
             "learning_rate": self.train.learning_rate,
@@ -471,7 +423,7 @@ def focused_sampling_loop(
 
         worst = select_high_error(predict, test_set, hyper.worst_count)
         refined = fine_grained_sampling(
-            worst, hyper.refine_per_center, hyper.radii, seed=hyper.seed + iterations
+            worst, hyper.refine_per_center, JitterRadii(), seed=hyper.seed + iterations
         )
         new_samples = label_points(refined, oracle)
         new_train, new_test = _split_20(new_samples, rng)
@@ -529,7 +481,8 @@ def load_dataset(path) -> list[EnergySample]:
     request and GPU (each checks itself when built), split the hidden size
     across its GPUs, give the GPU a peak throughput at the activation data
     type and carry a finite energy > 0; the first that does not is reported
-    as ``path:line``."""
+    as ``path:line``.  The header's count must equal the number of records,
+    so a truncated file is refused."""
     # read as bytes and decoded line by line, so that a bad byte is reported
     # on its own line, not on the line whose read buffered it
     with open(path, "rb") as handle:
@@ -559,7 +512,10 @@ def load_dataset(path) -> list[EnergySample]:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             samples.append(sample)
-        return samples
+    count = header.get("count")
+    if type(count) is not int or count != len(samples):
+        raise ConfigError(f"{path}:1: header count {count!r} but {len(samples)} records")
+    return samples
 
 
 def config_hash(payload: dict) -> str:

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 from infercarbon.arch import DataType, InferenceConfig, LlmArchitecture
+from infercarbon.features import GLOBAL_FEATURE_WIDTH, NODE_NUMERIC_SLOTS, FeatureStats
 
 
 @pytest.fixture
@@ -30,6 +31,16 @@ def src_first_env() -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def identity_stats() -> FeatureStats:
+    """Zero-mean / unit-std stats: features stay plain log1p values."""
+    return FeatureStats(
+        node_mean=np.zeros(NODE_NUMERIC_SLOTS),
+        node_std=np.ones(NODE_NUMERIC_SLOTS),
+        global_mean=np.zeros(GLOBAL_FEATURE_WIDTH),
+        global_std=np.ones(GLOBAL_FEATURE_WIDTH),
+    )
 
 
 DTYPES = (DataType.FP32, DataType.FP16, DataType.INT8)

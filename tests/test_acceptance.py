@@ -35,6 +35,7 @@ from infercarbon.roofline import (
     ridge_points,
 )
 from infercarbon.sampler import (
+    JitterRadii,
     LoopHyper,
     SamplePoint,
     SyntheticEnergyOracle,
@@ -320,7 +321,7 @@ def test_criterion_7_focused_sampling_loop():
             f"MAPE log {[f'{e:.2f}' for e in result.error_log]} in {elapsed:.0f}s"
         )
 
-        radii = hyper.radii
+        radii = JitterRadii()
         for trace in result.refinements:
             b = hyper.refine_per_center
             assert len(trace.points) == len(trace.centers) * b
@@ -333,6 +334,8 @@ def test_criterion_7_focused_sampling_loop():
                     )
                     assert abs(p.arch.layer_count - center.arch.layer_count) <= radii.layer_count
                     assert p.arch.hidden_size == center.arch.hidden_size
+                    assert p.arch.head_count == center.arch.head_count
+                    assert p.arch.intermediate_size == center.arch.intermediate_size
                     assert p.cfg.batch_size == center.cfg.batch_size
                     assert p.cfg.gpu_count == center.cfg.gpu_count
                     assert p.gpu.name == center.gpu.name

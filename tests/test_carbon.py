@@ -14,10 +14,12 @@ from infercarbon.carbon import (
     estimate_request,
     operational_carbon,
 )
-from infercarbon.features import NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, identity_stats
+from infercarbon.features import NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH
 from infercarbon.gnn import init_params
 from infercarbon.roofline import builtin_gpu_catalog
 from infercarbon.sampler import SamplePoint, SyntheticEnergyOracle
+
+from conftest import identity_stats
 
 
 @pytest.fixture(scope="module")

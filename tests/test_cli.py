@@ -169,9 +169,11 @@ class TestSampleFlags:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--k", "0", "worst_count must be >= 1, got 0"),
-        ("--k", "-2", "worst_count must be >= 1, got -2"),
-        ("--max-iterations", "-1", "max_iterations must be >= 0, got -1"),
+        ("--a", "0", "--a must be >= 1, got 0"),
+        ("--b", "0", "--b must be >= 1, got 0"),
+        ("--k", "0", "--k must be >= 1, got 0"),
+        ("--k", "-2", "--k must be >= 1, got -2"),
+        ("--max-iterations", "-1", "--max-iterations must be >= 0, got -1"),
     ])
     def test_loop_counts_out_of_range_exit_2_before_sampling(self, capsys, tmp_path,
                                                              monkeypatch, flag, value, message):

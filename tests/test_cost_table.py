@@ -35,7 +35,6 @@ from infercarbon.costmodel import (
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
-    identity_stats,
     raw_featurize,
 )
 from infercarbon.gnn import init_params
@@ -47,6 +46,8 @@ from infercarbon.roofline import (
     ridge_points,
 )
 from infercarbon.sampler import SamplePoint, SyntheticEnergyOracle, desk_prior_space, initial_sample
+
+from conftest import identity_stats
 
 
 @pytest.fixture(scope="module")

@@ -20,12 +20,11 @@ from infercarbon.features import (
     export_graph,
     featurize_raw,
     fit_stats,
-    identity_stats,
     raw_featurize,
 )
 from infercarbon.roofline import builtin_gpu_catalog
 
-from conftest import random_small_arch, random_small_cfg
+from conftest import identity_stats, random_small_arch, random_small_cfg
 
 
 @pytest.fixture

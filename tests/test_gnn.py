@@ -13,7 +13,6 @@ from infercarbon.features import (
     FeaturizedGraph,
     featurize_raw,
     fit_stats,
-    identity_stats,
     raw_featurize,
 )
 from infercarbon.gnn import (
@@ -30,14 +29,13 @@ from infercarbon.gnn import (
     load_checkpoint,
     loss_and_gradients,
     mape,
-    model_forward,
     predict_energy,
     save_checkpoint,
     train,
 )
 from infercarbon.roofline import builtin_gpu_catalog
 
-from conftest import random_small_arch, random_small_cfg
+from conftest import identity_stats, random_small_arch, random_small_cfg
 
 
 def random_raws(count, seed=0):
@@ -92,23 +90,23 @@ class TestSageForward:
         # would come out as +2; the head reads it ten times as strongly
         conv2_w = [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0]]
         params = hand_params(conv1_w, conv2_w, np.eye(2), [[1.0], [10.0]])
-        assert model_forward(fg, params) == 1.0
+        assert predict_energy(fg, params) == np.expm1(1.0)
 
     def test_two_node_hand_computation(self):
         fg = hand_graph([[2.0], [3.0]], [[0.0, 1.0], [1.0, 0.0]])
         # conv1: each node is self + neighbor = 5; conv2 and the head pass it on
         params = hand_params(np.ones((2, 1)), [[1.0], [0.0]], [[1.0]], [[1.0]])
-        assert model_forward(fg, params) == 5.0
+        assert predict_energy(fg, params) == np.expm1(5.0)
 
     def test_empty_features_rejected(self):
         params = hand_params(np.ones((6, 2)), np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 1)))
         with pytest.raises(ShapeError, match="non-empty"):
-            model_forward(hand_graph(np.zeros((0, 3)), np.zeros((0, 0))), params)
+            predict_energy(hand_graph(np.zeros((0, 3)), np.zeros((0, 0))), params)
 
     def test_width_mismatch_rejected(self):
         params = hand_params(np.ones((4, 2)), np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 1)))
         with pytest.raises(ShapeError, match="node width 2, graph has 3"):
-            model_forward(hand_graph(np.ones((2, 3)), np.eye(2)), params)
+            predict_energy(hand_graph(np.ones((2, 3)), np.eye(2)), params)
 
 
 class TestModelForward:
@@ -116,10 +114,10 @@ class TestModelForward:
         fg = random_graphs(1)[0]
         params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=0)
         zeros = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
-        assert model_forward(fg, zeros) == 0.0
+        assert predict_energy(fg, zeros) == 0.0
         biased = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
         biased.head2_b[0] = 1.25
-        assert model_forward(fg, biased) == 1.25
+        assert predict_energy(fg, biased) == np.expm1(1.25)
 
     def test_node_permutation_invariance(self):
         fg = random_graphs(1, seed=3)[0]
@@ -131,8 +129,8 @@ class TestModelForward:
             agg=fg.agg[np.ix_(perm, perm)],
             global_features=fg.global_features,
         )
-        assert model_forward(permuted, params) == pytest.approx(
-            model_forward(fg, params), rel=1e-12
+        assert predict_energy(permuted, params) == pytest.approx(
+            predict_energy(fg, params), rel=1e-12
         )
 
     def test_component_duplication_invariance(self):
@@ -144,15 +142,15 @@ class TestModelForward:
             agg=np.block([[fg.agg, np.zeros((n, n))], [np.zeros((n, n)), fg.agg]]),
             global_features=fg.global_features,
         )
-        assert model_forward(doubled, params) == pytest.approx(
-            model_forward(fg, params), rel=1e-12
+        assert predict_energy(doubled, params) == pytest.approx(
+            predict_energy(fg, params), rel=1e-12
         )
 
     def test_width_mismatch_rejected(self):
         fg = random_graphs(1)[0]
         params = init_params(fg.features.shape[1] + 1, fg.global_features.shape[0])
         with pytest.raises(ShapeError):
-            model_forward(fg, params)
+            predict_energy(fg, params)
 
 
 class TestLossAndAdam:
@@ -291,7 +289,8 @@ class TestBatchedPath:
         stacked = gnn._forward([fg for fg, _ in batch], params, gnn._Scratch())[-1]
         for fg in narrow:
             index = next(i for i, (g, _) in enumerate(batch) if g is fg)
-            assert model_forward(fg, params) == pytest.approx(stacked[index], rel=1e-12)
+            assert predict_energy(fg, params) == pytest.approx(np.expm1(stacked[index]),
+                                                                 rel=1e-12)
 
     def test_batch_beyond_one_chunk_equals_its_chunks(self):
         chunk = gnn.CHUNK_GRAPHS
@@ -338,7 +337,7 @@ class TestBatchedPath:
         loss_and_gradients(batch, params)
         before = dict(gnn._SCRATCH.flat)
         loss_and_gradients(batch, params)
-        model_forward(batch[0][0], params)
+        predict_energy(batch[0][0], params)
         assert gnn._SCRATCH.flat.keys() == before.keys()
         assert all(gnn._SCRATCH.flat[name] is arr for name, arr in before.items())
 

@@ -11,7 +11,6 @@ from infercarbon.roofline import (
     GpuSpec,
     MissingThroughput,
     ZeroTraffic,
-    arithmetic_intensity,
     builtin_gpu_catalog,
     node_performance,
     parse_gpu_catalog,
@@ -75,15 +74,19 @@ class TestRidgePoints:
 
 
 class TestIntensity:
+    # below the ridge, attainable throughput is bandwidth x arithmetic intensity;
+    # the synthetic GPU's FP16 ridges sit at 20 (memory) and 40 (network) OPs/B
+    CEILINGS = ridge_points(synthetic_gpu(), DataType.FP16)
+
     def test_plain_ratio(self):
-        assert arithmetic_intensity(CostTriple(1000, 2000, 0), False) == 0.5
+        assert self.CEILINGS.attainable(CostTriple(1000, 2000, 0), False) == 1e11 * 0.5
 
     def test_allreduce_uses_network_bytes(self):
-        assert arithmetic_intensity(CostTriple(4, 16, 24), True) == pytest.approx(1 / 6)
+        assert self.CEILINGS.attainable(CostTriple(4, 16, 24), True) == pytest.approx(5e10 / 6)
 
     def test_zero_traffic(self):
         with pytest.raises(ZeroTraffic):
-            arithmetic_intensity(CostTriple(0, 0, 0), False)
+            self.CEILINGS.attainable(CostTriple(0, 0, 0), False)
 
 
 class TestPerformance:
