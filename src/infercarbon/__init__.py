@@ -67,6 +67,7 @@ from .gnn import (
     loss_and_gradients,
     mape,
     predict_energy,
+    predict_many,
     save_checkpoint,
     train,
 )

@@ -9,6 +9,7 @@ validation error, 3 runtime/numeric failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -111,7 +112,8 @@ def cmd_graph(args) -> int:
 
 
 # flag -> least value; checked before any sampling or training starts
-FLAG_MINIMUMS = {"a": 1, "b": 1, "k": 1, "max-iterations": 0, "epochs": 1, "update-epochs": 1}
+FLAG_MINIMUMS = {"a": 1, "b": 1, "k": 1, "max-iterations": 0, "epochs": 1, "update-epochs": 1,
+                 "batch-size": 1}
 
 
 def _check_counts(args) -> None:
@@ -119,6 +121,13 @@ def _check_counts(args) -> None:
         value = getattr(args, flag.replace("-", "_"), None)
         if value is not None and value < minimum:
             raise CliError(f"--{flag} must be >= {minimum}, got {value}")
+    if not args.lr > 0:
+        raise CliError(f"--lr must be > 0, got {args.lr}")
+
+
+def _file_digest(path) -> str:
+    """sha256 of a file's bytes: the same files hash alike from any path."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def cmd_sample(args) -> int:
@@ -192,8 +201,8 @@ def cmd_train(args) -> int:
             "epochs": args.epochs,
             "final_train_loss": history[-1],
             "config_hash": sampler_mod.config_hash(
-                {"dataset": str(args.dataset), "epochs": args.epochs, "seed": args.seed,
-                 "learning_rate": args.lr, "batch_size": args.batch_size}
+                {"dataset": _file_digest(args.dataset), "epochs": args.epochs,
+                 "seed": args.seed, "learning_rate": args.lr, "batch_size": args.batch_size}
             ),
         },
     )
@@ -214,7 +223,7 @@ def cmd_eval(args) -> int:
         "dataset": str(args.dataset),
         "checkpoint_seed": meta.get("seed"),
         "config_hash": sampler_mod.config_hash(
-            {"checkpoint": str(args.checkpoint), "dataset": str(args.dataset)}
+            {"checkpoint": _file_digest(args.checkpoint), "dataset": _file_digest(args.dataset)}
         ),
     }
     text = json.dumps(payload, indent=2)

@@ -9,9 +9,14 @@ log1p(joules) and predictions are expm1-ed back at the reporting boundary.
 One forward/backward path serves a stack of graphs, each zero-padded to the
 widest: weight products are 2-D GEMMs over all stacked node rows, neighbor
 means a batched (b, n, n) product with each graph's own aggregation matrix.
-A prediction is its batch of one.  A training step runs its mini-batch in
-chunks of CHUNK_GRAPHS graphs and adds their gradients in batch order.  Every
-forward and backward shares one bounded, process-wide activation scratch.
+Training stacks its samples once per call (padded node features, node counts,
+global vectors, log-space targets, and one aggregation matrix per shared
+topology); each step gathers its mini-batch's rows, CHUNK_GRAPHS graphs to a
+forward and backward, trimmed to the widest graph of the chunk, and adds chunk
+gradients in batch order.  Parameters, gradients and Adam moments each live in
+one flat buffer that a step writes in place, and every forward and backward
+shares one bounded, process-wide activation scratch.  `predict_many` runs the
+same forward over chunks of graphs; `predict_energy` is its batch of one.
 
 Gradients are reverse-mode by hand and checked against central finite
 differences.  Training is deterministic for a fixed seed: shuffling comes
@@ -20,6 +25,7 @@ from a seeded generator, and a mini-batch always reduces in the same order.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,6 +68,11 @@ class ZeroTruth(ValueError):
 
 @dataclass
 class GnnParams:
+    """The regressor's eight weight arrays.  Construction copies them into one
+    flat float64 buffer, `flat`, in PARAM_NAMES order, and keeps each field as
+    a view of it: writing a field's elements writes `flat`, and Adam updates
+    every array as one vector.  Gradients are held in a GnnParams too."""
+
     conv1_w: np.ndarray
     conv1_b: np.ndarray
     conv2_w: np.ndarray
@@ -70,6 +81,28 @@ class GnnParams:
     head1_b: np.ndarray
     head2_w: np.ndarray
     head2_b: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(arr, dtype=np.float64) for arr in self.as_list()]
+        self._view(np.concatenate([arr.ravel() for arr in arrays]), [arr.shape for arr in arrays])
+
+    def _view(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        start = 0
+        for name, shape in zip(PARAM_NAMES, shapes):
+            stop = start + math.prod(shape)
+            setattr(self, name, flat[start:stop].reshape(shape))
+            start = stop
+
+    def over(self, flat: np.ndarray) -> "GnnParams":
+        """Arrays of these shapes viewing `flat`, which is not copied."""
+        other = copy.copy(self)
+        other._view(flat, [arr.shape for arr in self.as_list()])
+        return other
+
+    def copy(self) -> "GnnParams":
+        return self.over(self.flat.copy())
 
     def as_list(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in PARAM_NAMES]
@@ -167,24 +200,70 @@ class _Scratch:
 _SCRATCH = _Scratch()
 
 
-def _forward(graphs, params: GnnParams, scratch: _Scratch) -> tuple:
-    """One forward over b graphs, each zero-padded to the n nodes of the widest.
+@dataclass
+class _Stack:
+    """Graphs stacked once, for the forwards over any of their rows."""
+
+    x: np.ndarray  # (N, widest, node width) node features, zero-padded
+    counts: np.ndarray  # (N,) node counts
+    glob: np.ndarray  # (N, global width) global vectors
+    aggs: np.ndarray  # (T, widest, widest) one zero-padded matrix per distinct fg.agg object
+    topology: np.ndarray  # (N,) row of `aggs` for each graph
+    targets: np.ndarray | None  # (N,) log-space targets, when stacked with energies
+
+
+def _stack(graphs, params: GnnParams, energies=None) -> _Stack:
+    """Check the graphs against the model's widths and stack them.  Graphs of
+    one topology share their aggregation matrix object, which is stored once."""
+    _check_widths(graphs, params)
+    counts = np.array([fg.node_count for fg in graphs])
+    n = int(counts.max())
+    row_of: dict[int, int] = {}
+    for fg in graphs:
+        row_of.setdefault(id(fg.agg), len(row_of))
+    topology = np.array([row_of[id(fg.agg)] for fg in graphs])
+    x = np.zeros((len(graphs), n, params.node_width))
+    aggs = np.zeros((len(row_of), n, n))
+    for i, fg in enumerate(graphs):
+        x[i, : counts[i]] = fg.features
+        aggs[topology[i], : counts[i], : counts[i]] = fg.agg
+    targets = None if energies is None else np.array([target_transform(e) for e in energies])
+    return _Stack(x, counts, np.array([fg.global_features for fg in graphs]), aggs, topology,
+                  targets)
+
+
+def _gather(stack: _Stack, rows: np.ndarray, scratch: _Scratch) -> tuple:
+    """The forward inputs of the stacked graphs `rows`, in that order, trimmed
+    to the widest of them; node features and aggregation matrices are copied
+    into `scratch`."""
+    counts = stack.counts[rows]
+    b, n = len(rows), int(counts.max())
+    # mode="clip" lets take write straight into `out` (the default buffers a copy)
+    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip",
+                out=scratch.take("x", b, n, stack.x.shape[2]))
+    agg = np.take(stack.aggs[:, :n, :n], stack.topology[rows], axis=0, mode="clip",
+                  out=scratch.take("agg", b, n, n))
+    return x, agg, counts, stack.glob[rows]
+
+
+def _one(fg: FeaturizedGraph) -> tuple:
+    """The forward inputs of one graph: views of its own arrays."""
+    return fg.features[None], fg.agg[None], np.array([fg.node_count]), fg.global_features[None]
+
+
+def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tuple:
+    """One forward over b graphs, each zero-padded to the n nodes of the widest:
+    node features x (b, n, width), aggregation matrices agg (b, n, n), node
+    counts (b,) and global vectors glob (b, global width).
 
     A padded row never reaches a real node (its agg column is zero), and its
     h2 row is zeroed before the node mean, so it gets no gradient either.
     Returns (agg, counts, x, agg x, h1, agg h1, h2, q, h3, y); the (b*n, .)
-    node arrays are views of `scratch`, valid until its next forward.
+    node arrays are views of `scratch` (x may be the caller's), valid until
+    its next forward.
     """
-    counts = np.array([fg.features.shape[0] for fg in graphs])
-    b, n = len(graphs), int(counts.max())
-    width, hidden = params.node_width, params.hidden_width
-    x = scratch.take("x", b, n, width)
-    agg = scratch.take("agg", b, n, n)
-    x.fill(0.0)
-    agg.fill(0.0)
-    for i, fg in enumerate(graphs):
-        x[i, : counts[i]] = fg.features
-        agg[i, : counts[i], : counts[i]] = fg.agg
+    b, n, width = x.shape
+    hidden = params.hidden_width
     ax = np.matmul(agg, x, out=scratch.take("ax", b, n, width)).reshape(b * n, width)
     x = x.reshape(b * n, width)
     h1 = _conv(x, ax, params.conv1_w, params.conv1_b, scratch, "h1")
@@ -197,7 +276,7 @@ def _forward(graphs, params: GnnParams, scratch: _Scratch) -> tuple:
 
     q = np.empty((b, hidden + params.global_width))
     np.divide(h2_3d.sum(axis=1), counts[:, None], out=q[:, :hidden])
-    q[:, hidden:] = [fg.global_features for fg in graphs]
+    q[:, hidden:] = glob
     h3 = np.maximum(q @ params.head1_w + params.head1_b, 0.0)
     y = h3 @ params.head2_w[:, 0] + params.head2_b[0]
     return agg, counts, x, ax, h1, ah1, h2, q, h3, y
@@ -213,21 +292,21 @@ def _conv(own: np.ndarray, neighbor: np.ndarray, w: np.ndarray, bias: np.ndarray
     return np.maximum(out, 0.0, out=out)
 
 
-def _backward(
-    act: tuple, params: GnnParams, dy: np.ndarray, scratch: _Scratch
-) -> list[np.ndarray]:
-    """Parameter gradients of sum(dy * y), in PARAM_NAMES order."""
+def _backward(act: tuple, params: GnnParams, dy: np.ndarray, scratch: _Scratch,
+              grads: GnnParams) -> None:
+    """Write the parameter gradients of sum(dy * y) into `grads`."""
     agg, counts, x, ax, h1, ah1, h2, q, h3, _ = act
     b, n, _ = agg.shape
-    hidden = params.hidden_width
+    hidden, width = params.hidden_width, params.node_width
     ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3 > 0)
     dmean = (ds3 @ params.head1_w[:hidden].T) / counts[:, None]
 
     ds2 = scratch.take("ds2", b, n, hidden)
     np.multiply(dmean[:, None, :], h2.reshape(b, n, hidden) > 0, out=ds2)
     ds2 = ds2.reshape(b * n, hidden)
-    d_conv2_w = np.concatenate([h1.T @ ds2, ah1.T @ ds2])
-    d_conv2_b = ds2.sum(axis=0)
+    np.matmul(h1.T, ds2, out=grads.conv2_w[:hidden])
+    np.matmul(ah1.T, ds2, out=grads.conv2_w[hidden:])
+    np.sum(ds2, axis=0, out=grads.conv2_b)
     # conv1's output gradient: the self half, plus agg^T times the neighbor half
     ds1 = np.matmul(ds2, params.conv2_w[:hidden].T, out=scratch.take("ds1", b * n, hidden))
     back = np.matmul(ds2, params.conv2_w[hidden:].T, out=scratch.take("tmp", b * n, hidden))
@@ -236,14 +315,31 @@ def _backward(
     ds1 += back.reshape(b * n, hidden)
     ds1 *= h1 > 0
 
-    return [np.concatenate([x.T @ ds1, ax.T @ ds1]), ds1.sum(axis=0), d_conv2_w, d_conv2_b,
-            q.T @ ds3, ds3.sum(axis=0), (h3.T @ dy)[:, None], np.array([dy.sum()])]
+    np.matmul(x.T, ds1, out=grads.conv1_w[:width])
+    np.matmul(ax.T, ds1, out=grads.conv1_w[width:])
+    np.sum(ds1, axis=0, out=grads.conv1_b)
+    np.matmul(q.T, ds3, out=grads.head1_w)
+    np.sum(ds3, axis=0, out=grads.head1_b)
+    np.matmul(h3.T, dy, out=grads.head2_w[:, 0])
+    grads.head2_b[0] = dy.sum()
 
 
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
     """Predicted energy in joules: the batch-of-one forward, out of log space."""
     _check_widths([fg], params)
-    return float(np.expm1(_forward([fg], params, _SCRATCH)[-1][0]))
+    return float(np.expm1(_forward(*_one(fg), params, _SCRATCH)[-1][0]))
+
+
+def predict_many(graphs: list[FeaturizedGraph], params: GnnParams) -> list[float]:
+    """Predicted energies in joules, CHUNK_GRAPHS graphs stacked to a forward.
+    A graph zero-padded beside wider ones may differ from its batch-of-one
+    prediction in the last bits."""
+    preds: list[float] = []
+    for start in range(0, len(graphs), CHUNK_GRAPHS):
+        stack = _stack(graphs[start : start + CHUNK_GRAPHS], params)
+        act = _forward(*_gather(stack, np.arange(len(stack.counts)), _SCRATCH), params, _SCRATCH)
+        preds += np.expm1(act[-1]).tolist()
+    return preds
 
 
 def target_transform(energy_joules: float) -> float:
@@ -251,27 +347,37 @@ def target_transform(energy_joules: float) -> float:
 
 
 def loss_and_gradients(
-    batch: list[tuple[FeaturizedGraph, float]], params: GnnParams
-) -> tuple[float, list[np.ndarray]]:
+    batch, params: GnnParams, rows: np.ndarray | None = None, grads: GnnParams | None = None
+) -> tuple[float, GnnParams]:
     """Mean squared error in log space, and its parameter gradients.
 
-    The batch runs through one forward and one backward per chunk of
-    CHUNK_GRAPHS consecutive samples; chunk gradients are summed in batch
-    order, so a given batch always reduces in the same order.
+    `batch` is a list of (graph, energy) pairs, which is stacked here, or a
+    stack of them made once by `train`, with `rows` picking the mini-batch
+    (default: every row).  The mini-batch runs through one forward and one
+    backward per chunk of CHUNK_GRAPHS consecutive rows; chunk gradients are
+    summed in batch order, so a given batch always reduces in the same order.
+    Gradients are written into `grads` when given, else into a new GnnParams.
     """
-    if not batch:
-        raise ValueError("batch must not be empty")
-    _check_widths([fg for fg, _ in batch], params)
-    inv = 1.0 / len(batch)
+    if not isinstance(batch, _Stack):
+        if not batch:
+            raise ValueError("batch must not be empty")
+        batch = _stack([fg for fg, _ in batch], params, [energy for _, energy in batch])
+    if rows is None:
+        rows = np.arange(len(batch.counts))
+    if grads is None:
+        grads = params.over(np.empty(params.flat.size))
+    inv = 1.0 / len(rows)
     total = 0.0
-    grads = [np.zeros_like(arr) for arr in params.as_list()]
-    for start in range(0, len(batch), CHUNK_GRAPHS):
-        chunk = batch[start : start + CHUNK_GRAPHS]
-        act = _forward([fg for fg, _ in chunk], params, _SCRATCH)
-        residual = act[-1] - np.array([target_transform(energy) for _, energy in chunk])
+    for start in range(0, len(rows), CHUNK_GRAPHS):
+        chunk = rows[start : start + CHUNK_GRAPHS]
+        act = _forward(*_gather(batch, chunk, _SCRATCH), params, _SCRATCH)
+        residual = act[-1] - batch.targets[chunk]
         total += float(residual @ residual)
-        for acc, g in zip(grads, _backward(act, params, 2.0 * inv * residual, _SCRATCH)):
-            acc += g
+        # the first chunk writes `grads` itself; a later one adds its own
+        part = grads if start == 0 else params.over(_SCRATCH.take("grads", params.flat.size))
+        _backward(act, params, 2.0 * inv * residual, _SCRATCH, part)
+        if start:
+            grads.flat += part.flat
     loss = total * inv
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss is not finite: {loss}")
@@ -280,8 +386,12 @@ def loss_and_gradients(
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's moments as flat vectors in PARAM_NAMES order, the step count,
+    and two flat work rows that a step writes its temporaries into."""
+
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray  # (2, parameter count)
     step: int = 0
 
 
@@ -300,30 +410,35 @@ class TrainHyper:
 
 
 def init_adam_state(params: GnnParams) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(arr) for arr in params.as_list()],
-        v=[np.zeros_like(arr) for arr in params.as_list()],
-        step=0,
-    )
+    size = params.flat.size
+    return AdamState(m=np.zeros(size), v=np.zeros(size), work=np.empty((2, size)))
 
 
-def adam_step(
-    params: GnnParams, grads: list[np.ndarray], state: AdamState, hyper: TrainHyper
-) -> tuple[GnnParams, AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated."""
-    t = state.step + 1
-    new_params = []
-    new_m = []
-    new_v = []
-    for value, grad, m, v in zip(params.as_list(), grads, state.m, state.v):
-        m_next = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v_next = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m_next / (1.0 - ADAM_BETA1**t)
-        v_hat = v_next / (1.0 - ADAM_BETA2**t)
-        new_params.append(value - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
-        new_m.append(m_next)
-        new_v.append(v_next)
-    return GnnParams.from_list(new_params), AdamState(m=new_m, v=new_v, step=t)
+def adam_step(params: GnnParams, grads: GnnParams, state: AdamState, hyper: TrainHyper) -> None:
+    """One bias-corrected Adam update of `params` and `state`, in place and
+    allocation-free:
+
+        m <- beta1 m + (1 - beta1) g
+        v <- beta2 v + ((1 - beta2) g) g
+        params <- params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+    """
+    state.step += 1
+    t = state.step
+    g, m, v = grads.flat, state.m, state.v
+    a, b = state.work
+    np.multiply(m, ADAM_BETA1, out=m)
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    a *= g
+    v += a
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=b)
+    b *= hyper.learning_rate
+    b /= a
+    params.flat -= b
 
 
 def train(
@@ -333,10 +448,11 @@ def train(
 ) -> tuple[GnnParams, list[float]]:
     """Mini-batch Adam training; returns final parameters and per-epoch mean loss.
 
-    Passing existing params continues training from them with fresh Adam
-    moments (the sampling loop's model updates); otherwise parameters are
-    freshly initialized from the first sample's feature widths with the run
-    seed.
+    Passing existing params continues training from a copy of them with
+    fresh Adam moments (the sampling loop's model updates); otherwise
+    parameters are freshly initialized from the first sample's feature widths
+    with the run seed.  The samples are stacked once; each step gathers its
+    mini-batch's rows and writes its gradients and Adam update in place.
     """
     if not samples:
         raise ValueError("training set must not be empty")
@@ -347,7 +463,10 @@ def train(
             global_width=first.global_features.shape[0],
             seed=hyper.seed,
         )
-    _check_widths([fg for fg, _ in samples], params)
+    else:
+        params = params.copy()
+    stack = _stack([fg for fg, _ in samples], params, [energy for _, energy in samples])
+    grads = params.over(np.empty(params.flat.size))
     state = init_adam_state(params)
     rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
     history = []
@@ -355,13 +474,13 @@ def train(
         order = rng.permutation(len(samples))
         epoch_loss = 0.0
         for start in range(0, len(samples), hyper.batch_size):
-            batch = [samples[i] for i in order[start : start + hyper.batch_size]]
+            rows = order[start : start + hyper.batch_size]
             try:
-                loss, grads = loss_and_gradients(batch, params)
+                loss, _ = loss_and_gradients(stack, params, rows, grads)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
-            params, state = adam_step(params, grads, state, hyper)
-            epoch_loss += loss * len(batch)
+            adam_step(params, grads, state, hyper)
+            epoch_loss += loss * len(rows)
         history.append(epoch_loss / len(samples))
     return params, history
 
@@ -422,31 +541,29 @@ def gradient_check(
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("eps must lie in [1e-7, 1e-3]")
-    _, grads = loss_and_gradients([sample], params)
-    flat_grads = np.concatenate([g.ravel() for g in grads])
-    arrays = params.as_list()
-    offsets = np.cumsum([0] + [arr.size for arr in arrays])
-    fg, energy = sample
+    stack = _stack([sample[0]], params, [sample[1]])
+    _, grads = loss_and_gradients(stack, params)
 
-    def bumped(slot: int, inner: int, delta: float) -> tuple[float, tuple]:
+    def bumped(index: int, delta: float) -> tuple[float, tuple]:
         """Squared error and relu sign patterns with one coordinate moved."""
-        moved = [arr.copy() for arr in arrays]
-        moved[slot].ravel()[inner] += delta
-        *_, h1, _, h2, _, h3, y = _forward([fg], GnnParams.from_list(moved), _SCRATCH)
-        residual = float(y[0]) - target_transform(energy)
+        moved = params.copy()
+        moved.flat[index] += delta
+        *_, h1, _, h2, _, h3, y = _forward(*_gather(stack, np.arange(1), _SCRATCH), moved,
+                                           _SCRATCH)
+        residual = float(y[0]) - stack.targets[0]
         return residual * residual, (h1 > 0, h2 > 0, h3 > 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    picked = rng.choice(offsets[-1], size=min(coords, offsets[-1]), replace=False)
+    size = params.flat.size
+    picked = rng.choice(size, size=min(coords, size), replace=False)
     worst = 0.0
-    for flat_index in sorted(int(i) for i in picked):
-        slot = int(np.searchsorted(offsets, flat_index, side="right") - 1)
-        loss_p, masks_p = bumped(slot, flat_index - offsets[slot], eps)
-        loss_m, masks_m = bumped(slot, flat_index - offsets[slot], -eps)
+    for index in sorted(int(i) for i in picked):
+        loss_p, masks_p = bumped(index, eps)
+        loss_m, masks_m = bumped(index, -eps)
         if not all(np.array_equal(a, b) for a, b in zip(masks_p, masks_m)):
             continue
         fd = (loss_p - loss_m) / (2.0 * eps)
-        analytic = flat_grads[flat_index]
+        analytic = grads.flat[index]
         denom = max(abs(analytic), abs(fd), 1e-8)
         worst = max(worst, abs(analytic - fd) / denom)
     return worst

@@ -25,7 +25,7 @@ import numpy as np
 from .arch import DataType, InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase, check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
-from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_energy, train
+from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
 from .kvfile import ConfigError
 from .roofline import GpuSpec, cost_layer, ridge_points
 
@@ -406,7 +406,7 @@ def focused_sampling_loop(
     preds: list[float] = []
 
     def current_mape() -> float:
-        preds[:] = [predict_energy(fg, params) for fg, _ in test_pairs]
+        preds[:] = predict_many([fg for fg, _ in test_pairs], params)
         truths = [s.energy_joules for s in test_set]
         return mape(preds, truths)
 
@@ -458,8 +458,8 @@ def raw_featurize_point(point: SamplePoint):
 
 
 def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample]):
-    preds = [predict_energy(featurize_raw(raw_featurize_point(s.point), stats), params)
-             for s in samples]
+    preds = predict_many([featurize_raw(raw_featurize_point(s.point), stats) for s in samples],
+                         params)
     truths = [s.energy_joules for s in samples]
     return evaluate(preds, truths)
 

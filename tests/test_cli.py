@@ -135,19 +135,29 @@ class TestMalformedFiles:
         assert f"{path}:1" in err
 
 
+def small_dataset(path, seed=1):
+    space = sampler.desk_prior_space(builtin_gpu_catalog())
+    samples = sampler.label_points(sampler.initial_sample(space, 4, seed=seed),
+                                   sampler.SyntheticEnergyOracle())
+    sampler.save_dataset(path, samples)
+    return path
+
+
 class TestTrainFlags:
-    @pytest.mark.parametrize("epochs", ["0", "-3"])
-    def test_epochs_below_one_exit_2_naming_the_flag(self, capsys, tmp_path, epochs):
-        space = sampler.desk_prior_space(builtin_gpu_catalog())
-        samples = sampler.label_points(sampler.initial_sample(space, 4, seed=1),
-                                       sampler.SyntheticEnergyOracle())
-        dataset = tmp_path / "data.jsonl"
-        sampler.save_dataset(dataset, samples)
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "--epochs must be >= 1, got 0"),
+        ("--epochs", "-3", "--epochs must be >= 1, got -3"),
+        ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
+        ("--lr", "0", "--lr must be > 0, got 0.0"),
+        ("--lr", "-0.5", "--lr must be > 0, got -0.5"),
+    ])
+    def test_bad_flag_exit_2_naming_the_flag(self, capsys, tmp_path, flag, value, message):
+        dataset = small_dataset(tmp_path / "data.jsonl")
         out = tmp_path / "model.json"
         code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(out),
-                           "--epochs", epochs)
+                           flag, value)
         assert code == 2
-        assert "--epochs" in err
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -174,6 +184,9 @@ class TestSampleFlags:
         ("--k", "0", "--k must be >= 1, got 0"),
         ("--k", "-2", "--k must be >= 1, got -2"),
         ("--max-iterations", "-1", "--max-iterations must be >= 0, got -1"),
+        ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
+        ("--lr", "0", "--lr must be > 0, got 0.0"),
+        ("--lr", "nan", "--lr must be > 0, got nan"),
     ])
     def test_loop_counts_out_of_range_exit_2_before_sampling(self, capsys, tmp_path,
                                                              monkeypatch, flag, value, message):
@@ -191,11 +204,7 @@ class TestSampleFlags:
 
 class TestTrainConfigHash:
     def test_hash_covers_every_training_flag(self, capsys, tmp_path):
-        space = sampler.desk_prior_space(builtin_gpu_catalog())
-        samples = sampler.label_points(sampler.initial_sample(space, 4, seed=1),
-                                       sampler.SyntheticEnergyOracle())
-        dataset = tmp_path / "data.jsonl"
-        sampler.save_dataset(dataset, samples)
+        dataset = small_dataset(tmp_path / "data.jsonl")
         hashes = set()
         for flags in (["--lr", "0.001"], ["--lr", "0.01"], ["--batch-size", "2"]):
             out = tmp_path / "model.json"
@@ -204,6 +213,36 @@ class TestTrainConfigHash:
             assert code == 0, err
             hashes.add(json.loads(out.read_text())["extra"]["config_hash"])
         assert len(hashes) == 3
+
+    def test_hashes_follow_file_contents_not_paths(self, capsys, tmp_path):
+        first = tmp_path / "a"
+        first.mkdir()
+        dataset = small_dataset(first / "data.jsonl")
+        ckpt = first / "model.json"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(ckpt),
+                           "--epochs", "1")
+        assert code == 0, err
+        second = tmp_path / "b" / "c"
+        second.mkdir(parents=True)
+        for path in (dataset, ckpt):
+            (second / path.name).write_bytes(path.read_bytes())
+
+        def hashes(where):
+            code, _, err = run(capsys, "train", "--dataset", str(where / "data.jsonl"),
+                               "--out", str(where / "again.json"), "--epochs", "1")
+            assert code == 0, err
+            trained = json.loads((where / "again.json").read_text())["extra"]["config_hash"]
+            code, out, err = run(capsys, "eval", "--checkpoint", str(where / "model.json"),
+                                 "--dataset", str(where / "data.jsonl"))
+            assert code == 0, err
+            return trained, json.loads(out)["manifest"]["config_hash"]
+
+        same = hashes(first)
+        assert hashes(second) == same
+        # other data under the same path changes both
+        small_dataset(second / "data.jsonl", seed=2)
+        changed = hashes(second)
+        assert changed[0] != same[0] and changed[1] != same[1]
 
 
 class TestPipeline:

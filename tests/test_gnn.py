@@ -30,6 +30,7 @@ from infercarbon.gnn import (
     loss_and_gradients,
     mape,
     predict_energy,
+    predict_many,
     save_checkpoint,
     train,
 )
@@ -162,7 +163,7 @@ class TestLossAndAdam:
         energy = float(np.expm1(2.0))
         loss, grads = loss_and_gradients([(fg, energy)], zeros)
         assert loss == pytest.approx(0.0, abs=1e-24)
-        assert all(np.allclose(g, 0.0) for g in grads)
+        assert all(np.allclose(g, 0.0) for g in grads.as_list())
 
     def test_empty_batch_rejected(self):
         params = init_params(4, 2)
@@ -171,31 +172,58 @@ class TestLossAndAdam:
 
     def test_adam_zero_grad_identity(self):
         params = init_params(6, 3, seed=0)
-        state = init_adam_state(params)
-        zero_grads = [np.zeros_like(a) for a in params.as_list()]
-        updated, new_state = adam_step(params, zero_grads, state, TrainHyper())
+        updated = params.copy()
+        state = init_adam_state(updated)
+        zero_grads = params.over(np.zeros(params.flat.size))
+        adam_step(updated, zero_grads, state, TrainHyper())
         for before, after in zip(params.as_list(), updated.as_list()):
             assert np.array_equal(before, after)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_adam_first_step_is_sign_scaled(self):
         params = init_params(6, 3, seed=0)
-        state = init_adam_state(params)
-        grads = [np.full_like(a, 0.5) for a in params.as_list()]
+        updated = params.copy()
+        state = init_adam_state(updated)
+        grads = params.over(np.full(params.flat.size, 0.5))
         hyper = TrainHyper(learning_rate=0.001)
-        updated, _ = adam_step(params, grads, state, hyper)
+        adam_step(updated, grads, state, hyper)
         # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
         for before, after in zip(params.as_list(), updated.as_list()):
             assert np.allclose(before - after, 0.001, rtol=1e-6)
 
     def test_adam_deterministic(self):
         params = init_params(6, 3, seed=0)
-        grads = [np.full_like(a, 0.25) for a in params.as_list()]
-        a1, s1 = adam_step(params, grads, init_adam_state(params), TrainHyper())
-        a2, s2 = adam_step(params, grads, init_adam_state(params), TrainHyper())
+        grads = params.over(np.full(params.flat.size, 0.25))
+        a1, a2 = params.copy(), params.copy()
+        s1, s2 = init_adam_state(a1), init_adam_state(a2)
+        adam_step(a1, grads, s1, TrainHyper())
+        adam_step(a2, grads, s2, TrainHyper())
         for x, y in zip(a1.as_list(), a2.as_list()):
             assert np.array_equal(x, y)
         assert s1.step == s2.step
+
+    def test_adam_equals_per_array_formula(self):
+        # the out-of-place, per-array update is the reference for the
+        # in-place update over one flat buffer: same operations, same order
+        params = init_params(6, 3, seed=0)
+        hyper = TrainHyper(learning_rate=0.003)
+        values = [a.copy() for a in params.as_list()]
+        m = [np.zeros_like(a) for a in values]
+        v = [np.zeros_like(a) for a in values]
+        state = init_adam_state(params)
+        rng = np.random.Generator(np.random.PCG64(5))
+        for t in range(1, 6):
+            grads = params.over(rng.normal(size=params.flat.size))
+            adam_step(params, grads, state, hyper)
+            m = [gnn.ADAM_BETA1 * mi + (1.0 - gnn.ADAM_BETA1) * g
+                 for mi, g in zip(m, grads.as_list())]
+            v = [gnn.ADAM_BETA2 * vi + (1.0 - gnn.ADAM_BETA2) * g * g
+                 for vi, g in zip(v, grads.as_list())]
+            values = [a - hyper.learning_rate * (mi / (1.0 - gnn.ADAM_BETA1**t))
+                      / (np.sqrt(vi / (1.0 - gnn.ADAM_BETA2**t)) + gnn.ADAM_EPSILON)
+                      for a, mi, vi in zip(values, m, v)]
+            assert all(np.array_equal(a, b) for a, b in zip(params.as_list(), values))
+        assert state.step == 5
 
 
 class TestTraining:
@@ -274,9 +302,11 @@ class TestBatchedPath:
         batch = mixed_batch()
         params = biased_params(batch[0][0], seed=4)
         loss, grads = loss_and_gradients(batch, params)
+        grads = grads.as_list()
         singles = [loss_and_gradients([sample], params) for sample in batch]
         mean_loss = sum(l for l, _ in singles) / len(batch)
-        mean_grads = [sum(g[k] for _, g in singles) / len(batch) for k in range(len(grads))]
+        mean_grads = [sum(g.as_list()[k] for _, g in singles) / len(batch)
+                      for k in range(len(grads))]
         assert loss == pytest.approx(mean_loss, rel=1e-12)
         assert_grads_close(grads, mean_grads)
 
@@ -286,11 +316,10 @@ class TestBatchedPath:
         widest = max(fg.node_count for fg, _ in batch)
         narrow = [fg for fg, _ in batch if fg.node_count < widest]
         assert narrow
-        stacked = gnn._forward([fg for fg, _ in batch], params, gnn._Scratch())[-1]
+        stacked = predict_many([fg for fg, _ in batch], params)
         for fg in narrow:
             index = next(i for i, (g, _) in enumerate(batch) if g is fg)
-            assert predict_energy(fg, params) == pytest.approx(np.expm1(stacked[index]),
-                                                                 rel=1e-12)
+            assert predict_energy(fg, params) == pytest.approx(stacked[index], rel=1e-12)
 
     def test_batch_beyond_one_chunk_equals_its_chunks(self):
         chunk = gnn.CHUNK_GRAPHS
@@ -298,11 +327,12 @@ class TestBatchedPath:
         batch = [base[i % len(base)] for i in range(2 * chunk + 5)]
         params = biased_params(batch[0][0], seed=6)
         loss, grads = loss_and_gradients(batch, params)
+        grads = grads.as_list()
         pieces = [batch[i : i + chunk] for i in range(0, len(batch), chunk)]
         parts = [loss_and_gradients(piece, params) for piece in pieces]
         weights = [len(piece) / len(batch) for piece in pieces]
         want_loss = sum(w * l for w, (l, _) in zip(weights, parts))
-        want_grads = [sum(w * g[k] for w, (_, g) in zip(weights, parts))
+        want_grads = [sum(w * g.as_list()[k] for w, (_, g) in zip(weights, parts))
                       for k in range(len(grads))]
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert_grads_close(grads, want_grads)
@@ -313,7 +343,7 @@ class TestBatchedPath:
         first = loss_and_gradients(batch, params)
         again = loss_and_gradients(batch, params)
         assert first[0] == again[0]
-        assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+        assert all(np.array_equal(a, b) for a, b in zip(first[1].as_list(), again[1].as_list()))
 
     def test_narrow_chunk_after_wide_one_matches_fresh_scratch(self, monkeypatch):
         batch = mixed_batch()
@@ -328,10 +358,10 @@ class TestBatchedPath:
         monkeypatch.setattr(gnn, "_SCRATCH", gnn._Scratch())
         want = loss_and_gradients(narrow, params)
         assert got[0] == want[0]
-        assert len(got[1]) == len(gnn.PARAM_NAMES)
-        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        assert len(got[1].as_list()) == len(gnn.PARAM_NAMES)
+        assert all(np.array_equal(a, b) for a, b in zip(got[1].as_list(), want[1].as_list()))
 
-    def test_repeated_step_replaces_no_scratch_array(self):
+    def test_repeated_step_replaces_no_scratch_array(self, monkeypatch):
         batch = mixed_batch() * 3
         params = biased_params(batch[0][0], seed=9)
         loss_and_gradients(batch, params)
@@ -340,6 +370,70 @@ class TestBatchedPath:
         predict_energy(batch[0][0], params)
         assert gnn._SCRATCH.flat.keys() == before.keys()
         assert all(gnn._SCRATCH.flat[name] is arr for name, arr in before.items())
+
+        # inside train, seen after each step's gradients: from the second step
+        # on, no scratch array, gradient, parameter or Adam buffer is replaced
+        seen = []
+        step = gnn.adam_step
+
+        def spy(params, grads, state, hyper):
+            seen.append((dict(gnn._SCRATCH.flat),
+                         [params.flat, grads.flat, state.m, state.v, state.work]))
+            step(params, grads, state, hyper)
+
+        monkeypatch.setattr(gnn, "adam_step", spy)
+        # 96 samples in steps of 69 (two chunks) and 27
+        train(batch * 4, TrainHyper(epochs=2, batch_size=gnn.CHUNK_GRAPHS + 5))
+        assert len(seen) == 4
+        scratch, buffers = seen[0]
+        for later_scratch, later_buffers in seen[1:]:
+            assert later_scratch.keys() == scratch.keys()
+            assert all(later_scratch[name] is arr for name, arr in scratch.items())
+            assert all(a is b for a, b in zip(later_buffers, buffers))
+
+    @pytest.mark.parametrize("batch_size", [gnn.CHUNK_GRAPHS + 11, 7])
+    def test_train_equals_loop_over_list_batches(self, batch_size):
+        # batches of 75 run as two chunks; neither size divides the 149 samples
+        base = mixed_batch()
+        samples = [base[i % len(base)] for i in range(2 * gnn.CHUNK_GRAPHS + 21)]
+        hyper = TrainHyper(epochs=3, batch_size=batch_size, seed=11)
+        params, history = train(samples, hyper)
+
+        # the reference stacks each mini-batch from its own list of samples
+        fg = samples[0][0]
+        want = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=hyper.seed)
+        state = init_adam_state(want)
+        rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
+        want_history = []
+        for _ in range(hyper.epochs):
+            order = rng.permutation(len(samples))
+            total = 0.0
+            for start in range(0, len(samples), batch_size):
+                batch = [samples[i] for i in order[start : start + batch_size]]
+                loss, grads = loss_and_gradients(batch, want)
+                adam_step(want, grads, state, hyper)
+                total += loss * len(batch)
+            want_history.append(total / len(samples))
+        assert history == want_history
+        assert params.flat.tobytes() == want.flat.tobytes()
+
+    def test_train_leaves_given_params_unchanged(self):
+        samples = mixed_batch()
+        params = biased_params(samples[0][0], seed=12)
+        before = params.flat.copy()
+        trained, _ = train(samples, TrainHyper(epochs=2, batch_size=3), params=params)
+        assert np.array_equal(params.flat, before)
+        assert not np.array_equal(trained.flat, before)
+
+    def test_predict_many_matches_batches_of_one(self):
+        base = mixed_batch()
+        graphs = [base[i % len(base)][0] for i in range(gnn.CHUNK_GRAPHS + 9)]
+        params = biased_params(graphs[0], seed=10)
+        preds = predict_many(graphs, params)
+        assert len(preds) == len(graphs)
+        for fg, pred in zip(graphs, preds):
+            assert pred == pytest.approx(predict_energy(fg, params), rel=1e-12)
+        assert predict_many([], params) == []
 
     def test_train_checks_every_sample_before_training(self):
         batch = mixed_batch()
@@ -404,6 +498,20 @@ class TestGradientCheck:
         params = init_params(fg.features.shape[1], fg.global_features.shape[0])
         with pytest.raises(ValueError):
             gradient_check(params, (fg, 1.0), eps=1.0)
+
+
+class TestParams:
+    def test_arrays_are_views_of_one_flat_buffer(self):
+        arrays = init_params(6, 3, seed=0).as_list()
+        params = GnnParams.from_list(arrays)
+        assert params.flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, params.flat) for a in params.as_list())
+        assert not any(np.shares_memory(a, params.flat) for a in arrays)
+        params.head2_b[0] = 3.0
+        assert params.flat[-1] == 3.0
+        copied = params.copy()
+        copied.flat[-1] = 4.0
+        assert params.head2_b[0] == 3.0
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ import pytest
 from infercarbon.arch import InferenceConfig, LlmArchitecture
 from infercarbon.costmodel import Phase
 from infercarbon import sampler as sampler_mod
-from infercarbon.gnn import TrainHyper, predict_energy
+from infercarbon.gnn import TrainHyper, predict_many
 from infercarbon.kvfile import ConfigError
 from infercarbon.roofline import builtin_gpu_catalog, cost_layer
 from infercarbon.sampler import (
@@ -259,11 +259,11 @@ class TestFocusedLoop:
                                 update_epochs=1)
         calls = []
 
-        def counted(fg, params):
-            calls.append(fg)
-            return predict_energy(fg, params)
+        def counted(graphs, params):
+            calls.extend(graphs)
+            return predict_many(graphs, params)
 
-        monkeypatch.setattr(sampler_mod, "predict_energy", counted)
+        monkeypatch.setattr(sampler_mod, "predict_many", counted)
         result = focused_sampling_loop(space, SyntheticEnergyOracle(), 1e-6, hyper)
         assert [len(r.centers) for r in result.refinements] == [8, 8]
         assert len(calls) == 32 + 44 + 56
