@@ -235,9 +235,16 @@ def node_dims(kind: KernelKind, arch: LlmArchitecture) -> tuple[int, int, int, i
     weight_cols, head_dim, head_count), zero-padded for slots the kernel does
     not use; a linear kernel's first two are its weight matrix's (input,
     output) dimensions."""
+    return kind.pick_dims(dims_quantities(arch))
+
+
+def dims_quantities(arch: LlmArchitecture) -> tuple[int, int, int, int, int, int, int]:
+    """The architecture quantities a kind's dims slots index, in slot-name
+    order (_ZERO, _HIDDEN, ...); a caller that reads many kernels' dims
+    builds them once and hands them to each ``kind.pick_dims``."""
     d_h = arch.hidden_size // arch.head_count
-    return kind.pick_dims((0, arch.hidden_size, arch.intermediate_size, d_h,
-                            d_h * arch.kv_head_count, arch.head_count, arch.kv_head_count))
+    return (0, arch.hidden_size, arch.intermediate_size, d_h, d_h * arch.kv_head_count,
+            arch.head_count, arch.kv_head_count)
 
 
 def enumerate_layer_kernels(arch: LlmArchitecture, n_gpu: int) -> KernelGraph:

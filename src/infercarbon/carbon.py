@@ -9,7 +9,8 @@ boundary need it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .arch import InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase
@@ -21,6 +22,14 @@ from .sampler import SamplePoint
 JOULES_PER_KWH = 3.6e6
 
 
+def _require_finite(params) -> None:
+    """Refuse a NaN or infinite field of a parameter record, naming it."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise RangeError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DatacenterParams:
     """Facility efficiency and grid carbon intensity (gCO2eq per kWh)."""
@@ -29,6 +38,7 @@ class DatacenterParams:
     carbon_intensity: float = 400.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.pue < 1.0:
             raise RangeError(f"PUE must be >= 1, got {self.pue}")
         if self.carbon_intensity < 0:
@@ -44,6 +54,7 @@ class EmbodiedParams:
     packaging_g: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.cpa_g_per_mm2 < 0 or self.packaging_g < 0:
             raise RangeError("embodied carbon parameters must be >= 0")
         if self.lifetime_seconds <= 0:

@@ -121,8 +121,10 @@ def _check_counts(args) -> None:
         value = getattr(args, flag.replace("-", "_"), None)
         if value is not None and value < minimum:
             raise CliError(f"--{flag} must be >= {minimum}, got {value}")
-    if not args.lr > 0:
-        raise CliError(f"--lr must be > 0, got {args.lr}")
+    for flag in ("lr", "threshold"):
+        value = getattr(args, flag, None)
+        if value is not None and not value > 0:  # NaN included
+            raise CliError(f"--{flag} must be > 0, got {value}")
 
 
 def _file_digest(path) -> str:
@@ -269,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arch", help="architecture id from the catalog")
     p.add_argument("gpu", help="GPU id from the catalog")
     common_request(p)
-    p.add_argument("--oracle", action="store_true", help="use the synthetic energy oracle")
-    p.add_argument("--checkpoint", help="trained model checkpoint")
+    predictor = p.add_mutually_exclusive_group()
+    predictor.add_argument("--oracle", action="store_true", help="use the synthetic energy oracle")
+    predictor.add_argument("--checkpoint", help="trained model checkpoint")
     p.add_argument("--pue", type=float, default=1.2)
     p.add_argument("--intensity", type=float, default=400.0, help="gCO2eq per kWh")
     p.add_argument("--cpa", type=float, default=1.0, help="embodied g per mm2 of die")

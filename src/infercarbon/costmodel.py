@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import (
     DataType,
@@ -55,8 +56,7 @@ class Phase(enum.Enum):
     DECODE = "decode"
 
 
-@dataclass(frozen=True)
-class CostTriple:
+class CostTriple(NamedTuple):
     """Operation count, memory bytes and network bytes of one kernel."""
 
     ops: int
@@ -70,6 +70,13 @@ class CostTriple:
         return self.ops == 0 and self.mem_bytes == 0 and self.net_bytes == 0
 
 
+# The equations run once per kernel and phase, and a module-level name loads
+# several times faster than an enum class attribute.
+_PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
+_NORMS = (KernelKind.NORM_ATTN, KernelKind.NORM_MLP)
+_ADDS = (KernelKind.ADD_ATTN, KernelKind.ADD_MLP)
+
+
 @dataclass(frozen=True)
 class LayerTotals:
     """Component-wise cost sums over every kernel of one layer, per phase."""
@@ -81,7 +88,7 @@ class LayerTotals:
 def _token_factor(cfg: InferenceConfig, phase: Phase) -> int:
     # decode iterates over the generated tokens after the first; prefill over
     # the whole prompt
-    if phase is Phase.DECODE:
+    if phase is _DECODE:
         return cfg.generated_tokens - 1
     return cfg.prompt_length
 
@@ -90,7 +97,7 @@ def _attention_span(cfg: InferenceConfig, phase: Phase) -> tuple[int, int]:
     """(span, denominator) of the attention terms.  Decode attends over
     (2 * prompt + gen) * gen / 2 cached positions summed over its steps, so
     its terms sit over 2g; prefill spans the prompt, over g."""
-    if phase is Phase.DECODE:
+    if phase is _DECODE:
         gen = cfg.generated_tokens
         return (2 * cfg.prompt_length + gen) * gen, 2 * cfg.gpu_count
     return cfg.prompt_length, cfg.gpu_count
@@ -117,7 +124,7 @@ def linear_cost(
     t = _token_factor(cfg, phase)
 
     ops = 2 * b * d_in * d_out * t
-    m_weight = d_in * d_out * d_w * (t if phase is Phase.DECODE else 1)
+    m_weight = d_in * d_out * d_w * (t if phase is _DECODE else 1)
     m_act_load = d_in * b * d_a * t
     d_store = d_a if kind.stores_activation else d_kv
     m_store = d_out * b * d_store * t
@@ -177,7 +184,7 @@ def fused_attention_cost(
     span, den = _attention_span(cfg, phase)
 
     ops = (4 * b * d_h * n_h + 5 * b * n_h) * span  # twice the matmuls, plus the softmax
-    if phase is Phase.PREFILL:
+    if phase is _PREFILL:
         ops *= cfg.prompt_length
     # the activation stream is per token over g; scaled onto the common denominator
     m_act = d_h * b * n_h * d_a * _token_factor(cfg, phase) * (den // cfg.gpu_count)
@@ -200,16 +207,16 @@ def elementwise_cost(
 
     base = b * h * t
     stream = base * d_a
-    if kind in (KernelKind.NORM_ATTN, KernelKind.NORM_MLP):
+    if kind in _NORMS:
         ops = 7 * base
         mem = 2 * stream
-    elif kind in (KernelKind.ADD_ATTN, KernelKind.ADD_MLP):
+    elif kind in _ADDS:
         ops = base
         mem = 2 * stream
     else:  # ACT_MLP; decode totals triple the (doubled) load stream, prefill
         # sums the load and store streams as written
         ops = 2 * base
-        mem = 6 * stream if phase is Phase.DECODE else 3 * stream
+        mem = 6 * stream if phase is _DECODE else 3 * stream
     return CostTriple(ops // g, mem // g, 0)
 
 

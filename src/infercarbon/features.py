@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture, node_dims
+from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture, dims_quantities
 from .costmodel import LayerTotals, Phase, model_totals
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
@@ -110,11 +110,10 @@ class FeaturizedGraph:
 
 
 def _standardize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    transformed = np.log1p(raw.astype(np.float64))
-    out = np.zeros_like(transformed)
-    nonzero = std != 0
-    out[..., nonzero] = (transformed[..., nonzero] - mean[nonzero]) / std[nonzero]
-    if not np.all(np.isfinite(out)):
+    """log1p, minus the mean, over the std; a slot with zero std reads 0."""
+    centered = np.subtract(np.log1p(raw), mean)
+    out = np.divide(centered, std, out=np.zeros(centered.shape), where=std != 0)
+    if not np.isfinite(out).all():
         raise NonFiniteFeature("standardized feature has a non-finite entry")
     return out
 
@@ -181,13 +180,12 @@ def raw_featurize(
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     """The raw feature numbers of an already-costed layer."""
     graph, arch = costs.graph, costs.arch
+    dims = dims_quantities(arch)
     # per node: dims, then (ops, mem, net, perf) for prefill and for decode
     rows = [
-        [*node_dims(node.kind, arch),
-         pre.cost.ops, pre.cost.mem_bytes, pre.cost.net_bytes, pre.performance,
-         dec.cost.ops, dec.cost.mem_bytes, dec.cost.net_bytes, dec.performance]
-        for node, pre, dec in zip(graph.nodes, costs.phases[Phase.PREFILL],
-                                  costs.phases[Phase.DECODE])
+        [*node.kind.pick_dims(dims), *pre_cost, pre_perf, *dec_cost, dec_perf]
+        for node, (pre_cost, pre_perf), (dec_cost, dec_perf)
+        in zip(graph.nodes, costs.phases[Phase.PREFILL], costs.phases[Phase.DECODE])
     ]
     totals = model_totals(costs.totals(), arch.layer_count)
     return RawGraphFeatures(
@@ -203,7 +201,7 @@ def featurize_raw(raw: RawGraphFeatures, stats: FeatureStats) -> FeaturizedGraph
     onehot = _ONE_HOT[[node.kind.index for node in nodes]]
     numeric = _standardize(raw.node_numeric, stats.node_mean, stats.node_std)
     return FeaturizedGraph(
-        features=np.hstack([onehot, numeric]),
+        features=np.concatenate((onehot, numeric), axis=1),
         agg=_aggregation_matrix(len(nodes), raw.graph.edges),
         global_features=_standardize(raw.global_numeric, stats.global_mean, stats.global_std),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .arch import (
     DataType,
@@ -159,33 +159,23 @@ def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce:
     return ceilings.attainable(cost, kind_is_allreduce)
 
 
-class PricedKernel(NamedTuple):
-    """One kernel's cost triple in one phase and its Roofline performance."""
-
-    cost: CostTriple
-    performance: float
-
-
 @dataclass(frozen=True)
 class LayerCosts:
-    """Every kernel of one layer priced once: ``phases[phase][i]`` belongs to
-    ``graph.nodes[i]``."""
+    """Every kernel of one layer priced once: ``phases[phase][i]`` is the
+    ``(cost, performance)`` pair of ``graph.nodes[i]``, its cost triple in
+    that phase and its Roofline performance."""
 
     arch: LlmArchitecture
     cfg: InferenceConfig
     graph: KernelGraph
-    phases: dict[Phase, tuple[PricedKernel, ...]]
+    phases: dict[Phase, tuple[tuple[CostTriple, float], ...]]
 
     def totals(self) -> LayerTotals:
         """Component-wise per-phase cost sums over the layer's kernels."""
         sums = []
         for phase in Phase:
-            ops = mem = net = 0
-            for cost, _ in self.phases[phase]:
-                ops += cost.ops
-                mem += cost.mem_bytes
-                net += cost.net_bytes
-            sums.append(CostTriple(ops, mem, net))
+            costs, _ = zip(*self.phases[phase])
+            sums.append(CostTriple(*map(sum, zip(*costs))))
         return LayerTotals(prefill=sums[0], decode=sums[1])
 
     def phase_seconds(self) -> dict[Phase, float]:
@@ -199,9 +189,9 @@ class LayerCosts:
         for phase, column in self.phases.items():
             total = 0.0
             if not (phase is Phase.DECODE and self.cfg.generated_tokens == 1):
-                for cost, performance in column:
-                    if cost.ops:
-                        total += cost.ops / performance
+                for (ops, _, _), performance in column:
+                    if ops:
+                        total += ops / performance
             times[phase] = total
         return times
 
@@ -218,8 +208,7 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
         column = []
         for node in graph.nodes:
             cost = kernel_cost(node, arch, cfg, s_block, phase)
-            performance = node_performance(cost, ceilings, node.kind.is_allreduce)
-            column.append(PricedKernel(cost, performance))
+            column.append((cost, node_performance(cost, ceilings, node.kind.is_allreduce)))
         phases[phase] = tuple(column)
     return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)
 

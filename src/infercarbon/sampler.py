@@ -382,8 +382,8 @@ def focused_sampling_loop(
     split and reused for every later featurization, so the model's input
     space stays fixed while data accumulates.
     """
-    if e_threshold <= 0:
-        raise ValueError("error threshold must be positive")
+    if not e_threshold > 0:  # NaN included
+        raise ValueError(f"error threshold must be > 0, got {e_threshold}")
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
 
     points = initial_sample(space, hyper.initial_points, seed=hyper.seed)

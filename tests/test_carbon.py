@@ -93,6 +93,19 @@ class TestEmbodiedCarbon:
             EmbodiedParams(cpa_g_per_mm2=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("params, field", [
+    (DatacenterParams, "pue"),
+    (DatacenterParams, "carbon_intensity"),
+    (EmbodiedParams, "cpa_g_per_mm2"),
+    (EmbodiedParams, "lifetime_seconds"),
+    (EmbodiedParams, "packaging_g"),
+])
+def test_non_finite_parameter_is_refused_by_name(params, field, value):
+    with pytest.raises(RangeError, match=f"^{field} must be finite, got {value}$"):
+        params(**{field: value})
+
+
 class TestEstimateRequest:
     def test_oracle_report_composes(self, gpus):
         arch, cfg, gpu = tiny_request(gpus)

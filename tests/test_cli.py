@@ -35,6 +35,26 @@ class TestEstimate:
         assert code == 2
         assert "oracle" in err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--pue", "pue"), ("--intensity", "carbon_intensity"), ("--cpa", "cpa_g_per_mm2"),
+        ("--lifetime", "lifetime_seconds"), ("--packaging", "packaging_g"),
+    ])
+    def test_non_finite_carbon_parameter_exits_2(self, capsys, flag, field):
+        for value in ("nan", "inf"):
+            code, out, err = run(capsys, "estimate", "tiny-flash", "t4", "--oracle", "--json",
+                                 flag, value)
+            assert code == 2
+            assert err == f"error: {field} must be finite, got {value}\n"
+            assert out == ""
+
+    def test_oracle_and_checkpoint_are_exclusive(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "tiny-flash", "t4", "--oracle",
+                  "--checkpoint", str(tmp_path / "model.json")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint: not allowed with argument --oracle" in err
+
     def test_unknown_arch_is_config_error(self, capsys):
         code, _, err = run(capsys, "estimate", "no-such-model", "t4", "--oracle")
         assert code == 2
@@ -187,6 +207,8 @@ class TestSampleFlags:
         ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
         ("--lr", "0", "--lr must be > 0, got 0.0"),
         ("--lr", "nan", "--lr must be > 0, got nan"),
+        ("--threshold", "0", "--threshold must be > 0, got 0.0"),
+        ("--threshold", "nan", "--threshold must be > 0, got nan"),
     ])
     def test_loop_counts_out_of_range_exit_2_before_sampling(self, capsys, tmp_path,
                                                              monkeypatch, flag, value, message):

@@ -3,7 +3,10 @@ kernel_cost + node_performance rows, per-node sums of the cost triples, and
 the per-phase Roofline sums written out kernel by kernel."""
 
 import dataclasses
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +206,20 @@ def test_each_estimate_validates_once(sweep, monkeypatch):
             assert calls == {}, p.describe()
     dataclasses.replace(sweep[0].cfg)  # the counters are live: a build counts
     assert calls == {"InferenceConfig": 1}
+
+
+# bench/workloads.output_digest at the commit that recorded it; a change that
+# keeps every cost triple, oracle energy and raw feature bit for bit keeps it
+RECORDED_DIGEST = "1750602a0d76d3e32e2e8e00466f86e8e31d64f3603b4aa760dc8f54f0616c13"
+
+
+def test_bench_output_digest_is_the_recorded_one():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        assert workloads.output_digest() == RECORDED_DIGEST
+    finally:
+        del sys.modules[spec.name]

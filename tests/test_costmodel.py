@@ -34,6 +34,28 @@ def arch8(**overrides):
     return LlmArchitecture(**base)
 
 
+class TestCostTriple:
+    def test_value_semantics(self):
+        c = CostTriple(3, 5, 7)
+        assert c == CostTriple(ops=3, mem_bytes=5, net_bytes=7)
+        assert c != CostTriple(3, 5, 8)
+        assert hash(c) == hash(CostTriple(3, 5, 7))
+        assert len({c, CostTriple(3, 5, 7), CostTriple(0, 0, 0)}) == 2
+        assert (c.ops, c.mem_bytes, c.net_bytes) == (3, 5, 7)
+        with pytest.raises(AttributeError):
+            c.ops = 4
+
+    def test_scaled_and_is_zero(self):
+        scaled = CostTriple(3, 5, 7).scaled(4)
+        assert type(scaled) is CostTriple and scaled == CostTriple(12, 20, 28)
+        assert CostTriple(0, 0, 0).is_zero() is True
+        for nonzero in (CostTriple(1, 0, 0), CostTriple(0, 1, 0), CostTriple(0, 0, 1)):
+            assert nonzero.is_zero() is False
+
+    def test_repr_names_the_fields(self):
+        assert repr(CostTriple(3, 5, 7)) == "CostTriple(ops=3, mem_bytes=5, net_bytes=7)"
+
+
 class TestLinear:
     def test_decode_values(self):
         # K_PROJ: d_in=8, d_out=4; weight reloads per generated token

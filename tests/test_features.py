@@ -192,6 +192,44 @@ class TestStats:
         assert np.all(node_rows[:, zero_var] == 0.0)
 
 
+def featurize_by_masks(raw, stats):
+    """featurize_raw written with boolean fancy indexing over the slots of
+    nonzero std, the reference the standardization must equal bit for bit."""
+    def standardize(values, mean, std):
+        transformed = np.log1p(values.astype(np.float64))
+        out = np.zeros_like(transformed)
+        nonzero = std != 0
+        out[..., nonzero] = (transformed[..., nonzero] - mean[nonzero]) / std[nonzero]
+        return out
+
+    onehot = np.eye(NUM_KINDS)[[node.kind.index for node in raw.graph.nodes]]
+    return (np.hstack([onehot, standardize(raw.node_numeric, stats.node_mean, stats.node_std)]),
+            standardize(raw.global_numeric, stats.global_mean, stats.global_std))
+
+
+def test_featurize_raw_equals_the_masked_reference_bitwise(a100):
+    rng = np.random.Generator(np.random.PCG64(29))
+    raws = []
+    while len(raws) < 60:
+        arch = random_small_arch(rng)
+        cfg = random_small_cfg(rng)
+        if arch.hidden_size % cfg.gpu_count == 0:
+            graph = enumerate_layer_kernels(arch, cfg.gpu_count)
+            raws.append(raw_featurize(graph, arch, cfg, a100))
+    fitted = fit_stats(raws)
+    # a zero-std slot on each side, beside any the split already has
+    node_std, global_std = fitted.node_std.copy(), fitted.global_std.copy()
+    node_std[7], global_std[8] = 0.0, 0.0
+    stats = dataclasses.replace(fitted, node_std=node_std, global_std=global_std)
+    for raw in raws:
+        fg = featurize_raw(raw, stats)
+        features, global_features = featurize_by_masks(raw, stats)
+        assert fg.features.tobytes() == features.tobytes()
+        assert fg.global_features.tobytes() == global_features.tobytes()
+        assert np.all(fg.features[:, NUM_KINDS + 7] == 0.0)
+        assert fg.global_features[8] == 0.0
+
+
 def featurize_like(raw, stats):
     from infercarbon.features import featurize_raw
 

@@ -279,9 +279,14 @@ class TestFocusedLoop:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LoopHyper(**{field: value})
 
-    def test_rejects_bad_threshold(self, space):
-        with pytest.raises(ValueError):
-            focused_sampling_loop(space, SyntheticEnergyOracle(), 0.0, tiny_loop_hyper())
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_threshold(self, space, monkeypatch, threshold):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(sampler_mod, "initial_sample", refuse)
+        with pytest.raises(ValueError, match=f"^error threshold must be > 0, got {threshold}$"):
+            focused_sampling_loop(space, SyntheticEnergyOracle(), threshold, tiny_loop_hyper())
 
 
 class TestDatasetIO:
