@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 from .kvfile import ConfigError, SectionReader, parse_sections
 
@@ -59,6 +61,77 @@ def dtype_named(name: str) -> DataType:
         return DataType[name]
     except KeyError:
         raise ConfigError(f"unknown data type '{name}'") from None
+
+
+def _shown(value) -> str:
+    """A value as JSON text, for an error message."""
+    return json.dumps(value, default=repr)
+
+
+def _json_typed(json_types: tuple[type, ...], what: str):
+    """A decoder that passes a value of one of `json_types` as it is (by exact
+    type, so a bool is not an integer) and refuses any other, naming the field."""
+
+    def decode(name: str, value):
+        if type(value) not in json_types:
+            raise ConfigError(f"field '{name}' must be {what}, got {_shown(value)}")
+        return value
+
+    return decode
+
+
+_json_number = _json_typed((int, float), "a number")
+_json_str = _json_typed((str,), "a string")
+_json_object = _json_typed((dict,), "an object")
+
+# field annotation -> decoder(field name, JSON value) -> field value
+JSON_DECODERS = {
+    "int": _json_typed((int,), "an integer"),
+    "float": lambda name, value: float(_json_number(name, value)),
+    "bool": _json_typed((bool,), "true or false"),
+    "str": _json_str,
+    "DataType": lambda name, value: dtype_named(_json_str(name, value)),
+    "Mapping[DataType, float]": lambda name, value: {
+        dtype_named(key): JSON_DECODERS["float"](f"{name}.{key}", rate)
+        for key, rate in _json_object(name, value).items()
+    },
+}
+
+
+def _encode(value):
+    """A field value as its JSON record writes it."""
+    if isinstance(value, DataType):
+        return value.name
+    if isinstance(value, Mapping):  # th_max: data type -> rate
+        return {dtype.name: rate for dtype, rate in value.items()}
+    return value
+
+
+class Record:
+    """A frozen dataclass that reads and writes JSON from its own fields.
+
+    ``to_dict`` writes each field under its name, in declaration order.
+    ``from_dict`` takes exactly those keys, each a JSON value of its field's
+    annotation (see ``JSON_DECODERS``), and builds the record, which then
+    checks itself; a missing, unknown or mistyped key is a ``ConfigError``
+    naming it.  Adding a field to a record means declaring it, nothing more.
+    """
+
+    def to_dict(self) -> dict:
+        return {field.name: _encode(getattr(self, field.name)) for field in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if type(d) is not dict:
+            raise ConfigError(f"{cls.__name__} must be an object, got {_shown(d)}")
+        decoders = {field.name: JSON_DECODERS[field.type] for field in fields(cls)}
+        for key in d:
+            if key not in decoders:
+                raise ConfigError(f"unknown field '{key}'")
+        for name in decoders:
+            if name not in d:
+                raise ConfigError(f"missing field '{name}'")
+        return cls(**{name: decode(name, d[name]) for name, decode in decoders.items()})
 
 
 # A kernel's dims vector has six slots (see node_dims); a kind's row names
@@ -116,7 +189,7 @@ KIND_ORDER = tuple(KernelKind)
 
 
 @dataclass(frozen=True)
-class LlmArchitecture:
+class LlmArchitecture(Record):
     """Structural description of a decoder-only LLM (one repeated layer);
     an invalid one cannot be built."""
 
@@ -149,38 +222,9 @@ class LlmArchitecture:
             raise DivisibilityError(f"head_count {self.head_count} is not divisible by "
                                     f"kv_head_count {self.kv_head_count}")
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "intermediate_size": self.intermediate_size,
-            "head_count": self.head_count,
-            "kv_head_count": self.kv_head_count,
-            "layer_count": self.layer_count,
-            "weight_dtype": self.weight_dtype.name,
-            "activation_dtype": self.activation_dtype.name,
-            "kv_dtype": self.kv_dtype.name,
-            "flash_attention": self.flash_attention,
-            "gated_mlp": self.gated_mlp,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LlmArchitecture":
-        return cls(
-            hidden_size=int(d["hidden_size"]),
-            intermediate_size=int(d["intermediate_size"]),
-            head_count=int(d["head_count"]),
-            kv_head_count=int(d["kv_head_count"]),
-            layer_count=int(d["layer_count"]),
-            weight_dtype=dtype_named(d["weight_dtype"]),
-            activation_dtype=dtype_named(d["activation_dtype"]),
-            kv_dtype=dtype_named(d["kv_dtype"]),
-            flash_attention=bool(d["flash_attention"]),
-            gated_mlp=bool(d["gated_mlp"]),
-        )
-
 
 @dataclass(frozen=True)
-class InferenceConfig:
+class InferenceConfig(Record):
     """One inference request: batch size, prompt length, generation length, GPUs;
     every count is at least 1."""
 
@@ -194,23 +238,6 @@ class InferenceConfig:
             value = getattr(self, name)
             if value < 1:
                 raise RangeError(f"{name} must be >= 1, got {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "prompt_length": self.prompt_length,
-            "generated_tokens": self.generated_tokens,
-            "gpu_count": self.gpu_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InferenceConfig":
-        return cls(
-            batch_size=int(d["batch_size"]),
-            prompt_length=int(d["prompt_length"]),
-            generated_tokens=int(d["generated_tokens"]),
-            gpu_count=int(d["gpu_count"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .arch import InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase
@@ -94,20 +94,7 @@ class CarbonReport:
     assumptions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "gpu_name": self.gpu_name,
-            "gpu_count": self.gpu_count,
-            "energy_kwh": self.energy_kwh,
-            "prefill_kwh": self.prefill_kwh,
-            "decode_kwh": self.decode_kwh,
-            "exec_seconds": self.exec_seconds,
-            "operational_g": self.operational_g,
-            "embodied_g": self.embodied_g,
-            "total_g": self.total_g,
-            "per_gpu_operational_g": self.per_gpu_operational_g,
-            "per_gpu_total_g": self.per_gpu_total_g,
-            "assumptions": self.assumptions,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

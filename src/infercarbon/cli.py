@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -125,6 +126,8 @@ def _check_counts(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and not value > 0:  # NaN included
             raise CliError(f"--{flag} must be > 0, got {value}")
+        if value is not None and math.isinf(value):  # "1e400" parses as inf too
+            raise CliError(f"--{flag} must be finite, got {value}")
 
 
 def _file_digest(path) -> str:
@@ -175,7 +178,8 @@ def cmd_sample(args) -> int:
             "test_count": len(result.test_set),
         },
     )
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False),
+                                       encoding="utf-8")
     print(
         f"sampling finished: {result.termination} after {result.iterations} refinement "
         f"iteration(s); final MAPE {result.error_log[-1]:.2f}% "

@@ -32,8 +32,8 @@ from .arch import (
     KernelGraph,
     LlmArchitecture,
     RangeError,
+    Record,
     _layer_graph,
-    dtype_named,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
@@ -48,7 +48,7 @@ class ZeroTraffic(ValueError):
 
 
 @dataclass(frozen=True)
-class GpuSpec:
+class GpuSpec(Record):
     """One GPU model: peak rates, power and physical parameters.
 
     th_max maps each supported data type to peak throughput in OPs/s (a
@@ -72,40 +72,13 @@ class GpuSpec:
         object.__setattr__(self, "th_max", MappingProxyType(dict(self.th_max)))
         if not self.th_max:
             raise RangeError(f"GPU '{self.name}' defines no peak throughput")
-        if self.bw_max <= 0 or self.net_max <= 0 or self.power_w <= 0:
+        if not (self.bw_max > 0 and self.net_max > 0 and self.power_w > 0):  # NaN included
             raise RangeError(f"GPU '{self.name}' rates and power must be positive")
         for dtype, rate in self.th_max.items():
-            if rate <= 0:
+            if not rate > 0:
                 raise RangeError(f"GPU '{self.name}' {dtype.name} throughput must be positive")
         if self.s_block < 1:
             raise RangeError(f"GPU '{self.name}' s_block must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "th_max": {dt.name: rate for dt, rate in self.th_max.items()},
-            "bw_max": self.bw_max,
-            "net_max": self.net_max,
-            "power_w": self.power_w,
-            "node_size": self.node_size,
-            "area_mm2": self.area_mm2,
-            "tech_nm": self.tech_nm,
-            "s_block": self.s_block,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GpuSpec":
-        return cls(
-            name=str(d["name"]),
-            th_max={dtype_named(k): float(v) for k, v in d["th_max"].items()},
-            bw_max=float(d["bw_max"]),
-            net_max=float(d["net_max"]),
-            power_w=float(d["power_w"]),
-            node_size=int(d.get("node_size", 4)),
-            area_mm2=float(d.get("area_mm2", 0.0)),
-            tech_nm=int(d.get("tech_nm", 0)),
-            s_block=int(d.get("s_block", 1)),
-        )
 
 
 @dataclass(frozen=True)

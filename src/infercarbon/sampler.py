@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import DataType, InferenceConfig, LlmArchitecture, RangeError
+from .arch import JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, RangeError
 from .costmodel import Phase, check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
@@ -80,7 +80,12 @@ class EnergySample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergySample":
-        return cls(point=SamplePoint.from_dict(d), energy_joules=float(d["energy_joules"]))
+        point = SamplePoint.from_dict(d)  # a record that is not an object fails here
+        for key in d:
+            if key not in ("arch", "inference", "gpu", "energy_joules"):
+                raise ConfigError(f"unknown field '{key}'")
+        return cls(point=point,
+                   energy_joules=JSON_DECODERS["float"]("energy_joules", d["energy_joules"]))
 
 
 @dataclass(frozen=True)
@@ -509,7 +514,7 @@ def load_dataset(path) -> list[EnergySample]:
                                      f"got {sample.energy_joules}")
             except KeyError as exc:
                 raise ConfigError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             samples.append(sample)
     count = header.get("count")

@@ -1,9 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infercarbon.arch import (
+    JSON_DECODERS,
     DataType,
     DivisibilityError,
     InferenceConfig,
@@ -15,6 +19,7 @@ from infercarbon.arch import (
     parse_arch_catalog,
 )
 from infercarbon.kvfile import ConfigError
+from infercarbon.roofline import GpuSpec, builtin_gpu_catalog
 
 from conftest import random_small_arch
 
@@ -89,6 +94,64 @@ class TestValidation:
         assert [d.bitwidth for d in (DataType.FP32, DataType.FP16)] == [32, 16]
         for dtype in DataType:
             assert (dtype.width, dtype.bitwidth) == (dtype.value, 8 * dtype.value)
+
+
+RECORD_CLASSES = (LlmArchitecture, InferenceConfig, GpuSpec)
+
+
+@st.composite
+def valid_records(draw):
+    """A random valid architecture or request, or a catalog GPU with a random
+    board power."""
+    which = draw(st.sampled_from(RECORD_CLASSES))
+    counts = st.integers(1, 10**6)
+    if which is InferenceConfig:
+        return InferenceConfig(draw(counts), draw(counts), draw(counts), draw(counts))
+    if which is GpuSpec:
+        gpu = draw(st.sampled_from(sorted(builtin_gpu_catalog().values(), key=repr)))
+        return dataclasses.replace(gpu, power_w=draw(st.floats(1e-3, 1e4)))
+    heads = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    dtypes = st.sampled_from(list(DataType))
+    return LlmArchitecture(
+        hidden_size=heads * draw(st.integers(1, 256)),
+        intermediate_size=draw(counts),
+        head_count=heads,
+        kv_head_count=heads // draw(st.sampled_from([g for g in (1, 2, 4, 8) if heads % g == 0])),
+        layer_count=draw(st.integers(1, 200)),
+        weight_dtype=draw(dtypes),
+        activation_dtype=draw(dtypes),
+        kv_dtype=draw(dtypes),
+        flash_attention=draw(st.booleans()),
+        gated_mlp=draw(st.booleans()),
+    )
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("record_class", RECORD_CLASSES, ids=lambda c: c.__name__)
+    def test_every_field_annotation_has_a_decoder(self, record_class):
+        for field in dataclasses.fields(record_class):
+            assert field.type in JSON_DECODERS, f"{record_class.__name__}.{field.name}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_records())
+    def test_json_round_trip(self, record):
+        assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+    def test_writes_each_field_by_name_in_declaration_order(self):
+        t4 = builtin_gpu_catalog()["t4"]
+        assert list(t4.to_dict()) == [field.name for field in dataclasses.fields(GpuSpec)]
+        assert t4.to_dict()["th_max"] == {dtype.name: rate for dtype, rate in t4.th_max.items()}
+        arch = make_arch(kv_dtype=DataType.INT8, gated_mlp=False)
+        assert arch.to_dict() == {
+            "hidden_size": 4096, "intermediate_size": 11008, "head_count": 32,
+            "kv_head_count": 8, "layer_count": 32, "weight_dtype": "FP16",
+            "activation_dtype": "FP16", "kv_dtype": "INT8", "flash_attention": True,
+            "gated_mlp": False,
+        }
+
+    def test_a_record_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"^InferenceConfig must be an object, got \[1\]$"):
+            InferenceConfig.from_dict([1])
 
 
 class TestLayerGraph:

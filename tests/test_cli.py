@@ -154,6 +154,19 @@ class TestMalformedFiles:
         assert code == 2
         assert f"{path}:1" in err
 
+    def test_dataset_record_of_the_wrong_json_type_exits_2(self, capsys, tmp_path):
+        path = small_dataset(tmp_path / "data.jsonl")
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["gpu"]["th_max"] = [1.0]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--dataset", str(path), "--out", str(out))
+        assert code == 2
+        assert err == f"error: {path}:2: field 'th_max' must be an object, got [1.0]\n"
+        assert not out.exists()
+
 
 def small_dataset(path, seed=1):
     space = sampler.desk_prior_space(builtin_gpu_catalog())
@@ -170,6 +183,8 @@ class TestTrainFlags:
         ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
         ("--lr", "0", "--lr must be > 0, got 0.0"),
         ("--lr", "-0.5", "--lr must be > 0, got -0.5"),
+        ("--lr", "inf", "--lr must be finite, got inf"),
+        ("--lr", "1e400", "--lr must be finite, got inf"),
     ])
     def test_bad_flag_exit_2_naming_the_flag(self, capsys, tmp_path, flag, value, message):
         dataset = small_dataset(tmp_path / "data.jsonl")
@@ -209,6 +224,9 @@ class TestSampleFlags:
         ("--lr", "nan", "--lr must be > 0, got nan"),
         ("--threshold", "0", "--threshold must be > 0, got 0.0"),
         ("--threshold", "nan", "--threshold must be > 0, got nan"),
+        ("--threshold", "inf", "--threshold must be finite, got inf"),
+        ("--threshold", "1e400", "--threshold must be finite, got inf"),
+        ("--lr", "inf", "--lr must be finite, got inf"),
     ])
     def test_loop_counts_out_of_range_exit_2_before_sampling(self, capsys, tmp_path,
                                                              monkeypatch, flag, value, message):
@@ -267,6 +285,10 @@ class TestTrainConfigHash:
         assert changed[0] != same[0] and changed[1] != same[1]
 
 
+def refuse_non_standard_json(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
 class TestPipeline:
     def test_sample_train_eval_estimate(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
@@ -278,7 +300,8 @@ class TestPipeline:
         assert code == 0, err
         assert (out_dir / "train.jsonl").exists()
         assert (out_dir / "test.jsonl").exists()
-        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text(),
+                              parse_constant=refuse_non_standard_json)
         assert manifest["oracle"] == "synthetic-roofline-v1"
         assert manifest["seed"] == 3
         assert manifest["termination"] == "threshold_met"

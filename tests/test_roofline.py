@@ -218,6 +218,12 @@ class TestCatalog:
         with pytest.raises(RangeError):
             synthetic_gpu(bw_max=0.0)
 
+    @pytest.mark.parametrize("field", ["bw_max", "net_max", "power_w", "th_max"])
+    def test_nan_rate_is_refused(self, field):
+        nan = float("nan")
+        with pytest.raises(RangeError, match="must be positive"):
+            synthetic_gpu(**{field: {DataType.FP16: nan} if field == "th_max" else nan})
+
     def test_s_block_minimum(self):
         with pytest.raises(RangeError):
             synthetic_gpu(s_block=0)

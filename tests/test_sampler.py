@@ -52,6 +52,25 @@ def center_point(gpus, **cfg_overrides):
     return SamplePoint(arch=arch, cfg=InferenceConfig(**cfg), gpu=gpus["l4"])
 
 
+MISSING = object()  # a field value that deletes the field
+
+
+def write_one_record(tmp_path, gpus, section, field, value):
+    """A one-record dataset whose record has `field` of `section` (or of the
+    record itself if `section` is None) set to `value`."""
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, label_points([center_point(gpus)], SyntheticEnergyOracle()))
+    header, line = path.read_text().splitlines()
+    record = json.loads(line)
+    fields = record[section] if section else record
+    if value is MISSING:
+        del fields[field]
+    else:
+        fields[field] = value
+    path.write_text(header + "\n" + json.dumps(record) + "\n")
+    return path
+
+
 class TestInitialSample:
     def test_reproducible_and_valid(self, space):
         first = initial_sample(space, 40, seed=5)
@@ -372,6 +391,10 @@ class TestDatasetIO:
             (None, "energy_joules", float("nan")),
             (None, "energy_joules", float("inf")),
             ("inference", "gpu_count", 3),  # does not divide hidden size 64
+            ("gpu", "bw_max", float("nan")),
+            ("gpu", "power_w", float("nan")),
+            ("gpu", "th_max", {"FP16": float("nan")}),
+            pytest.param("gpu", "power_w", 10**400, id="gpu-power_w-too-large-for-a-float"),
         ],
     )
     def test_rejects_invalid_record_with_path_and_line(self, tmp_path, gpus, section, field,
@@ -419,6 +442,31 @@ class TestDatasetIO:
         record = json.loads(lines[1])
         record[section][field] = value
         path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("gpu", "th_max", [1.0], "field 'th_max' must be an object, got [1.0]"),
+            ("gpu", "th_max", "FP16", "field 'th_max' must be an object, got \"FP16\""),
+            ("arch", "flash_attention", "false",
+             "field 'flash_attention' must be true or false, got \"false\""),
+            ("arch", "hidden_size", 2048.9, "field 'hidden_size' must be an integer, got 2048.9"),
+            ("inference", "gpu_count", True, "field 'gpu_count' must be an integer, got true"),
+            ("gpu", "s_block", MISSING, "missing field 's_block'"),
+            ("arch", "warp_size", 32, "unknown field 'warp_size'"),
+            (None, "energy_joules", "12.5", "field 'energy_joules' must be a number, got \"12.5\""),
+            (None, "energy_joules", True, "field 'energy_joules' must be a number, got true"),
+            (None, "energy_kwh", 1.0, "unknown field 'energy_kwh'"),
+        ],
+        ids=["th_max-list", "th_max-string", "flash_attention-string", "hidden_size-float",
+             "gpu_count-bool", "s_block-missing", "arch-unknown-key", "energy-string",
+             "energy-bool", "record-unknown-key"],
+    )
+    def test_refuses_a_record_value_of_the_wrong_json_type(self, tmp_path, gpus, section, field,
+                                                           value, message):
+        path = write_one_record(tmp_path, gpus, section, field, value)
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             load_dataset(path)
 
