@@ -47,14 +47,6 @@ class DataType(enum.Enum):
         self.bitwidth = 8 * width
 
 
-def parse_dtype(name: str) -> DataType:
-    """A catalog's data type name, in any case."""
-    try:
-        return DataType[name.strip().upper()]
-    except KeyError:
-        raise ConfigError(f"unknown data type '{name}' (expected FP32, FP16 or INT8)") from None
-
-
 def dtype_named(name: str) -> DataType:
     """The data type called exactly `name`, as dataset and checkpoint files write it."""
     try:
@@ -98,6 +90,29 @@ JSON_DECODERS = {
 }
 
 
+def _any_case(table: dict):
+    """A catalog parser that looks its text up in `table`, in any case."""
+
+    def parse(text: str):
+        try:
+            return table[text.lower()]
+        except KeyError:
+            raise ValueError(text) from None
+
+    return parse
+
+
+# field annotation -> (parser of a catalog value's text, what that text must be)
+CATALOG_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_any_case({"true": True, "yes": True, "1": True,
+                        "false": False, "no": False, "0": False}), "a boolean"),
+    "DataType": (_any_case({dtype.name.lower(): dtype for dtype in DataType}),
+                 "one of " + ", ".join(DataType.__members__)),
+}
+
+
 def _encode(value):
     """A field value as its JSON record writes it."""
     if isinstance(value, DataType):
@@ -108,13 +123,17 @@ def _encode(value):
 
 
 class Record:
-    """A frozen dataclass that reads and writes JSON from its own fields.
+    """A frozen dataclass that reads JSON and catalog sections, and writes
+    JSON, from its own fields.
 
     ``to_dict`` writes each field under its name, in declaration order.
     ``from_dict`` takes exactly those keys, each a JSON value of its field's
     annotation (see ``JSON_DECODERS``), and builds the record, which then
     checks itself; a missing, unknown or mistyped key is a ``ConfigError``
-    naming it.  Adding a field to a record means declaring it, nothing more.
+    naming it.  ``from_section`` reads a catalog section the same way, each
+    field's text decoded by ``CATALOG_PARSERS`` and an absent key taking the
+    field's declared default.  Adding a field to a record means declaring it,
+    nothing more: its JSON key and its catalog key follow.
     """
 
     def to_dict(self) -> dict:
@@ -132,6 +151,24 @@ class Record:
             if name not in d:
                 raise ConfigError(f"missing field '{name}'")
         return cls(**{name: decode(name, d[name]) for name, decode in decoders.items()})
+
+    @classmethod
+    def from_section(cls, reader: SectionReader, **given):
+        """The record one catalog section describes.  Each field not in
+        `given` is read under its own name, decoded by its annotation's
+        ``CATALOG_PARSERS`` entry, and takes the field's default when the key
+        is absent; a key left unread is refused, and a record that fails its
+        own checks is reported with its section."""
+        values = dict(given)
+        for field in fields(cls):
+            if field.name not in given:
+                values[field.name] = reader.get(field.name, *CATALOG_PARSERS[field.type],
+                                                field.default)
+        reader.reject_unknown()
+        try:
+            return cls(**values)
+        except (RangeError, DivisibilityError) as exc:
+            raise ConfigError(f"{reader.source}: section '{reader.name}': {exc}") from exc
 
 
 # A kernel's dims vector has six slots (see node_dims); a kind's row names
@@ -360,27 +397,8 @@ def _layer_graph(flash_attention: bool, gated_mlp: bool, tensor_parallel: bool) 
 
 def parse_arch_catalog(text: str, source: str = "<arch catalog>") -> dict[str, LlmArchitecture]:
     """Parse an architecture catalog file: one [section] per architecture."""
-    catalog: dict[str, LlmArchitecture] = {}
-    for name, fields in parse_sections(text, source).items():
-        reader = SectionReader(name, fields, source)
-        values = dict(
-            hidden_size=reader.get_int("hidden_size"),
-            intermediate_size=reader.get_int("intermediate_size"),
-            head_count=reader.get_int("head_count"),
-            kv_head_count=reader.get_int("kv_head_count"),
-            layer_count=reader.get_int("layer_count"),
-            weight_dtype=parse_dtype(reader.get_str("weight_dtype", "FP16")),
-            activation_dtype=parse_dtype(reader.get_str("activation_dtype", "FP16")),
-            kv_dtype=parse_dtype(reader.get_str("kv_dtype", "FP16")),
-            flash_attention=reader.get_bool("flash_attention", True),
-            gated_mlp=reader.get_bool("gated_mlp", True),
-        )
-        reader.reject_unknown()
-        try:
-            catalog[name] = LlmArchitecture(**values)
-        except (RangeError, DivisibilityError) as exc:
-            raise ConfigError(f"{source}: section '{name}': {exc}") from exc
-    return catalog
+    return {name: LlmArchitecture.from_section(SectionReader(name, fields, source))
+            for name, fields in parse_sections(text, source).items()}
 
 
 def load_arch_catalog(path) -> dict[str, LlmArchitecture]:

@@ -270,6 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen", type=int, default=8, help="generated token count")
         p.add_argument("--n-gpu", type=int, default=1, help="tensor-parallel GPU count")
 
+    def common_training(p):
+        train = gnn_mod.TrainHyper
+        p.add_argument("--epochs", type=int, default=train.epochs)
+        p.add_argument("--lr", type=float, default=train.learning_rate)
+        p.add_argument("--batch-size", type=int, default=train.batch_size)
+        p.add_argument("--seed", type=int, default=train.seed)
+
     p = sub.add_parser("estimate", help="carbon report for one inference request")
     common_catalogs(p)
     p.add_argument("arch", help="architecture id from the catalog")
@@ -278,11 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     predictor = p.add_mutually_exclusive_group()
     predictor.add_argument("--oracle", action="store_true", help="use the synthetic energy oracle")
     predictor.add_argument("--checkpoint", help="trained model checkpoint")
-    p.add_argument("--pue", type=float, default=1.2)
-    p.add_argument("--intensity", type=float, default=400.0, help="gCO2eq per kWh")
-    p.add_argument("--cpa", type=float, default=1.0, help="embodied g per mm2 of die")
-    p.add_argument("--lifetime", type=float, default=1.5768e8, help="amortization horizon, seconds")
-    p.add_argument("--packaging", type=float, default=0.0, help="fixed per-device embodied grams")
+    dc, ep = carbon_mod.DatacenterParams, carbon_mod.EmbodiedParams
+    p.add_argument("--pue", type=float, default=dc.pue)
+    p.add_argument("--intensity", type=float, default=dc.carbon_intensity, help="gCO2eq per kWh")
+    p.add_argument("--cpa", type=float, default=ep.cpa_g_per_mm2,
+                   help="embodied g per mm2 of die")
+    p.add_argument("--lifetime", type=float, default=ep.lifetime_seconds,
+                   help="amortization horizon, seconds")
+    p.add_argument("--packaging", type=float, default=ep.packaging_g,
+                   help="fixed per-device embodied grams")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
@@ -297,26 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run the focused sampling loop with the synthetic oracle")
     common_catalogs(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--a", type=int, default=2000, help="initial sample count")
-    p.add_argument("--b", type=int, default=50, help="refinements per high-error center")
-    p.add_argument("--k", type=int, default=50, help="high-error centers per iteration")
+    loop = sampler_mod.LoopHyper
+    p.add_argument("--a", type=int, default=loop.initial_points, help="initial sample count")
+    p.add_argument("--b", type=int, default=loop.refine_per_center,
+                   help="refinements per high-error center")
+    p.add_argument("--k", type=int, default=loop.worst_count,
+                   help="high-error centers per iteration")
     p.add_argument("--threshold", type=float, default=15.0, help="target MAPE percent")
-    p.add_argument("--max-iterations", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--update-epochs", type=int, default=60)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iterations", type=int, default=loop.max_iterations)
+    p.add_argument("--update-epochs", type=int, default=loop.update_epochs)
+    common_training(p)
     p.add_argument("--trace", help="trace file for the empirical inference prior")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("train", help="train the regressor on a dataset file")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
+    common_training(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="MAPE / error-bound accuracy of a checkpoint on a dataset")
@@ -327,9 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-stats", help="distribution statistics of a trace file")
     p.add_argument("trace")
-    p.add_argument("--timestamp-col", default="TIMESTAMP")
-    p.add_argument("--prompt-col", default="ContextTokens")
-    p.add_argument("--generated-col", default="GeneratedTokens")
+    columns = traces_mod.ColumnMap
+    p.add_argument("--timestamp-col", default=columns.timestamp)
+    p.add_argument("--prompt-col", default=columns.prompt)
+    p.add_argument("--generated-col", default=columns.generated)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_trace_stats)
 

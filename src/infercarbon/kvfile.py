@@ -1,17 +1,20 @@
 """Minimal `[section]` / `key = value` config format shared by the catalog files.
 
 Kept deliberately small so parse errors can point at the exact field and line,
-which configparser does not do for semantic problems.
+which configparser does not do for semantic problems.  A ``SectionReader``
+has one typed read, ``get(key, parse, what, default)``: the parser and its
+description come from the caller (a record's field type picks them, see
+``arch.Record.from_section``), and ``dataclasses.MISSING`` marks a required
+key, so a dataclass field's default can be passed straight in.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING
+
 
 class ConfigError(ValueError):
     """Malformed or invalid config content; message names the field and line."""
-
-
-_REQUIRED = object()
 
 
 def parse_sections(text: str, source: str = "<config>") -> dict[str, dict[str, tuple[str, int]]]:
@@ -59,59 +62,24 @@ class SectionReader:
         self._fields = fields
         self._seen: set[str] = set()
 
-    def _raw(self, key, default):
+    def get(self, key: str, parse, what: str, default=MISSING):
+        """Field `key` decoded by `parse`, or `default` when the section has no
+        such key; a key with no default (``MISSING``) is required, and a value
+        that `parse` refuses with a ``ValueError`` is reported as not `what`."""
         if key not in self._fields:
-            if default is _REQUIRED:
+            if default is MISSING:
                 raise ConfigError(
                     f"{self.source}: section '{self.name}' is missing required field '{key}'"
                 )
-            return None
+            return default
         self._seen.add(key)
-        return self._fields[key]
-
-    def get_str(self, key: str, default=_REQUIRED) -> str:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        return raw[0]
-
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        value, lineno = raw
+        value, lineno = self._fields[key]
         try:
-            return int(value)
+            return parse(value)
         except ValueError:
             raise ConfigError(
-                f"{self.source}:{lineno}: field '{key}' must be an integer, got '{value}'"
+                f"{self.source}:{lineno}: field '{key}' must be {what}, got '{value}'"
             ) from None
-
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        value, lineno = raw
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"{self.source}:{lineno}: field '{key}' must be a number, got '{value}'"
-            ) from None
-
-    def get_bool(self, key: str, default=_REQUIRED) -> bool:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        value, lineno = raw
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(
-            f"{self.source}:{lineno}: field '{key}' must be a boolean, got '{value}'"
-        )
 
     def reject_unknown(self) -> None:
         unknown = set(self._fields) - self._seen

@@ -21,12 +21,14 @@ themselves when they are built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
 from .arch import (
+    CATALOG_PARSERS,
     DataType,
     InferenceConfig,
     KernelGraph,
@@ -36,7 +38,7 @@ from .arch import (
     _layer_graph,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
-from .kvfile import ConfigError, SectionReader, parse_sections
+from .kvfile import SectionReader, parse_sections
 
 
 class MissingThroughput(ValueError):
@@ -54,8 +56,9 @@ class GpuSpec(Record):
     th_max maps each supported data type to peak throughput in OPs/s (a
     read-only copy of the mapping given); bw_max and net_max are bytes/s.
     s_block is the number of KV heads the fused attention kernel can keep
-    resident on chip.  A GPU with no peak throughput, or with a rate, power
-    or s_block out of range, cannot be built.
+    resident on chip.  A GPU with no peak throughput, with a rate or power
+    that is not positive and finite, with a negative or non-finite die area,
+    or with a count out of range, cannot be built.
     """
 
     name: str
@@ -72,13 +75,17 @@ class GpuSpec(Record):
         object.__setattr__(self, "th_max", MappingProxyType(dict(self.th_max)))
         if not self.th_max:
             raise RangeError(f"GPU '{self.name}' defines no peak throughput")
-        if not (self.bw_max > 0 and self.net_max > 0 and self.power_w > 0):  # NaN included
+        # each range test is false for NaN, so NaN is refused with the rest
+        if not all(0 < rate < math.inf for rate in (self.bw_max, self.net_max, self.power_w)):
             raise RangeError(f"GPU '{self.name}' rates and power must be positive")
         for dtype, rate in self.th_max.items():
-            if not rate > 0:
+            if not 0 < rate < math.inf:
                 raise RangeError(f"GPU '{self.name}' {dtype.name} throughput must be positive")
-        if self.s_block < 1:
-            raise RangeError(f"GPU '{self.name}' s_block must be >= 1")
+        if not 0 <= self.area_mm2 < math.inf:
+            raise RangeError(f"GPU '{self.name}' area_mm2 must be finite and >= 0")
+        for name, minimum in (("node_size", 1), ("tech_nm", 0), ("s_block", 1)):
+            if getattr(self, name) < minimum:
+                raise RangeError(f"GPU '{self.name}' {name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,8 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
     return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)
 
 
-_GPU_FIELDS = {
+# catalog key of each data type's peak rate, in TOPs/s
+_PEAK_KEYS = {
     "fp32_tops": DataType.FP32,
     "fp16_tops": DataType.FP16,
     "int8_tops": DataType.INT8,
@@ -194,29 +202,24 @@ _GPU_FIELDS = {
 
 
 def parse_gpu_catalog(text: str, source: str = "<gpu catalog>") -> dict[str, GpuSpec]:
-    """Parse a GPU catalog file: one [section] per GPU, rates in TOPs/s and GB/s."""
+    """Parse a GPU catalog file: one [section] per GPU, rates in TOPs/s and GB/s.
+
+    Only the keys that are not a ``GpuSpec`` field under its own name and unit
+    are read here; ``GpuSpec.from_section`` reads the rest."""
+    number = CATALOG_PARSERS["float"]
     catalog: dict[str, GpuSpec] = {}
     for name, fields in parse_sections(text, source).items():
         reader = SectionReader(name, fields, source)
         th_max = {}
-        for key, dtype in _GPU_FIELDS.items():
-            tops = reader.get_float(key, None)
+        for key, dtype in _PEAK_KEYS.items():
+            tops = reader.get(key, *number, None)
             if tops is not None:
                 th_max[dtype] = tops * 1e12
-        values = dict(
-            bw_max=reader.get_float("memory_gbs") * 1e9,
-            net_max=reader.get_float("network_gbs") * 1e9,
-            power_w=reader.get_float("power_w"),
-            node_size=reader.get_int("node_size", 4),
-            area_mm2=reader.get_float("area_mm2", 0.0),
-            tech_nm=reader.get_int("tech_nm", 0),
-            s_block=reader.get_int("s_block", 1),
+        catalog[name] = GpuSpec.from_section(
+            reader, name=name, th_max=th_max,
+            bw_max=reader.get("memory_gbs", *number) * 1e9,
+            net_max=reader.get("network_gbs", *number) * 1e9,
         )
-        reader.reject_unknown()
-        try:
-            catalog[name] = GpuSpec(name=name, th_max=th_max, **values)
-        except RangeError as exc:
-            raise ConfigError(f"{source}: section '{name}': {exc}") from exc
     return catalog
 
 

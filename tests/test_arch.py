@@ -1,5 +1,8 @@
+from __future__ import annotations
+
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infercarbon.arch import (
+    CATALOG_PARSERS,
     JSON_DECODERS,
     DataType,
     DivisibilityError,
@@ -14,11 +18,12 @@ from infercarbon.arch import (
     KernelKind,
     LlmArchitecture,
     RangeError,
+    Record,
     enumerate_layer_kernels,
     node_dims,
     parse_arch_catalog,
 )
-from infercarbon.kvfile import ConfigError
+from infercarbon.kvfile import ConfigError, SectionReader, parse_sections
 from infercarbon.roofline import GpuSpec, builtin_gpu_catalog
 
 from conftest import random_small_arch
@@ -131,6 +136,15 @@ class TestRecordCodec:
     def test_every_field_annotation_has_a_decoder(self, record_class):
         for field in dataclasses.fields(record_class):
             assert field.type in JSON_DECODERS, f"{record_class.__name__}.{field.name}"
+
+    # the fields a catalog parser converts from other keys and passes in
+    CATALOG_GIVEN = {LlmArchitecture: (), GpuSpec: ("name", "th_max", "bw_max", "net_max")}
+
+    @pytest.mark.parametrize("record_class", CATALOG_GIVEN, ids=lambda c: c.__name__)
+    def test_every_catalog_read_field_has_a_parser(self, record_class):
+        for field in dataclasses.fields(record_class):
+            if field.name not in self.CATALOG_GIVEN[record_class]:
+                assert field.type in CATALOG_PARSERS, f"{record_class.__name__}.{field.name}"
 
     @settings(max_examples=200, deadline=None)
     @given(valid_records())
@@ -289,6 +303,42 @@ class TestSharedLayerGraph:
         assert len({id(g) for g in by_topology.values()}) == 8
 
 
+DEMO = "[x]\nhidden_size = 64\nintermediate_size = 128\nhead_count = 4\n" \
+       "kv_head_count = 2\nlayer_count = 2\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class Probe(Record):
+    """A record declared only here: the catalog reads it with no parser edit."""
+
+    count: int
+    scale: float = 0.5
+    enabled: bool = True
+    dtype: DataType = DataType.FP16
+
+
+def probe_section(text: str) -> SectionReader:
+    return SectionReader("p", parse_sections(f"[p]\n{text}", "p.cfg")["p"], "p.cfg")
+
+
+class TestFromSection:
+    def test_reads_each_declared_field_under_its_name(self):
+        reader = probe_section("count = 3\nscale = 2\nenabled = no\ndtype = int8\n")
+        assert Probe.from_section(reader) == Probe(3, 2.0, False, DataType.INT8)
+
+    def test_an_absent_field_takes_its_default(self):
+        assert Probe.from_section(probe_section("count = 3\n")) == Probe(3)
+
+    def test_an_undeclared_key_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^p\.cfg:3: unknown field 'width' in section 'p'$"):
+            Probe.from_section(probe_section("count = 3\nwidth = 2\n"))
+
+    def test_a_given_field_is_not_read(self):
+        assert Probe.from_section(probe_section("scale = 4\n"), count=7) == Probe(7, 4.0)
+        with pytest.raises(ConfigError, match=r"^p\.cfg:2: unknown field 'count'"):
+            Probe.from_section(probe_section("count = 3\n"), count=7)
+
+
 class TestArchCatalog:
     def test_parse_catalog(self):
         text = """
@@ -320,6 +370,25 @@ class TestArchCatalog:
             parse_arch_catalog(text, source="t.cfg")
         assert "t.cfg:2" in str(err.value)
         assert "hidden_size" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[x]\nhidden_size = 6.5\n", "t.cfg:2: field 'hidden_size' must be an integer, got '6.5'"),
+        ("[x]\nhidden_size = 64\n",
+         "t.cfg: section 'x' is missing required field 'intermediate_size'"),
+        (DEMO + "kv_dtype = fp8\n",
+         "t.cfg:7: field 'kv_dtype' must be one of FP32, FP16, INT8, got 'fp8'"),
+        (DEMO + "gated_mlp = maybe\n", "t.cfg:7: field 'gated_mlp' must be a boolean, got 'maybe'"),
+        (DEMO + "bogus_field = 3\n", "t.cfg:7: unknown field 'bogus_field' in section 'x'"),
+    ])
+    def test_error_names_the_field(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_arch_catalog(text, source="t.cfg")
+
+    def test_booleans_and_data_types_in_any_case(self):
+        for text, flag in (("true", True), ("YES", True), ("1", True),
+                           ("False", False), ("no", False), ("0", False)):
+            arch = parse_arch_catalog(DEMO + f"gated_mlp = {text}\nkv_dtype = Int8\n")["x"]
+            assert (arch.gated_mlp, arch.kv_dtype) == (flag, DataType.INT8)
 
     def test_invalid_architecture_rejected(self):
         text = "[x]\nhidden_size = 100\nintermediate_size = 8\nhead_count = 32\n" \

@@ -78,6 +78,20 @@ class TestEstimate:
         code, _, _ = run(capsys, "estimate", "tiny-flash", "a100", "--oracle")
         assert code == 2
 
+    @pytest.mark.parametrize("lines, message", [
+        ("memory_gbs = inf\narea_mm2 = 100", "rates and power must be positive"),
+        ("memory_gbs = 100\narea_mm2 = -545", "area_mm2 must be finite and >= 0"),
+    ])
+    def test_out_of_range_catalog_gpu_exits_2_naming_the_section(self, capsys, tmp_path,
+                                                                 lines, message):
+        path = tmp_path / "gpus.cfg"
+        path.write_text(f"[g]\nfp16_tops = 10\nnetwork_gbs = 10\npower_w = 50\n{lines}\n")
+        code, out, err = run(capsys, "estimate", "llama3-8b", "g", "--gpu-catalog", str(path),
+                             "--oracle")
+        assert code == 2
+        assert err == f"error: {path}: section 'g': GPU 'g' {message}\n"
+        assert out == ""
+
 
 class TestConsoleEntry:
     def test_installed_script_runs(self):

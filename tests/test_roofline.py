@@ -224,6 +224,24 @@ class TestCatalog:
         with pytest.raises(RangeError, match="must be positive"):
             synthetic_gpu(**{field: {DataType.FP16: nan} if field == "th_max" else nan})
 
+    @pytest.mark.parametrize("field", ["bw_max", "net_max", "power_w", "th_max"])
+    def test_infinite_rate_is_refused(self, field):
+        inf = float("inf")
+        with pytest.raises(RangeError, match="must be positive$"):
+            synthetic_gpu(**{field: {DataType.FP16: inf} if field == "th_max" else inf})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("area_mm2", -545.0, "area_mm2 must be finite and >= 0"),
+        ("area_mm2", float("nan"), "area_mm2 must be finite and >= 0"),
+        ("area_mm2", float("inf"), "area_mm2 must be finite and >= 0"),
+        ("tech_nm", -1, "tech_nm must be >= 0"),
+        ("node_size", 0, "node_size must be >= 1"),
+    ])
+    def test_physical_field_out_of_range_is_refused(self, field, value, message):
+        with pytest.raises(RangeError, match=f"^GPU 'synthetic' {message}$"):
+            synthetic_gpu(**{field: value})
+        assert synthetic_gpu(area_mm2=0.0, tech_nm=0, node_size=1).node_size == 1
+
     def test_s_block_minimum(self):
         with pytest.raises(RangeError):
             synthetic_gpu(s_block=0)
@@ -257,6 +275,23 @@ class TestCatalog:
                               "power_w = 1\ns_block = 0\n", source="g.cfg")
         with pytest.raises(ConfigError, match="defines no peak throughput"):
             parse_gpu_catalog("[g]\nmemory_gbs = 1\nnetwork_gbs = 1\npower_w = 1\n")
+
+    @pytest.mark.parametrize("key", ["fp16_tops", "memory_gbs", "network_gbs", "power_w"])
+    def test_catalog_refuses_an_infinite_rate(self, key):
+        values = {"fp16_tops": "1", "memory_gbs": "1", "network_gbs": "1", "power_w": "1",
+                  key: "inf"}
+        text = "[g]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': GPU 'g' .*must be positive$"):
+            parse_gpu_catalog(text, source="g.cfg")
+
+    def test_catalog_error_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"^g\.cfg:5: field 'power_w' must be a number, "
+                                              r"got 'hot'$"):
+            parse_gpu_catalog("[g]\nfp16_tops = 1\nmemory_gbs = 1\nnetwork_gbs = 1\n"
+                              "power_w = hot\n", source="g.cfg")
+        with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g' is missing required "
+                                              r"field 'network_gbs'$"):
+            parse_gpu_catalog("[g]\nmemory_gbs = 1\n", source="g.cfg")
 
     def test_catalog_reports_unknown_field_before_bad_value(self):
         text = "[g]\nfp16_tops = 1\nmemory_gbs = 0\nnetwork_gbs = 1\npower_w = 1\nwarp = 32\n"

@@ -395,6 +395,15 @@ class TestDatasetIO:
             ("gpu", "power_w", float("nan")),
             ("gpu", "th_max", {"FP16": float("nan")}),
             pytest.param("gpu", "power_w", 10**400, id="gpu-power_w-too-large-for-a-float"),
+            ("gpu", "bw_max", float("inf")),
+            ("gpu", "net_max", float("inf")),
+            ("gpu", "power_w", float("inf")),
+            pytest.param("gpu", "th_max", {"FP16": float("inf")}, id="gpu-th_max-FP16-inf"),
+            ("gpu", "area_mm2", -545.0),
+            ("gpu", "area_mm2", float("nan")),
+            ("gpu", "area_mm2", float("inf")),
+            ("gpu", "tech_nm", -1),
+            ("gpu", "node_size", 0),
         ],
     )
     def test_rejects_invalid_record_with_path_and_line(self, tmp_path, gpus, section, field,
