@@ -71,6 +71,7 @@ from .gnn import (
     save_checkpoint,
     train,
 )
+from .oracle import SyntheticEnergyOracle
 from .roofline import (
     GpuSpec,
     LayerCosts,
@@ -93,7 +94,6 @@ from .sampler import (
     OracleFailure,
     PriorSpace,
     SamplePoint,
-    SyntheticEnergyOracle,
     desk_prior_space,
     fine_grained_sampling,
     focused_sampling_loop,

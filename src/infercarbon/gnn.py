@@ -18,6 +18,14 @@ one flat buffer that a step writes in place, and every forward and backward
 shares one bounded, process-wide activation scratch.  `predict_many` runs the
 same forward over chunks of graphs; `predict_energy` is its batch of one.
 
+A forward and backward compute in the dtype of the parameters they are given.
+Training runs them in float32 over float64 master weights: the samples are
+stacked once in float32, each step copies the float64 parameters into a
+float32 working copy and casts its float32 gradients back, and Adam, its
+moments, the returned parameters, checkpoints and the loss (summed from the
+float32 residuals in float64) stay float64.  Prediction and the gradient
+check pass float64 parameters, so they run in float64 throughout.
+
 Gradients are reverse-mode by hand and checked against central finite
 differences.  Training is deterministic for a fixed seed: shuffling comes
 from a seeded generator, and a mini-batch always reduces in the same order.
@@ -71,7 +79,8 @@ class GnnParams:
     """The regressor's eight weight arrays.  Construction copies them into one
     flat float64 buffer, `flat`, in PARAM_NAMES order, and keeps each field as
     a view of it: writing a field's elements writes `flat`, and Adam updates
-    every array as one vector.  Gradients are held in a GnnParams too."""
+    every array as one vector.  Gradients are held in a GnnParams too, and
+    `over` views a buffer of any dtype (training's float32 working copy)."""
 
     conv1_w: np.ndarray
     conv1_b: np.ndarray
@@ -179,11 +188,17 @@ def _check_widths(graphs, params: GnnParams) -> None:
                              f"graph has {fg.global_features.shape[0]}")
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
 class _Scratch:
-    """Float64 buffers by name, grown to the largest request and handed out as
-    views.  The process keeps one, `_SCRATCH`, that every forward and backward
-    reuses.  The package is single-threaded: a forward's arrays are views that
-    stay valid only until the next forward in the process."""
+    """One float64 buffer per name, grown to the largest request and handed
+    out as views.  `take32` views the same buffer's bytes as float32, two
+    elements to a float64 one, so float32 training and float64 prediction
+    share one set of activations.  The process keeps one, `_SCRATCH`, that
+    every forward and backward reuses.  The package is single-threaded: a
+    forward's arrays are views that stay valid only until the next forward in
+    the process."""
 
     def __init__(self):
         self.flat: dict[str, np.ndarray] = {}
@@ -194,6 +209,14 @@ class _Scratch:
         if flat is None or flat.size < size:
             flat = self.flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
+
+    def take32(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        return self.take(name, (size + 1) // 2).view(np.float32)[:size].reshape(shape)
+
+    def taker(self, dtype: np.dtype):
+        """The take of arrays of `dtype`: float32 or float64."""
+        return self.take32 if dtype is _FLOAT32 else self.take
 
 
 # About nine buffers of CHUNK_GRAPHS x widest graph (17 nodes) x HIDDEN_WIDTH floats: <= ~5 MB.
@@ -213,8 +236,9 @@ class _Stack:
 
 
 def _stack(graphs, params: GnnParams, energies=None) -> _Stack:
-    """Check the graphs against the model's widths and stack them.  Graphs of
-    one topology share their aggregation matrix object, which is stored once."""
+    """Check the graphs against the model's widths and stack them in the
+    dtype of `params`.  Graphs of one topology share their aggregation matrix
+    object, which is stored once."""
     _check_widths(graphs, params)
     counts = np.array([fg.node_count for fg in graphs])
     n = int(counts.max())
@@ -222,14 +246,16 @@ def _stack(graphs, params: GnnParams, energies=None) -> _Stack:
     for fg in graphs:
         row_of.setdefault(id(fg.agg), len(row_of))
     topology = np.array([row_of[id(fg.agg)] for fg in graphs])
-    x = np.zeros((len(graphs), n, params.node_width))
-    aggs = np.zeros((len(row_of), n, n))
+    dtype = params.flat.dtype
+    x = np.zeros((len(graphs), n, params.node_width), dtype)
+    aggs = np.zeros((len(row_of), n, n), dtype)
     for i, fg in enumerate(graphs):
         x[i, : counts[i]] = fg.features
         aggs[topology[i], : counts[i], : counts[i]] = fg.agg
-    targets = None if energies is None else np.array([target_transform(e) for e in energies])
-    return _Stack(x, counts, np.array([fg.global_features for fg in graphs]), aggs, topology,
-                  targets)
+    glob = np.array([fg.global_features for fg in graphs], dtype)
+    targets = (None if energies is None
+               else np.array([target_transform(e) for e in energies], dtype))
+    return _Stack(x, counts, glob, aggs, topology, targets)
 
 
 def _gather(stack: _Stack, rows: np.ndarray, scratch: _Scratch) -> tuple:
@@ -239,10 +265,10 @@ def _gather(stack: _Stack, rows: np.ndarray, scratch: _Scratch) -> tuple:
     counts = stack.counts[rows]
     b, n = len(rows), int(counts.max())
     # mode="clip" lets take write straight into `out` (the default buffers a copy)
-    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip",
-                out=scratch.take("x", b, n, stack.x.shape[2]))
+    take = scratch.taker(stack.x.dtype)
+    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip", out=take("x", b, n, stack.x.shape[2]))
     agg = np.take(stack.aggs[:, :n, :n], stack.topology[rows], axis=0, mode="clip",
-                  out=scratch.take("agg", b, n, n))
+                  out=take("agg", b, n, n))
     return x, agg, counts, stack.glob[rows]
 
 
@@ -254,7 +280,8 @@ def _one(fg: FeaturizedGraph) -> tuple:
 def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tuple:
     """One forward over b graphs, each zero-padded to the n nodes of the widest:
     node features x (b, n, width), aggregation matrices agg (b, n, n), node
-    counts (b,) and global vectors glob (b, global width).
+    counts (b,) and global vectors glob (b, global width), all in the dtype of
+    `params`, which the forward computes in.
 
     A padded row never reaches a real node (its agg column is zero), and its
     h2 row is zeroed before the node mean, so it gets no gradient either.
@@ -263,18 +290,18 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
     its next forward.
     """
     b, n, width = x.shape
-    hidden = params.hidden_width
-    ax = np.matmul(agg, x, out=scratch.take("ax", b, n, width)).reshape(b * n, width)
+    hidden, take = params.hidden_width, scratch.taker(params.flat.dtype)
+    ax = np.matmul(agg, x, out=take("ax", b, n, width)).reshape(b * n, width)
     x = x.reshape(b * n, width)
-    h1 = _conv(x, ax, params.conv1_w, params.conv1_b, scratch, "h1")
-    ah1 = np.matmul(agg, h1.reshape(b, n, hidden), out=scratch.take("ah1", b, n, hidden))
+    h1 = _conv(x, ax, params.conv1_w, params.conv1_b, take, "h1")
+    ah1 = np.matmul(agg, h1.reshape(b, n, hidden), out=take("ah1", b, n, hidden))
     ah1 = ah1.reshape(b * n, hidden)
-    h2 = _conv(h1, ah1, params.conv2_w, params.conv2_b, scratch, "h2")
+    h2 = _conv(h1, ah1, params.conv2_w, params.conv2_b, take, "h2")
     h2_3d = h2.reshape(b, n, hidden)
     for i in np.flatnonzero(counts < n):
         h2_3d[i, counts[i] :] = 0.0
 
-    q = np.empty((b, hidden + params.global_width))
+    q = np.empty((b, hidden + params.global_width), params.flat.dtype)
     np.divide(h2_3d.sum(axis=1), counts[:, None], out=q[:, :hidden])
     q[:, hidden:] = glob
     h3 = np.maximum(q @ params.head1_w + params.head1_b, 0.0)
@@ -283,11 +310,12 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
 
 
 def _conv(own: np.ndarray, neighbor: np.ndarray, w: np.ndarray, bias: np.ndarray,
-          scratch: _Scratch, name: str) -> np.ndarray:
-    """relu([own, neighbor] @ w + bias), written into the scratch buffer `name`."""
+          take, name: str) -> np.ndarray:
+    """relu([own, neighbor] @ w + bias), written into the scratch buffer `name`
+    that `take` hands out."""
     half = own.shape[1]
-    out = np.matmul(own, w[:half], out=scratch.take(name, own.shape[0], w.shape[1]))
-    out += np.matmul(neighbor, w[half:], out=scratch.take("tmp", *out.shape))
+    out = np.matmul(own, w[:half], out=take(name, own.shape[0], w.shape[1]))
+    out += np.matmul(neighbor, w[half:], out=take("tmp", *out.shape))
     out += bias
     return np.maximum(out, 0.0, out=out)
 
@@ -298,18 +326,20 @@ def _backward(act: tuple, params: GnnParams, dy: np.ndarray, scratch: _Scratch,
     agg, counts, x, ax, h1, ah1, h2, q, h3, _ = act
     b, n, _ = agg.shape
     hidden, width = params.hidden_width, params.node_width
+    take = scratch.taker(params.flat.dtype)
     ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3 > 0)
-    dmean = (ds3 @ params.head1_w[:hidden].T) / counts[:, None]
+    dmean = ds3 @ params.head1_w[:hidden].T
+    dmean /= counts[:, None]
 
-    ds2 = scratch.take("ds2", b, n, hidden)
+    ds2 = take("ds2", b, n, hidden)
     np.multiply(dmean[:, None, :], h2.reshape(b, n, hidden) > 0, out=ds2)
     ds2 = ds2.reshape(b * n, hidden)
     np.matmul(h1.T, ds2, out=grads.conv2_w[:hidden])
     np.matmul(ah1.T, ds2, out=grads.conv2_w[hidden:])
     np.sum(ds2, axis=0, out=grads.conv2_b)
     # conv1's output gradient: the self half, plus agg^T times the neighbor half
-    ds1 = np.matmul(ds2, params.conv2_w[:hidden].T, out=scratch.take("ds1", b * n, hidden))
-    back = np.matmul(ds2, params.conv2_w[hidden:].T, out=scratch.take("tmp", b * n, hidden))
+    ds1 = np.matmul(ds2, params.conv2_w[:hidden].T, out=take("ds1", b * n, hidden))
+    back = np.matmul(ds2, params.conv2_w[hidden:].T, out=take("tmp", b * n, hidden))
     back = np.matmul(agg.transpose(0, 2, 1), back.reshape(b, n, hidden),
                      out=ds2.reshape(b, n, hidden))
     ds1 += back.reshape(b * n, hidden)
@@ -356,7 +386,9 @@ def loss_and_gradients(
     (default: every row).  The mini-batch runs through one forward and one
     backward per chunk of CHUNK_GRAPHS consecutive rows; chunk gradients are
     summed in batch order, so a given batch always reduces in the same order.
-    Gradients are written into `grads` when given, else into a new GnnParams.
+    Both run in the dtype of `params`; the loss is summed in float64.
+    Gradients are written into `grads` (of that dtype) when given, else into
+    a new GnnParams.
     """
     if not isinstance(batch, _Stack):
         if not batch:
@@ -365,16 +397,18 @@ def loss_and_gradients(
     if rows is None:
         rows = np.arange(len(batch.counts))
     if grads is None:
-        grads = params.over(np.empty(params.flat.size))
+        grads = params.over(np.empty_like(params.flat))
     inv = 1.0 / len(rows)
     total = 0.0
     for start in range(0, len(rows), CHUNK_GRAPHS):
         chunk = rows[start : start + CHUNK_GRAPHS]
         act = _forward(*_gather(batch, chunk, _SCRATCH), params, _SCRATCH)
         residual = act[-1] - batch.targets[chunk]
-        total += float(residual @ residual)
+        wide = residual.astype(np.float64, copy=False)
+        total += float(wide @ wide)
         # the first chunk writes `grads` itself; a later one adds its own
-        part = grads if start == 0 else params.over(_SCRATCH.take("grads", params.flat.size))
+        part = grads if start == 0 else params.over(
+            _SCRATCH.taker(params.flat.dtype)("grads", params.flat.size))
         _backward(act, params, 2.0 * inv * residual, _SCRATCH, part)
         if start:
             grads.flat += part.flat
@@ -451,8 +485,9 @@ def train(
     Passing existing params continues training from a copy of them with
     fresh Adam moments (the sampling loop's model updates); otherwise
     parameters are freshly initialized from the first sample's feature widths
-    with the run seed.  The samples are stacked once; each step gathers its
-    mini-batch's rows and writes its gradients and Adam update in place.
+    with the run seed.  The samples are stacked once, in float32; each step
+    gathers its mini-batch's rows and runs them on a float32 working copy of
+    the parameters, then takes its Adam step in float64, all in place.
     """
     if not samples:
         raise ValueError("training set must not be empty")
@@ -465,7 +500,9 @@ def train(
         )
     else:
         params = params.copy()
-    stack = _stack([fg for fg, _ in samples], params, [energy for _, energy in samples])
+    work = params.over(np.empty(params.flat.size, np.float32))
+    work_grads = work.over(np.empty_like(work.flat))
+    stack = _stack([fg for fg, _ in samples], work, [energy for _, energy in samples])
     grads = params.over(np.empty(params.flat.size))
     state = init_adam_state(params)
     rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
@@ -475,10 +512,12 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(samples), hyper.batch_size):
             rows = order[start : start + hyper.batch_size]
+            np.copyto(work.flat, params.flat)
             try:
-                loss, _ = loss_and_gradients(stack, params, rows, grads)
+                loss, _ = loss_and_gradients(stack, work, rows, work_grads)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
+            np.copyto(grads.flat, work_grads.flat)
             adam_step(params, grads, state, hyper)
             epoch_loss += loss * len(rows)
         history.append(epoch_loss / len(samples))

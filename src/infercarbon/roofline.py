@@ -22,7 +22,7 @@ themselves when they are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
@@ -38,7 +38,7 @@ from .arch import (
     _layer_graph,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
-from .kvfile import SectionReader, parse_sections
+from .kvfile import ConfigError, SectionReader, parse_sections
 
 
 class MissingThroughput(ValueError):
@@ -206,21 +206,32 @@ def parse_gpu_catalog(text: str, source: str = "<gpu catalog>") -> dict[str, Gpu
 
     Only the keys that are not a ``GpuSpec`` field under its own name and unit
     are read here; ``GpuSpec.from_section`` reads the rest."""
-    number = CATALOG_PARSERS["float"]
     catalog: dict[str, GpuSpec] = {}
     for name, fields in parse_sections(text, source).items():
         reader = SectionReader(name, fields, source)
         th_max = {}
         for key, dtype in _PEAK_KEYS.items():
-            tops = reader.get(key, *number, None)
-            if tops is not None:
-                th_max[dtype] = tops * 1e12
+            rate = _scaled(reader, key, 1e12, None)
+            if rate is not None:
+                th_max[dtype] = rate
         catalog[name] = GpuSpec.from_section(
             reader, name=name, th_max=th_max,
-            bw_max=reader.get("memory_gbs", *number) * 1e9,
-            net_max=reader.get("network_gbs", *number) * 1e9,
+            bw_max=_scaled(reader, "memory_gbs", 1e9),
+            net_max=_scaled(reader, "network_gbs", 1e9),
         )
     return catalog
+
+
+def _scaled(reader: SectionReader, key: str, scale: float, default=MISSING):
+    """Number `key` times `scale`; a finite value that overflows once scaled
+    is refused here, where its key is still known."""
+    value = reader.get(key, *CATALOG_PARSERS["float"], default)
+    if value is None:
+        return None
+    if math.isfinite(value) and not math.isfinite(value * scale):
+        raise ConfigError(f"{reader.source}: section '{reader.name}': field '{key}' = {value:g} "
+                          f"overflows to infinity when scaled by {scale:g}")
+    return value * scale
 
 
 def load_gpu_catalog(path) -> dict[str, GpuSpec]:

@@ -9,8 +9,9 @@ model.  It stops when the test error drops under the threshold or the
 iteration cap is reached.
 
 Real GPU measurement is out of scope here; a deterministic synthetic oracle
-built on the cost model and Roofline times stands in for it so the whole
-pipeline can run and be verified on a workstation.
+built on the cost model and Roofline times (`oracle.SyntheticEnergyOracle`)
+stands in for it so the whole pipeline can run and be verified on a
+workstation.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arch import JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, RangeError
-from .costmodel import Phase, check_partition
+from .costmodel import check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
 from .kvfile import ConfigError
+from .oracle import SyntheticEnergyOracle  # noqa: F401  (re-exported for callers of sampler)
 from .roofline import GpuSpec, cost_layer, ridge_points
 
 
@@ -247,44 +249,6 @@ def fine_grained_sampling(
             out.append(SamplePoint(arch=replace(arch0, layer_count=layers), cfg=cfg,
                                    gpu=center.gpu))
     return out
-
-
-PREFILL_UTILIZATION = 0.8
-DECODE_UTILIZATION = 0.4
-IDLE_FRACTION = 0.1
-
-
-class SyntheticEnergyOracle:
-    """Deterministic stand-in for on-GPU energy measurement.
-
-    Energy per layer is the Roofline execution time of every kernel weighted
-    by a fixed per-phase utilization of board power, plus an idle-power floor
-    over the total time; the layer figure scales by layer count and GPU count.
-    The utilization constants encode that prefill drives the GPU much harder
-    than the bandwidth-bound decode phase.  A request generating a single
-    token has no decode iterations, so only prefill contributes.
-    """
-
-    identity = "synthetic-roofline-v1"
-
-    def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
-        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
-        gpu = point.gpu
-        scale = point.arch.layer_count * point.cfg.gpu_count * gpu.power_w
-        utilization = {Phase.PREFILL: PREFILL_UTILIZATION, Phase.DECODE: DECODE_UTILIZATION}
-        energy = {
-            phase: times[phase] * (utilization[phase] + IDLE_FRACTION) * scale for phase in Phase
-        }
-        return {
-            "prefill_joules": energy[Phase.PREFILL],
-            "decode_joules": energy[Phase.DECODE],
-            "total_joules": energy[Phase.PREFILL] + energy[Phase.DECODE],
-            "roofline_seconds": (times[Phase.PREFILL] + times[Phase.DECODE])
-            * point.arch.layer_count,
-        }
-
-    def measure(self, point: SamplePoint) -> float:
-        return self.measure_breakdown(point)["total_joules"]
 
 
 def label_points(points: list[SamplePoint], oracle) -> list[EnergySample]:

@@ -284,6 +284,24 @@ class TestCatalog:
         with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': GPU 'g' .*must be positive$"):
             parse_gpu_catalog(text, source="g.cfg")
 
+    @pytest.mark.parametrize("key", ["memory_gbs", "network_gbs"])
+    def test_catalog_names_a_bandwidth_that_overflows(self, key):
+        values = {"fp16_tops": "1", "memory_gbs": "1", "network_gbs": "1", "power_w": "1",
+                  key: "1e300"}
+        text = "[g]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=rf"^g\.cfg: section 'g': field '{key}' = 1e\+300 "
+                                              r"overflows to infinity when scaled by 1e\+09$"):
+            parse_gpu_catalog(text, source="g.cfg")
+
+    @pytest.mark.parametrize("key", ["fp32_tops", "fp16_tops", "int8_tops"])
+    def test_catalog_names_a_peak_rate_that_overflows(self, key):
+        values = {"fp16_tops": "1", "memory_gbs": "1", "network_gbs": "1", "power_w": "1",
+                  key: "1e300"}
+        text = "[g]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=rf"^g\.cfg: section 'g': field '{key}' = 1e\+300 "
+                                              r"overflows to infinity when scaled by 1e\+12$"):
+            parse_gpu_catalog(text, source="g.cfg")
+
     def test_catalog_error_names_the_field(self):
         with pytest.raises(ConfigError, match=r"^g\.cfg:5: field 'power_w' must be a number, "
                                               r"got 'hot'$"):

@@ -184,6 +184,15 @@ class TestSelectHighError:
 
 
 class TestSyntheticOracle:
+    def test_one_class_under_every_name(self):
+        import infercarbon
+        from infercarbon import oracle
+
+        assert sampler_mod.SyntheticEnergyOracle is oracle.SyntheticEnergyOracle
+        assert infercarbon.SyntheticEnergyOracle is oracle.SyntheticEnergyOracle
+        assert SyntheticEnergyOracle is oracle.SyntheticEnergyOracle
+        assert oracle.SyntheticEnergyOracle.__module__ == "infercarbon.oracle"
+
     def test_positive_and_deterministic(self, gpus):
         oracle = SyntheticEnergyOracle()
         point = center_point(gpus)
