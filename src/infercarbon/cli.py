@@ -23,26 +23,15 @@ from . import gnn as gnn_mod
 from . import sampler as sampler_mod
 from . import traces as traces_mod
 from .features import export_graph, featurize_raw, fit_stats
-from .kvfile import ConfigError
 from .roofline import builtin_gpu_catalog, load_gpu_catalog
 
 GPU_CATALOG_ENV = "INFERCARBON_GPU_CATALOG"
 ARCH_CATALOG_ENV = "INFERCARBON_ARCH_CATALOG"
 
-CONFIG_ERRORS = (
-    ConfigError,
-    arch_mod.RangeError,
-    arch_mod.DivisibilityError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
-)
-
-RUNTIME_ERRORS = (
-    gnn_mod.NonFiniteLoss,
-    sampler_mod.OracleFailure,
-    ArithmeticError,
-)
+# ConfigError, RangeError and DivisibilityError are ValueErrors; NonFiniteLoss
+# is an ArithmeticError
+CONFIG_ERRORS = (FileNotFoundError, KeyError, ValueError)
+RUNTIME_ERRORS = (sampler_mod.OracleFailure, ArithmeticError)
 
 
 class CliError(Exception):
@@ -161,13 +150,6 @@ def cmd_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sampler_mod.save_dataset(out / "train.jsonl", result.train_set)
     sampler_mod.save_dataset(out / "test.jsonl", result.test_set)
-    gnn_mod.save_checkpoint(
-        out / "checkpoint.json", result.params, result.stats, seed=args.seed,
-        extra={
-            "termination": result.termination,
-            "config_hash": sampler_mod.config_hash(hyper.to_dict()),
-        },
-    )
     manifest = sampler_mod.build_manifest(
         hyper, oracle, args.threshold,
         extra={
@@ -177,6 +159,10 @@ def cmd_sample(args) -> int:
             "train_count": len(result.train_set),
             "test_count": len(result.test_set),
         },
+    )
+    gnn_mod.save_checkpoint(
+        out / "checkpoint.json", result.params, result.stats, seed=args.seed,
+        extra={"termination": result.termination, "config_hash": manifest["config_hash"]},
     )
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False),
                                        encoding="utf-8")

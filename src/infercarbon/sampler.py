@@ -291,7 +291,8 @@ class LoopHyper:
 
     def __post_init__(self):
         for name, minimum in (("initial_points", 1), ("refine_per_center", 1),
-                              ("worst_count", 1), ("max_iterations", 0)):
+                              ("worst_count", 1), ("max_iterations", 0),
+                              ("update_epochs", 0)):
             value = getattr(self, name)
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -356,70 +357,43 @@ def focused_sampling_loop(
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
 
     points = initial_sample(space, hyper.initial_points, seed=hyper.seed)
-    labeled = label_points(points, oracle)
-    train_set, test_set = _split_20(labeled, rng)
-
+    train_set, new_test = _split_20(label_points(points, oracle), rng)
     train_raws = [raw_featurize_point(s.point) for s in train_set]
     stats = fit_stats(train_raws)
-
-    def featurized(sample: EnergySample) -> FeaturizedGraph:
-        return featurize_raw(raw_featurize_point(sample.point), stats)
-
-    train_pairs = [
-        (featurize_raw(raw, stats), s.energy_joules) for raw, s in zip(train_raws, train_set)
-    ]
-    test_pairs = [(featurized(s), s.energy_joules) for s in test_set]
-
+    train_pairs = [(featurize_raw(raw, stats), s.energy_joules)
+                   for raw, s in zip(train_raws, train_set)]
     params, _ = train(train_pairs, hyper.train)
-    # the test-set predictions of the current params, reused to pick the worst
-    preds: list[float] = []
 
-    def current_mape() -> float:
-        preds[:] = predict_many([fg for fg, _ in test_pairs], params)
-        truths = [s.energy_joules for s in test_set]
-        return mape(preds, truths)
-
-    error_log = [current_mape()]
-    termination = "threshold_met" if error_log[-1] <= e_threshold else "iteration_cap"
-    iterations = 0
+    test_set: list[EnergySample] = []
+    test_graphs: list[FeaturizedGraph] = []
+    error_log: list[float] = []
     refinements: list[RefinementTrace] = []
-    while error_log[-1] > e_threshold and iterations < hyper.max_iterations:
-        iterations += 1
-        by_index = {id(s): i for i, s in enumerate(test_set)}
-
-        def predict(sample: EnergySample) -> float:
-            return preds[by_index[id(sample)]]
-
-        worst = select_high_error(predict, test_set, hyper.worst_count)
-        refined = fine_grained_sampling(
-            worst, hyper.refine_per_center, JitterRadii(), seed=hyper.seed + iterations
-        )
-        new_samples = label_points(refined, oracle)
-        new_train, new_test = _split_20(new_samples, rng)
-        refinements.append(
-            RefinementTrace(centers=worst, points=refined, test_added=len(new_test))
-        )
-        train_set += new_train
+    while True:  # one round: score the model, then stop or refine and retrain
         test_set += new_test
-        train_pairs += [(featurized(s), s.energy_joules) for s in new_train]
-        test_pairs += [(featurized(s), s.energy_joules) for s in new_test]
-
+        test_graphs += [featurize_raw(raw_featurize_point(s.point), stats) for s in new_test]
+        preds = predict_many(test_graphs, params)
+        error_log.append(mape(preds, [s.energy_joules for s in test_set]))
+        # a NaN error stops the loop as well
+        if not error_log[-1] > e_threshold or len(refinements) >= hyper.max_iterations:
+            break
+        predicted = {id(s): p for s, p in zip(test_set, preds)}
+        worst = select_high_error(lambda s: predicted[id(s)], test_set, hyper.worst_count)
+        refined = fine_grained_sampling(
+            worst, hyper.refine_per_center, JitterRadii(), seed=hyper.seed + len(refinements) + 1
+        )
+        new_train, new_test = _split_20(label_points(refined, oracle), rng)
+        refinements.append(RefinementTrace(worst, refined, test_added=len(new_test)))
+        train_set += new_train
+        train_pairs += [(featurize_raw(raw_featurize_point(s.point), stats), s.energy_joules)
+                        for s in new_train]
         update_hyper = replace(hyper.train, epochs=hyper.update_epochs,
-                               seed=hyper.train.seed + iterations)
+                               seed=hyper.train.seed + len(refinements))
         params, _ = train(train_pairs, update_hyper, params=params)
-        error_log.append(current_mape())
-        termination = "threshold_met" if error_log[-1] <= e_threshold else "iteration_cap"
 
-    return LoopResult(
-        train_set=train_set,
-        test_set=test_set,
-        params=params,
-        stats=stats,
-        error_log=error_log,
-        termination=termination,
-        iterations=iterations,
-        refinements=refinements,
-    )
+    termination = "threshold_met" if error_log[-1] <= e_threshold else "iteration_cap"
+    return LoopResult(train_set=train_set, test_set=test_set, params=params, stats=stats,
+                      error_log=error_log, termination=termination,
+                      iterations=len(refinements), refinements=refinements)
 
 
 def raw_featurize_point(point: SamplePoint):
@@ -492,15 +466,14 @@ def config_hash(payload: dict) -> str:
 
 
 def build_manifest(hyper: LoopHyper, oracle, threshold: float, extra: dict | None = None) -> dict:
-    manifest = {
+    """A run's settings, then `extra` (its results), then `config_hash`: a hash
+    of the settings alone, so one configuration hashes alike whatever it gave."""
+    settings = {
         "oracle": getattr(oracle, "identity", oracle.__class__.__name__),
         "threshold_mape_percent": threshold,
         **hyper.to_dict(),
     }
-    if extra:
-        manifest.update(extra)
-    manifest["config_hash"] = config_hash(manifest)
-    return manifest
+    return {**settings, **(extra or {}), "config_hash": config_hash(settings)}
 
 
 def desk_prior_space(gpus, inference_prior=None) -> PriorSpace:

@@ -256,6 +256,17 @@ class TestSampleFlags:
         assert not out_dir.exists()
 
 
+class TestSampleConfigHash:
+    def test_manifest_and_checkpoint_carry_one_hash(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sample", "--out", str(tmp_path), "--a", "20", "--b", "2",
+                           "--k", "1", "--max-iterations", "0", "--epochs", "1",
+                           "--batch-size", "8", "--seed", "3")
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert checkpoint["extra"]["config_hash"] == manifest["config_hash"]
+
+
 class TestTrainConfigHash:
     def test_hash_covers_every_training_flag(self, capsys, tmp_path):
         dataset = small_dataset(tmp_path / "data.jsonl")

@@ -244,6 +244,17 @@ class TestTraining:
         for x, y in zip(params_a.as_list(), params_b.as_list()):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ])
+    def test_hyper_refuses_settings_that_cannot_train(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainHyper(**overrides)
+
     def test_loss_decreases_on_learnable_signal(self):
         graphs = random_graphs(40, seed=21)
         samples = [(g, float(1.0 + np.abs(g.global_features).sum())) for g in graphs]

@@ -7,6 +7,7 @@ import pytest
 
 from infercarbon.arch import InferenceConfig, LlmArchitecture
 from infercarbon.costmodel import Phase
+from infercarbon import oracle as oracle_mod
 from infercarbon import sampler as sampler_mod
 from infercarbon.gnn import TrainHyper, predict_many
 from infercarbon.kvfile import ConfigError
@@ -296,12 +297,28 @@ class TestFocusedLoop:
         assert [len(r.centers) for r in result.refinements] == [8, 8]
         assert len(calls) == 32 + 44 + 56
 
+    def test_each_labelled_point_is_priced_twice(self, space, monkeypatch):
+        # once by the oracle to label it and once by the loop to featurize it
+        counts = {"oracle": 0, "sampler": 0}
+        for name, module in (("oracle", oracle_mod), ("sampler", sampler_mod)):
+            def counted(*args, name=name, **kwargs):
+                counts[name] += 1
+                return cost_layer(*args, **kwargs)
+
+            monkeypatch.setattr(module, "cost_layer", counted)
+        hyper = tiny_loop_hyper(max_iterations=1)
+        result = focused_sampling_loop(space, SyntheticEnergyOracle(), 0.001, hyper)
+        assert len(result.refinements) == 1
+        labelled = len(result.train_set) + len(result.test_set)
+        assert counts == {"oracle": labelled, "sampler": labelled}
+
     @pytest.mark.parametrize("field, value, message", [
         ("initial_points", 0, "initial_points must be >= 1, got 0"),
         ("refine_per_center", 0, "refine_per_center must be >= 1, got 0"),
         ("worst_count", 0, "worst_count must be >= 1, got 0"),
         ("worst_count", -2, "worst_count must be >= 1, got -2"),
         ("max_iterations", -1, "max_iterations must be >= 0, got -1"),
+        ("update_epochs", -3, "update_epochs must be >= 0, got -3"),
     ])
     def test_rejects_bad_loop_counts(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -495,6 +512,14 @@ class TestDatasetIO:
         assert manifest["initial_points"] == 80
         assert manifest["threshold_mape_percent"] == 15.0
         assert len(manifest["config_hash"]) == 16
+
+    def test_manifest_hash_covers_settings_only(self):
+        hyper, oracle = tiny_loop_hyper(), SyntheticEnergyOracle()
+        first = build_manifest(hyper, oracle, 15.0, extra={"termination": "threshold_met"})
+        second = build_manifest(hyper, oracle, 15.0,
+                                extra={"termination": "iteration_cap", "iterations": 2})
+        assert first["config_hash"] == second["config_hash"]
+        assert build_manifest(hyper, oracle, 16.0)["config_hash"] != first["config_hash"]
 
     def test_scale_defaults(self):
         # desk-scale loop defaults
