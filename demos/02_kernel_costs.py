@@ -9,7 +9,7 @@ the KV cache, and its costs carry a (generated_tokens - 1) factor.
 `cost_layer` prices every kernel of a layer once per phase into one table.
 """
 
-from infercarbon import InferenceConfig, LlmArchitecture, Phase, cost_layer, model_totals
+from infercarbon import InferenceConfig, LlmArchitecture, Phase, cost_layer
 from infercarbon.roofline import builtin_gpu_catalog
 
 arch = LlmArchitecture(
@@ -32,18 +32,18 @@ for node, (pre, _), (dec, _) in zip(costs.graph.nodes, costs.phases[Phase.PREFIL
         f"{(pre.net_bytes + dec.net_bytes) / 1e6:>8.2f}"
     )
 
-# layer and whole-model totals
-per_layer = costs.totals()
-whole = model_totals(per_layer, arch.layer_count)
-print(f"\nper layer:  prefill {per_layer.prefill.ops / 1e9:.2f} GOPs, "
-      f"decode {per_layer.decode.ops / 1e9:.2f} GOPs")
-print(f"whole model ({arch.layer_count} layers): "
-      f"prefill {whole.prefill.ops / 1e9:.1f} GOPs / {whole.prefill.mem_bytes / 1e9:.2f} GB, "
-      f"decode {whole.decode.ops / 1e9:.1f} GOPs / {whole.decode.mem_bytes / 1e9:.2f} GB, "
-      f"network {(whole.prefill.net_bytes + whole.decode.net_bytes) / 1e9:.2f} GB")
+# layer and whole-model totals: every layer is alike, so the whole model is
+# the layer's totals times the layer count
+totals, layers = costs.totals(), arch.layer_count
+pre, dec = totals.prefill, totals.decode
+print(f"\nper layer:  prefill {pre.ops / 1e9:.2f} GOPs, decode {dec.ops / 1e9:.2f} GOPs")
+print(f"whole model ({layers} layers): "
+      f"prefill {layers * pre.ops / 1e9:.1f} GOPs / {layers * pre.mem_bytes / 1e9:.2f} GB, "
+      f"decode {layers * dec.ops / 1e9:.1f} GOPs / {layers * dec.mem_bytes / 1e9:.2f} GB, "
+      f"network {layers * (pre.net_bytes + dec.net_bytes) / 1e9:.2f} GB")
 
 # decode is dominated by memory traffic, prefill by compute: compare the
-# ops-per-byte intensity of the two phases
-pre_int = whole.prefill.ops / whole.prefill.mem_bytes
-dec_int = whole.decode.ops / whole.decode.mem_bytes
+# ops-per-byte intensity of the two phases (the layer count cancels)
+pre_int = pre.ops / pre.mem_bytes
+dec_int = dec.ops / dec.mem_bytes
 print(f"\narithmetic intensity: prefill {pre_int:.1f} OPs/B vs decode {dec_int:.1f} OPs/B")

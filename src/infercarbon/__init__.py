@@ -40,7 +40,6 @@ from .costmodel import (
     fused_attention_cost,
     kernel_cost,
     linear_cost,
-    model_totals,
     softmax_cost,
 )
 from .features import (

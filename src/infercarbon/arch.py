@@ -27,7 +27,21 @@ from .kvfile import ConfigError, SectionReader, parse_sections
 
 
 class RangeError(ValueError):
-    """A count or size field is outside its allowed range."""
+    """A count or size field is outside its allowed range; ``field`` names
+    the field when the error is about one alone."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_minimums(record, minimums: tuple[tuple[str, int], ...]) -> None:
+    """Refuse the first of `record`'s fields below its least value, given as
+    (field name, least value) pairs, with a RangeError naming that field."""
+    for name, least in minimums:
+        if getattr(record, name) < least:
+            raise RangeError(f"{name} must be >= {least}, got {getattr(record, name)}",
+                             field=name)
 
 
 class DivisibilityError(ValueError):
@@ -242,11 +256,8 @@ class LlmArchitecture(Record):
     gated_mlp: bool = True
 
     def __post_init__(self):
-        for name in ("hidden_size", "intermediate_size", "head_count", "kv_head_count",
-                     "layer_count"):
-            value = getattr(self, name)
-            if value < 1:
-                raise RangeError(f"{name} must be >= 1, got {value}")
+        check_minimums(self, (("hidden_size", 1), ("intermediate_size", 1), ("head_count", 1),
+                              ("kv_head_count", 1), ("layer_count", 1)))
         if self.hidden_size % self.head_count != 0:
             raise DivisibilityError(
                 f"hidden_size {self.hidden_size} is not divisible by head_count {self.head_count}"
@@ -271,10 +282,8 @@ class InferenceConfig(Record):
     gpu_count: int = 1
 
     def __post_init__(self):
-        for name in ("batch_size", "prompt_length", "generated_tokens", "gpu_count"):
-            value = getattr(self, name)
-            if value < 1:
-                raise RangeError(f"{name} must be >= 1, got {value}")
+        check_minimums(self, (("batch_size", 1), ("prompt_length", 1), ("generated_tokens", 1),
+                              ("gpu_count", 1)))
 
 
 @dataclass(frozen=True)

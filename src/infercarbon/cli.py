@@ -101,22 +101,24 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# flag -> least value; checked before any sampling or training starts
-FLAG_MINIMUMS = {"a": 1, "b": 1, "k": 1, "max-iterations": 0, "epochs": 1, "update-epochs": 1,
-                 "batch-size": 1}
+# LoopHyper / TrainHyper field -> the flag that fills it
+FIELD_FLAGS = {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
+               "max_iterations": "max-iterations", "update_epochs": "update-epochs", "seed": "seed",
+               "learning_rate": "lr", "batch_size": "batch-size", "epochs": "epochs"}
 
 
-def _check_counts(args) -> None:
-    for flag, minimum in FLAG_MINIMUMS.items():
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None and value < minimum:
-            raise CliError(f"--{flag} must be >= {minimum}, got {value}")
-    for flag in ("lr", "threshold"):
-        value = getattr(args, flag, None)
-        if value is not None and not value > 0:  # NaN included
-            raise CliError(f"--{flag} must be > 0, got {value}")
-        if value is not None and math.isinf(value):  # "1e400" parses as inf too
-            raise CliError(f"--{flag} must be finite, got {value}")
+def _from_flags(hyper_class, **values):
+    """A LoopHyper or TrainHyper of flag values; a field out of its range is
+    reported under the flag that set it."""
+    try:
+        return hyper_class(**values)
+    except arch_mod.RangeError as exc:
+        raise CliError(f"--{FIELD_FLAGS[exc.field]}{str(exc).removeprefix(exc.field)}") from exc
+
+
+def _train_hyper(args) -> gnn_mod.TrainHyper:
+    return _from_flags(gnn_mod.TrainHyper, epochs=args.epochs, seed=args.seed,
+                       learning_rate=args.lr, batch_size=args.batch_size)
 
 
 def _file_digest(path) -> str:
@@ -125,7 +127,21 @@ def _file_digest(path) -> str:
 
 
 def cmd_sample(args) -> int:
-    _check_counts(args)
+    hyper = _from_flags(
+        sampler_mod.LoopHyper,
+        initial_points=args.a,
+        refine_per_center=args.b,
+        worst_count=args.k,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        train=_train_hyper(args),
+        update_epochs=args.update_epochs,
+    )
+    # no dataclass holds the threshold, so it is checked here
+    if not args.threshold > 0:  # NaN included
+        raise CliError(f"--threshold must be > 0, got {args.threshold}")
+    if math.isinf(args.threshold):  # "1e400" parses as inf too
+        raise CliError(f"--threshold must be finite, got {args.threshold}")
     gpus = load_gpus(args.gpu_catalog)
     if args.trace:
         records = traces_mod.parse_trace(args.trace)
@@ -133,16 +149,6 @@ def cmd_sample(args) -> int:
     else:
         prior = None
     space = sampler_mod.desk_prior_space(gpus, inference_prior=prior)
-    hyper = sampler_mod.LoopHyper(
-        initial_points=args.a,
-        refine_per_center=args.b,
-        worst_count=args.k,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        train=gnn_mod.TrainHyper(epochs=args.epochs, seed=args.seed,
-                                 learning_rate=args.lr, batch_size=args.batch_size),
-        update_epochs=args.update_epochs,
-    )
     oracle = sampler_mod.SyntheticEnergyOracle()
     result = sampler_mod.focused_sampling_loop(space, oracle, args.threshold, hyper)
 
@@ -175,16 +181,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_counts(args)
+    hyper = _train_hyper(args)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")
     raws = [sampler_mod.raw_featurize_point(s.point) for s in samples]
     stats = fit_stats(raws)
     pairs = [(featurize_raw(r, stats), s.energy_joules) for r, s in zip(raws, samples)]
-    hyper = gnn_mod.TrainHyper(
-        epochs=args.epochs, seed=args.seed, learning_rate=args.lr, batch_size=args.batch_size
-    )
     params, history = gnn_mod.train(pairs, hyper)
     gnn_mod.save_checkpoint(
         args.out, params, stats, seed=args.seed,
@@ -193,9 +196,7 @@ def cmd_train(args) -> int:
             "epochs": args.epochs,
             "final_train_loss": history[-1],
             "config_hash": sampler_mod.config_hash(
-                {"dataset": _file_digest(args.dataset), "epochs": args.epochs,
-                 "seed": args.seed, "learning_rate": args.lr, "batch_size": args.batch_size}
-            ),
+                {"dataset": _file_digest(args.dataset), **vars(hyper)}),
         },
     )
     print(f"trained {args.epochs} epochs; loss {history[0]:.4f} -> {history[-1]:.4f}; "

@@ -22,8 +22,7 @@ silently repaired:
   while prefill loads them a single time.
 
 A layer's per-phase totals come from its priced table
-(``roofline.cost_layer(...).totals()``); ``model_totals`` scales them by the
-layer count.
+(``roofline.cost_layer(...).totals()``).
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class CostTriple(NamedTuple):
     ops: int
     mem_bytes: int
     net_bytes: int
-
-    def scaled(self, factor: int) -> "CostTriple":
-        return CostTriple(self.ops * factor, self.mem_bytes * factor, self.net_bytes * factor)
 
     def is_zero(self) -> bool:
         return self.ops == 0 and self.mem_bytes == 0 and self.net_bytes == 0
@@ -273,13 +269,3 @@ def kernel_cost(
     if family == "softmax":
         return softmax_cost(arch, cfg, phase)
     return attention_matmul_cost(kind, arch, cfg, phase)
-
-
-def model_totals(totals: LayerTotals, layer_count: int) -> LayerTotals:
-    """Whole-model totals: the per-layer sums scaled by the layer count."""
-    if layer_count < 1:
-        raise RangeError(f"layer_count must be >= 1, got {layer_count}")
-    return LayerTotals(
-        prefill=totals.prefill.scaled(layer_count),
-        decode=totals.decode.scaled(layer_count),
-    )

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture, dims_quantities
-from .costmodel import LayerTotals, Phase, model_totals
+from .costmodel import LayerTotals, Phase
+from .kvfile import ConfigError
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
@@ -78,12 +79,19 @@ class FeatureStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureStats":
-        return cls(
-            node_mean=np.asarray(d["node_mean"], dtype=np.float64),
-            node_std=np.asarray(d["node_std"], dtype=np.float64),
-            global_mean=np.asarray(d["global_mean"], dtype=np.float64),
-            global_std=np.asarray(d["global_std"], dtype=np.float64),
-        )
+        return cls(**{name: json_float_array(name, d[name])
+                      for name in ("node_mean", "node_std", "global_mean", "global_std")})
+
+
+def json_float_array(name: str, value) -> np.ndarray:
+    """A JSON array of numbers, at any depth, as float64; as in ``JSON_DECODERS``
+    a bool is not a number, so a leaf that is not an int or a float (a bool, a
+    string, a row of uneven length) is a ConfigError naming the field."""
+    leaves = np.array(value, dtype=object)
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        bad = next(leaf for leaf in leaves.flat if type(leaf) not in (int, float))
+        raise ConfigError(f"field '{name}' must hold only numbers, got {json.dumps(bad)}")
+    return leaves.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,10 @@ def _standardize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
 def _global_numeric_row(
     arch: LlmArchitecture, cfg: InferenceConfig, totals: LayerTotals
 ) -> np.ndarray:
-    flops = totals.prefill.ops + totals.decode.ops
-    mem = totals.prefill.mem_bytes + totals.decode.mem_bytes
-    net = totals.prefill.net_bytes + totals.decode.net_bytes
+    # whole-model sums over both phases: the layer's totals times the layer count
+    flops = arch.layer_count * (totals.prefill.ops + totals.decode.ops)
+    mem = arch.layer_count * (totals.prefill.mem_bytes + totals.decode.mem_bytes)
+    net = arch.layer_count * (totals.prefill.net_bytes + totals.decode.net_bytes)
     return np.array(
         [
             arch.weight_dtype.bitwidth,
@@ -187,11 +196,10 @@ def raw_features(costs: LayerCosts) -> RawGraphFeatures:
         for node, (pre_cost, pre_perf), (dec_cost, dec_perf)
         in zip(graph.nodes, costs.phases[Phase.PREFILL], costs.phases[Phase.DECODE])
     ]
-    totals = model_totals(costs.totals(), arch.layer_count)
     return RawGraphFeatures(
         graph=graph,
         node_numeric=np.array(rows, dtype=np.float64),
-        global_numeric=_global_numeric_row(arch, costs.cfg, totals),
+        global_numeric=_global_numeric_row(arch, costs.cfg, costs.totals()),
     )
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import NUM_KINDS, FeatureStats, FeaturizedGraph
+from .arch import JSON_DECODERS, RangeError, check_minimums
+from .features import NUM_KINDS, FeatureStats, FeaturizedGraph, json_float_array
 
 HIDDEN_WIDTH = 64
 # Graphs per forward/backward pass: bounds one step's activations at any batch size.
@@ -437,12 +438,12 @@ class TrainHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name, minimum in (("batch_size", 1), ("epochs", 0)):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        rate = self.learning_rate
+        if not rate > 0:  # NaN included
+            raise RangeError(f"learning_rate must be > 0, got {rate}", field="learning_rate")
+        if rate == math.inf:
+            raise RangeError(f"learning_rate must be finite, got {rate}", field="learning_rate")
+        check_minimums(self, (("batch_size", 1), ("epochs", 1), ("seed", 0)))
 
 
 def init_adam_state(params: GnnParams) -> AdamState:
@@ -638,13 +639,14 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
         except ValueError as exc:
             raise ShapeError(f"{path}: unreadable checkpoint: {exc}") from exc
     if (not isinstance(payload, dict) or payload.get("format") != "infercarbon-checkpoint"
-            or payload.get("version") != 1):
+            or type(payload.get("version")) is not int or payload["version"] != 1):
         raise ShapeError(f"{path}: not a recognized checkpoint file")
     try:
         params = GnnParams.from_list(
-            [np.asarray(payload["params"][name], dtype=np.float64) for name in PARAM_NAMES]
+            [json_float_array(name, payload["params"][name]) for name in PARAM_NAMES]
         ).validate()
-        expected = (payload["node_width"], payload["global_width"], payload["hidden_width"])
+        expected = tuple(JSON_DECODERS["int"](name, payload[name])
+                         for name in ("node_width", "global_width", "hidden_width"))
         actual = (params.node_width, params.global_width, params.hidden_width)
         if expected != actual:
             raise ShapeError(f"checkpoint widths {expected} do not match weights {actual}")
@@ -657,7 +659,7 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
                 raise ShapeError(f"feature statistics do not fit the weights' widths {actual}")
     except KeyError as exc:
         raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{path}: malformed checkpoint: {exc}") from exc
     meta = {"seed": payload.get("seed"), "extra": payload.get("extra", {})}
     return params, stats, meta

@@ -36,6 +36,7 @@ from .arch import (
     RangeError,
     Record,
     _layer_graph,
+    check_minimums,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
@@ -83,9 +84,7 @@ class GpuSpec(Record):
                 raise RangeError(f"GPU '{self.name}' {dtype.name} throughput must be positive")
         if not 0 <= self.area_mm2 < math.inf:
             raise RangeError(f"GPU '{self.name}' area_mm2 must be finite and >= 0")
-        for name, minimum in (("node_size", 1), ("tech_nm", 0), ("s_block", 1)):
-            if getattr(self, name) < minimum:
-                raise RangeError(f"GPU '{self.name}' {name} must be >= {minimum}")
+        check_minimums(self, (("node_size", 1), ("tech_nm", 0), ("s_block", 1)))
 
 
 @dataclass(frozen=True)

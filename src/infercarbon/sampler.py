@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, RangeError
+from .arch import (JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, RangeError,
+                   check_minimums)
 from .costmodel import check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
@@ -99,9 +100,7 @@ class JitterRadii:
     layer_count: int = 1
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"jitter radius {name} must be >= 0")
+        check_minimums(self, (("prompt_length", 0), ("generated_tokens", 0), ("layer_count", 0)))
 
 
 @dataclass(frozen=True)
@@ -290,12 +289,8 @@ class LoopHyper:
     update_epochs: int = 60
 
     def __post_init__(self):
-        for name, minimum in (("initial_points", 1), ("refine_per_center", 1),
-                              ("worst_count", 1), ("max_iterations", 0),
-                              ("update_epochs", 0)):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        check_minimums(self, (("initial_points", 1), ("refine_per_center", 1), ("worst_count", 1),
+                              ("max_iterations", 0), ("seed", 0), ("update_epochs", 1)))
 
     def to_dict(self) -> dict:
         return {
@@ -434,7 +429,7 @@ def load_dataset(path) -> list[EnergySample]:
         except ValueError as exc:
             raise ConfigError(f"{path}:1: unreadable dataset header: {exc}") from exc
         if (not isinstance(header, dict) or header.get("format") != DATASET_FORMAT
-                or header.get("version") != 1):
+                or type(header.get("version")) is not int or header["version"] != 1):
             raise ConfigError(f"{path}:1: not a recognized dataset file")
         samples = []
         for lineno, line in enumerate(handle, start=2):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from infercarbon import sampler
+from infercarbon import cli, sampler
 from infercarbon.cli import main
+from infercarbon.gnn import TrainHyper
 from infercarbon.roofline import builtin_gpu_catalog
 
 from conftest import src_first_env
@@ -182,6 +184,13 @@ class TestMalformedFiles:
         assert not out.exists()
 
 
+def refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(what)
+
+    return refused
+
+
 def small_dataset(path, seed=1):
     space = sampler.desk_prior_space(builtin_gpu_catalog())
     samples = sampler.label_points(sampler.initial_sample(space, 4, seed=seed),
@@ -254,6 +263,53 @@ class TestSampleFlags:
         assert code == 2
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
+
+
+class TestSeedFlag:
+    def test_sample_refuses_a_negative_seed_before_reading_any_file(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "load_gpus", refuse("the GPU catalog was read"))
+        monkeypatch.setattr(sampler, "focused_sampling_loop", refuse("sampling started"))
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "sample", "--out", str(out_dir), "--trace",
+                           str(tmp_path / "absent.csv"), "--seed", "-1")
+        assert (code, err) == (2, "error: --seed must be >= 0, got -1\n")
+        assert not out_dir.exists()
+
+    def test_train_refuses_a_negative_seed_before_reading_the_dataset(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(sampler, "load_dataset", refuse("the dataset was read"))
+        out = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--dataset", str(tmp_path / "absent.jsonl"),
+                           "--out", str(out), "--seed", "-1")
+        assert (code, err) == (2, "error: --seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+
+def hyper_fields(hyper_class):
+    """The names of a hyperparameter dataclass's own numeric fields."""
+    return [f.name for f in dataclasses.fields(hyper_class) if f.type in ("int", "float")]
+
+
+@pytest.mark.parametrize("command, field", [
+    *(("sample", name) for name in dict.fromkeys(hyper_fields(sampler.LoopHyper)
+                                                 + hyper_fields(TrainHyper))),
+    *(("train", name) for name in hyper_fields(TrainHyper)),
+])
+def test_every_hyper_field_is_refused_under_its_flag(capsys, tmp_path, monkeypatch, command,
+                                                     field):
+    # -1 is below every field's least value; the field's own message names
+    # the flag, and nothing is read, sampled or trained
+    flag = f"--{cli.FIELD_FLAGS[field]}"
+    monkeypatch.setattr(cli, "load_gpus", refuse("the GPU catalog was read"))
+    monkeypatch.setattr(sampler, "load_dataset", refuse("the dataset was read"))
+    monkeypatch.setattr(sampler, "focused_sampling_loop", refuse("sampling started"))
+    out = tmp_path / "out"
+    given = ["--dataset", str(tmp_path / "absent.jsonl")] if command == "train" else []
+    code, _, err = run(capsys, command, "--out", str(out), *given, flag, "-1")
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be ")
+    assert not out.exists()
 
 
 class TestSampleConfigHash:

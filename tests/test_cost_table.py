@@ -33,7 +33,6 @@ from infercarbon.costmodel import (
     PartitionError,
     Phase,
     kernel_cost,
-    model_totals,
 )
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
@@ -116,10 +115,10 @@ def test_table_totals_equal_per_node_sums(sweep):
         graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
         layer = per_node_sums(p)
         assert cost_layer(p.arch, p.cfg, p.gpu).totals() == layer, p.describe()
-        totals = model_totals(layer, p.arch.layer_count)
-        summed = [totals.prefill.ops + totals.decode.ops,
-                  totals.prefill.mem_bytes + totals.decode.mem_bytes,
-                  totals.prefill.net_bytes + totals.decode.net_bytes]
+        n = p.arch.layer_count
+        summed = [n * (layer.prefill.ops + layer.decode.ops),
+                  n * (layer.prefill.mem_bytes + layer.decode.mem_bytes),
+                  n * (layer.prefill.net_bytes + layer.decode.net_bytes)]
         raw = raw_featurize(graph, p.arch, p.cfg, p.gpu)
         assert np.array_equal(raw.global_numeric[8:], np.array(summed, dtype=np.float64))
 

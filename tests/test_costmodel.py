@@ -15,7 +15,6 @@ from infercarbon.costmodel import (
     fused_attention_cost,
     kernel_cost,
     linear_cost,
-    model_totals,
     softmax_cost,
 )
 from infercarbon.arch import enumerate_layer_kernels
@@ -45,9 +44,7 @@ class TestCostTriple:
         with pytest.raises(AttributeError):
             c.ops = 4
 
-    def test_scaled_and_is_zero(self):
-        scaled = CostTriple(3, 5, 7).scaled(4)
-        assert type(scaled) is CostTriple and scaled == CostTriple(12, 20, 28)
+    def test_is_zero(self):
         assert CostTriple(0, 0, 0).is_zero() is True
         for nonzero in (CostTriple(1, 0, 0), CostTriple(0, 1, 0), CostTriple(0, 0, 1)):
             assert nonzero.is_zero() is False
@@ -260,14 +257,6 @@ class TestDispatchAndTotals:
                 net = sum(c.net_bytes for c in costs)
                 assert (total.ops, total.mem_bytes, total.net_bytes) == (ops, mem, net)
             assert (totals.prefill.net_bytes > 0) == (tp > 1)
-
-    def test_model_totals_scale(self, tiny_arch, tiny_cfg):
-        totals = cost_layer(tiny_arch, tiny_cfg, builtin_gpu_catalog()["a100"]).totals()
-        scaled = model_totals(totals, 32)
-        assert scaled.prefill.ops == totals.prefill.ops * 32
-        assert model_totals(totals, 1) == totals
-        with pytest.raises(RangeError):
-            model_totals(totals, 0)
 
     def test_nonzero_net_only_on_allreduce(self):
         rng = np.random.Generator(np.random.PCG64(3))

@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import itertools
+import operator
 import re
 
 import numpy as np
 import pytest
 
 from infercarbon import gnn
-from infercarbon.arch import InferenceConfig, LlmArchitecture, enumerate_layer_kernels
+from infercarbon.arch import InferenceConfig, LlmArchitecture, RangeError, enumerate_layer_kernels
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
@@ -245,15 +247,17 @@ class TestTraining:
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
-        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
-        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be > 0, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
-        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_hyper_refuses_settings_that_cannot_train(self, overrides, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$") as caught:
             TrainHyper(**overrides)
+        assert caught.value.field == next(iter(overrides))
 
     def test_loss_decreases_on_learnable_signal(self):
         graphs = random_graphs(40, seed=21)
@@ -486,14 +490,19 @@ class TestBatchedPath:
             assert pred == pytest.approx(predict_energy(fg, params), rel=1e-12)
         assert predict_many([], params) == []
 
-    def test_train_checks_every_sample_before_training(self):
+    def test_train_checks_every_sample_before_training(self, monkeypatch):
         batch = mixed_batch()
         fg = batch[3][0]
         bad = dataclasses.replace(fg, global_features=fg.global_features[:-1])
         samples = batch[:3] + [(bad, 1.0)] + batch[4:]
-        # no epoch runs, so only the up-front check can see the bad sample
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        # no step may run, so only the up-front check can see the bad sample
+        monkeypatch.setattr(gnn, "loss_and_gradients", refuse)
         with pytest.raises(ShapeError, match="global width"):
-            train(samples, TrainHyper(epochs=0, batch_size=2))
+            train(samples, TrainHyper(epochs=1, batch_size=2))
 
 
 class TestMetrics:
@@ -623,6 +632,29 @@ class TestCheckpoint:
         payload["stats"][slot].pop()
         path.write_text(json.dumps(payload))
         with pytest.raises(ShapeError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, value, message", [
+        (["version"], True, "not a recognized checkpoint file"),
+        (["hidden_width"], 64.0, "field 'hidden_width' must be an integer, got 64.0"),
+        (["params", "conv1_b", 0], "1.5", 'field \'conv1_b\' must hold only numbers, got "1.5"'),
+        (["params", "conv1_w", 0, 0], True, "field 'conv1_w' must hold only numbers, got true"),
+        (["stats", "node_std", 0], "1.5", 'field \'node_std\' must hold only numbers, got "1.5"'),
+        (["stats", "global_mean", 0], False,
+         "field 'global_mean' must hold only numbers, got false"),
+    ])
+    def test_refuses_a_bool_or_string_where_a_number_belongs(self, tmp_path, where, value,
+                                                             message):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        *parents, last = where
+        functools.reduce(operator.getitem, parents, payload)[last] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_refuses_foreign_file(self, tmp_path):

@@ -234,13 +234,17 @@ class TestCatalog:
         ("area_mm2", -545.0, "area_mm2 must be finite and >= 0"),
         ("area_mm2", float("nan"), "area_mm2 must be finite and >= 0"),
         ("area_mm2", float("inf"), "area_mm2 must be finite and >= 0"),
-        ("tech_nm", -1, "tech_nm must be >= 0"),
-        ("node_size", 0, "node_size must be >= 1"),
     ])
     def test_physical_field_out_of_range_is_refused(self, field, value, message):
         with pytest.raises(RangeError, match=f"^GPU 'synthetic' {message}$"):
             synthetic_gpu(**{field: value})
         assert synthetic_gpu(area_mm2=0.0, tech_nm=0, node_size=1).node_size == 1
+
+    @pytest.mark.parametrize("field, value, least", [("node_size", 0, 1), ("tech_nm", -1, 0)])
+    def test_count_below_its_least_value_is_refused_naming_the_field(self, field, value, least):
+        with pytest.raises(RangeError, match=f"^{field} must be >= {least}, got {value}$") as caught:
+            synthetic_gpu(**{field: value})
+        assert caught.value.field == field
 
     def test_s_block_minimum(self):
         with pytest.raises(RangeError):
@@ -270,7 +274,7 @@ class TestCatalog:
         assert dataclasses.replace(gpu, power_w=1.0) != gpu
 
     def test_catalog_reports_section_of_invalid_gpu(self):
-        with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': GPU 'g' s_block must be >= 1$"):
+        with pytest.raises(ConfigError, match=r"^g\.cfg: section 'g': s_block must be >= 1, got 0$"):
             parse_gpu_catalog("[g]\nfp16_tops = 1\nmemory_gbs = 1\nnetwork_gbs = 1\n"
                               "power_w = 1\ns_block = 0\n", source="g.cfg")
         with pytest.raises(ConfigError, match="defines no peak throughput"):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from infercarbon.arch import InferenceConfig, LlmArchitecture
+from infercarbon.arch import InferenceConfig, LlmArchitecture, RangeError
 from infercarbon.costmodel import Phase
 from infercarbon import oracle as oracle_mod
 from infercarbon import sampler as sampler_mod
@@ -318,11 +318,14 @@ class TestFocusedLoop:
         ("worst_count", 0, "worst_count must be >= 1, got 0"),
         ("worst_count", -2, "worst_count must be >= 1, got -2"),
         ("max_iterations", -1, "max_iterations must be >= 0, got -1"),
-        ("update_epochs", -3, "update_epochs must be >= 0, got -3"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("update_epochs", 0, "update_epochs must be >= 1, got 0"),
+        ("update_epochs", -3, "update_epochs must be >= 1, got -3"),
     ])
     def test_rejects_bad_loop_counts(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(RangeError, match=f"^{message}$") as caught:
             LoopHyper(**{field: value})
+        assert caught.value.field == field
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_rejects_bad_threshold(self, space, monkeypatch, threshold):
@@ -376,6 +379,14 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "nope", "version": 9}\n')
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    def test_rejects_a_header_version_that_is_a_bool(self, tmp_path, gpus):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, label_points([center_point(gpus)], SyntheticEnergyOracle()))
+        header, record = path.read_text().splitlines()
+        path.write_text(header.replace('"version": 1', '"version": true') + "\n" + record + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: not a recognized"):
             load_dataset(path)
 
     @pytest.mark.parametrize("header", [b"[1]\n", b"", b"not json\n", b'"text"\n', b"\xff\n"])
