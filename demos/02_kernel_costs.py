@@ -24,8 +24,8 @@ costs = cost_layer(arch, cfg, builtin_gpu_catalog()["a100"])
 
 print(f"{'kernel':<12} {'prefill ops':>14} {'prefill MB':>11} {'decode ops':>14} "
       f"{'decode MB':>10} {'net MB':>8}")
-for node, (pre, _), (dec, _) in zip(costs.graph.nodes, costs.phases[Phase.PREFILL],
-                                    costs.phases[Phase.DECODE]):
+for i, node in enumerate(costs.graph.nodes):
+    (pre, _), (dec, _) = costs.priced(i, Phase.PREFILL), costs.priced(i, Phase.DECODE)
     print(
         f"{node.kind.value:<12} {pre.ops:>14,} {pre.mem_bytes / 1e6:>11.2f} "
         f"{dec.ops:>14,} {dec.mem_bytes / 1e6:>10.2f} "
@@ -34,7 +34,7 @@ for node, (pre, _), (dec, _) in zip(costs.graph.nodes, costs.phases[Phase.PREFIL
 
 # layer and whole-model totals: every layer is alike, so the whole model is
 # the layer's totals times the layer count
-totals, layers = costs.totals(), arch.layer_count
+totals, layers = costs.totals, arch.layer_count
 pre, dec = totals.prefill, totals.decode
 print(f"\nper layer:  prefill {pre.ops / 1e9:.2f} GOPs, decode {dec.ops / 1e9:.2f} GOPs")
 print(f"whole model ({layers} layers): "

@@ -35,7 +35,7 @@ print(f"{'kernel':<12} {'phase':<8} {'OPs/B':>9} {'P (TOPs/s)':>11} bound")
 costs = cost_layer(arch, cfg, gpu)
 for i, node in enumerate(costs.graph.nodes):
     for phase in Phase:
-        cost, perf = costs.phases[phase][i]
+        cost, perf = costs.priced(i, phase)
         if cost.ops == 0:
             continue
         is_ar = node.kind is KernelKind.ALL_REDUCE

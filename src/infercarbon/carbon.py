@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .arch import InferenceConfig, LlmArchitecture, RangeError
+from .arch import InferenceConfig, LlmArchitecture, RangeError, check_minimums
 from .costmodel import Phase
 from .features import FeatureStats, featurize_raw, raw_features
 from .gnn import GnnParams, predict_energy
@@ -27,7 +27,7 @@ def _require_finite(params) -> None:
     for field in fields(params):
         value = getattr(params, field.name)
         if not math.isfinite(value):
-            raise RangeError(f"{field.name} must be finite, got {value}")
+            raise RangeError(f"{field.name} must be finite, got {value}", field=field.name)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ class DatacenterParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.pue < 1.0:
-            raise RangeError(f"PUE must be >= 1, got {self.pue}")
-        if self.carbon_intensity < 0:
-            raise RangeError("carbon intensity must be >= 0")
+        check_minimums(self, (("pue", 1), ("carbon_intensity", 0)))
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,10 @@ class EmbodiedParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.cpa_g_per_mm2 < 0 or self.packaging_g < 0:
-            raise RangeError("embodied carbon parameters must be >= 0")
-        if self.lifetime_seconds <= 0:
-            raise RangeError("lifetime must be positive")
+        check_minimums(self, (("cpa_g_per_mm2", 0), ("packaging_g", 0)))
+        if not self.lifetime_seconds > 0:
+            raise RangeError(f"lifetime_seconds must be > 0, got {self.lifetime_seconds}",
+                             field="lifetime_seconds")
 
 
 def operational_carbon(energy_kwh: float, dc: DatacenterParams) -> float:
@@ -136,7 +133,7 @@ class ModelEnergyPredictor:
     def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
         costs = cost_layer(point.arch, point.cfg, point.gpu)
         total = max(0.0, predict_energy(featurize_raw(raw_features(costs), self.stats), self.params))
-        times = costs.phase_seconds()
+        times = costs.phase_seconds
         t_pre, t_dec = times[Phase.PREFILL], times[Phase.DECODE]
         span = t_pre + t_dec
         share = t_pre / span if span > 0 else 1.0

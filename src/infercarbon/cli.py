@@ -22,6 +22,7 @@ from . import carbon as carbon_mod
 from . import gnn as gnn_mod
 from . import sampler as sampler_mod
 from . import traces as traces_mod
+from .costmodel import PartitionError, check_partition
 from .features import export_graph, featurize_raw, fit_stats
 from .roofline import builtin_gpu_catalog, load_gpu_catalog
 
@@ -63,20 +64,30 @@ def _pick(catalog: dict, key: str, what: str):
 
 
 def _request(args):
-    """The (architecture, GPU, request) that the request flags name."""
-    gpus = load_gpus(args.gpu_catalog)
-    llm = _pick(load_archs(args.arch_catalog), args.arch, "architecture")
-    gpu = _pick(gpus, args.gpu, "GPU")
-    cfg = arch_mod.InferenceConfig(
+    """The (architecture, GPU, request) that the request flags name; a GPU
+    count that does not split the hidden size is refused under its flag."""
+    cfg = _from_flags(
+        arch_mod.InferenceConfig,
         batch_size=args.batch,
         prompt_length=args.prompt,
         generated_tokens=args.gen,
         gpu_count=args.n_gpu,
     )
+    gpus = load_gpus(args.gpu_catalog)
+    llm = _pick(load_archs(args.arch_catalog), args.arch, "architecture")
+    gpu = _pick(gpus, args.gpu, "GPU")
+    try:
+        check_partition(llm.hidden_size, cfg.gpu_count)
+    except PartitionError as exc:
+        raise CliError(f"--n-gpu {cfg.gpu_count} does not divide the hidden size "
+                       f"{llm.hidden_size} of '{args.arch}'") from exc
     return llm, gpu, cfg
 
 
 def cmd_estimate(args) -> int:
+    dc = _from_flags(carbon_mod.DatacenterParams, pue=args.pue, carbon_intensity=args.intensity)
+    ep = _from_flags(carbon_mod.EmbodiedParams, cpa_g_per_mm2=args.cpa,
+                     lifetime_seconds=args.lifetime, packaging_g=args.packaging)
     llm, gpu, cfg = _request(args)
     if args.oracle:
         predictor = sampler_mod.SyntheticEnergyOracle()
@@ -85,10 +96,6 @@ def cmd_estimate(args) -> int:
         predictor = carbon_mod.ModelEnergyPredictor(params, stats)
     else:
         raise CliError("estimate needs either --oracle or --checkpoint PATH")
-    dc = carbon_mod.DatacenterParams(pue=args.pue, carbon_intensity=args.intensity)
-    ep = carbon_mod.EmbodiedParams(
-        cpa_g_per_mm2=args.cpa, lifetime_seconds=args.lifetime, packaging_g=args.packaging
-    )
     report = carbon_mod.estimate_request(predictor, llm, cfg, gpu, dc, ep)
     print(report.to_json() if args.json else report.format_text())
     return 0
@@ -101,19 +108,31 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# LoopHyper / TrainHyper field -> the flag that fills it
-FIELD_FLAGS = {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
-               "max_iterations": "max-iterations", "update_epochs": "update-epochs", "seed": "seed",
-               "learning_rate": "lr", "batch_size": "batch-size", "epochs": "epochs"}
+# record class -> {field: the flag that fills it}; a table per class, since
+# one field name can come from different flags (a request's batch_size is
+# --batch, training's is --batch-size)
+FIELD_FLAGS = {
+    sampler_mod.LoopHyper: {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
+                            "max_iterations": "max-iterations", "update_epochs": "update-epochs",
+                            "seed": "seed"},
+    gnn_mod.TrainHyper: {"learning_rate": "lr", "batch_size": "batch-size", "epochs": "epochs",
+                         "seed": "seed"},
+    arch_mod.InferenceConfig: {"batch_size": "batch", "prompt_length": "prompt",
+                               "generated_tokens": "gen", "gpu_count": "n-gpu"},
+    carbon_mod.DatacenterParams: {"pue": "pue", "carbon_intensity": "intensity"},
+    carbon_mod.EmbodiedParams: {"cpa_g_per_mm2": "cpa", "lifetime_seconds": "lifetime",
+                                "packaging_g": "packaging"},
+}
 
 
-def _from_flags(hyper_class, **values):
-    """A LoopHyper or TrainHyper of flag values; a field out of its range is
-    reported under the flag that set it."""
+def _from_flags(record_class, **values):
+    """A record of flag values; a field out of its range is reported under
+    the flag that set it."""
     try:
-        return hyper_class(**values)
+        return record_class(**values)
     except arch_mod.RangeError as exc:
-        raise CliError(f"--{FIELD_FLAGS[exc.field]}{str(exc).removeprefix(exc.field)}") from exc
+        flag = FIELD_FLAGS[record_class][exc.field]
+        raise CliError(f"--{flag}{str(exc).removeprefix(exc.field)}") from exc
 
 
 def _train_hyper(args) -> gnn_mod.TrainHyper:

@@ -21,8 +21,8 @@ silently repaired:
 * linear kernels reload their weights once per generated token during decode,
   while prefill loads them a single time.
 
-A layer's per-phase totals come from its priced table
-(``roofline.cost_layer(...).totals()``).
+A layer's per-phase totals are summed by the walk that prices its kernels
+(``roofline.cost_layer(...).totals``).
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ class CostTriple(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.ops == 0 and self.mem_bytes == 0 and self.net_bytes == 0
+
+
+# The equations build each triple as ``_new_tuple(CostTriple, (ops, mem, net))``,
+# which skips the named tuple's own constructor frame and takes half its time.
+_new_tuple = tuple.__new__
 
 
 # The equations run once per kernel and phase, and a module-level name loads
@@ -124,7 +129,7 @@ def linear_cost(
     m_act_load = d_in * b * d_a * t
     d_store = d_a if kind.stores_activation else d_kv
     m_store = d_out * b * d_store * t
-    return CostTriple(ops // g, (m_weight + m_act_load + m_store) // g, 0)
+    return _new_tuple(CostTriple, (ops // g, (m_weight + m_act_load + m_store) // g, 0))
 
 
 def attention_matmul_cost(
@@ -143,7 +148,7 @@ def attention_matmul_cost(
 
     ops = 2 * b * d_h * n_h * span
     mem = 2 * b * n_h * d_a * span + b * d_h * n_kv * d_kv * span  # act load + store, KV load
-    return CostTriple(ops // den, mem // den, 0)
+    return _new_tuple(CostTriple, (ops // den, mem // den, 0))
 
 
 def softmax_cost(arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase) -> CostTriple:
@@ -153,7 +158,7 @@ def softmax_cost(arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase) -> C
     d_a = arch.activation_dtype.width
     span, den = _attention_span(cfg, phase)
     # memory: activation load + store
-    return CostTriple(5 * b * n_h * span // den, 2 * b * n_h * d_a * span // den, 0)
+    return _new_tuple(CostTriple, (5 * b * n_h * span // den, 2 * b * n_h * d_a * span // den, 0))
 
 
 def fused_attention_cost(
@@ -167,10 +172,9 @@ def fused_attention_cost(
     Operation count is the unfused matmul+softmax total (times the prompt
     length in prefill).  The memory total follows the faithful accounting:
     activation load plus the KV-cache load counted twice, with no
-    activation-store term.
+    activation-store term.  `gpu_s_block` is a ``GpuSpec.s_block``, which the
+    GPU record holds at 1 or more.
     """
-    if gpu_s_block < 1:
-        raise RangeError(f"gpu_s_block must be >= 1, got {gpu_s_block}")
     b = cfg.batch_size
     n_h = arch.head_count
     n_kv = arch.kv_head_count
@@ -186,7 +190,7 @@ def fused_attention_cost(
     m_act = d_h * b * n_h * d_a * _token_factor(cfg, phase) * (den // cfg.gpu_count)
     m_kv_load = 2 * b * gpu_s_block * d_h * n_kv * d_kv * span
     mem = m_act + 2 * m_kv_load  # activation load, the KV-cache load twice
-    return CostTriple(ops // den, mem // den, 0)
+    return _new_tuple(CostTriple, (ops // den, mem // den, 0))
 
 
 def elementwise_cost(
@@ -213,7 +217,7 @@ def elementwise_cost(
         # sums the load and store streams as written
         ops = 2 * base
         mem = 6 * stream if phase is _DECODE else 3 * stream
-    return CostTriple(ops // g, mem // g, 0)
+    return _new_tuple(CostTriple, (ops // g, mem // g, 0))
 
 
 def check_partition(n: int, l: int) -> None:
@@ -236,7 +240,8 @@ def allreduce_cost(
     t = _token_factor(cfg, phase)
     width = d_a.width
     cells = n * m * t
-    return CostTriple(cells // l, 2 * cells * width // l, cells * (l - 1) * width // l)
+    return _new_tuple(CostTriple,
+                      (cells // l, 2 * cells * width // l, cells * (l - 1) * width // l))
 
 
 def kernel_cost(

@@ -6,27 +6,27 @@ type and dimension slots are the same for both phases, so they are stored
 once; the phase-specific slots are operation count, memory bytes, network
 bytes and Roofline performance.  A request's raw features hold the shared
 layer graph itself and one numeric row per node, whose first six slots are
-the dims; an export reads its kinds, edges and dims from those two, so it
-needs no statistics.
+the dims; `roofline.cost_layer` lays the rows out as it prices the layer,
+and an export reads its kinds, edges and dims from the graph and the rows,
+so it needs no statistics.  The one-hot block and the aggregation matrix
+depend on the graph alone, so each shared graph's are built once.
 Numeric slots span many orders of magnitude, so they are log1p-transformed
 and standardized with statistics fitted on the training split only.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture, dims_quantities
-from .costmodel import LayerTotals, Phase
+from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture
+from .costmodel import LayerTotals
 from .kvfile import ConfigError
 from .roofline import GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
-_ONE_HOT = np.eye(NUM_KINDS)
 
 NODE_NUMERIC_SLOTS = 6 + 8  # dims, then (ops, mem, net, perf) per phase
 NODE_FEATURE_WIDTH = NUM_KINDS + NODE_NUMERIC_SLOTS
@@ -151,18 +151,29 @@ def _global_numeric_row(
     )
 
 
-@functools.cache
-def _aggregation_matrix(n: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Row-normalized undirected adjacency, shared read-only by every graph of
-    one topology."""
-    adj = np.zeros((n, n), dtype=bool)
-    if edges:
-        src, dst = np.array(edges).T
-        adj[src, dst] = True
-        adj[dst, src] = True
-    agg = adj / np.maximum(adj.sum(axis=1), 1)[:, None]
-    agg.setflags(write=False)
-    return agg
+# id(graph) -> (graph, one-hot block, aggregation matrix).  Hashing a graph
+# costs more than building its blocks; an entry keeps its graph's id taken.
+# Raw features carry a shared layer graph, so the table holds at most eight.
+_BLOCKS: dict[int, tuple[KernelGraph, np.ndarray, np.ndarray]] = {}
+
+
+def _topology_blocks(graph: KernelGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The one-hot kind rows and the row-normalized undirected adjacency of
+    `graph`, built once and shared read-only by every request of its topology."""
+    entry = _BLOCKS.get(id(graph))
+    if entry is None:
+        n = len(graph.nodes)
+        onehot = np.eye(NUM_KINDS)[[node.kind.index for node in graph.nodes]]
+        adj = np.zeros((n, n), dtype=bool)
+        if graph.edges:
+            src, dst = np.array(graph.edges).T
+            adj[src, dst] = True
+            adj[dst, src] = True
+        agg = adj / np.maximum(adj.sum(axis=1), 1)[:, None]
+        onehot.setflags(write=False)
+        agg.setflags(write=False)
+        entry = _BLOCKS[id(graph)] = (graph, onehot, agg)
+    return entry[1], entry[2]
 
 
 def raw_featurize(
@@ -188,29 +199,20 @@ def raw_featurize(
 
 def raw_features(costs: LayerCosts) -> RawGraphFeatures:
     """The raw feature numbers of an already-costed layer."""
-    graph, arch = costs.graph, costs.arch
-    dims = dims_quantities(arch)
-    # per node: dims, then (ops, mem, net, perf) for prefill and for decode
-    rows = [
-        [*node.kind.pick_dims(dims), *pre_cost, pre_perf, *dec_cost, dec_perf]
-        for node, (pre_cost, pre_perf), (dec_cost, dec_perf)
-        in zip(graph.nodes, costs.phases[Phase.PREFILL], costs.phases[Phase.DECODE])
-    ]
     return RawGraphFeatures(
-        graph=graph,
-        node_numeric=np.array(rows, dtype=np.float64),
-        global_numeric=_global_numeric_row(arch, costs.cfg, costs.totals()),
+        graph=costs.graph,
+        node_numeric=np.array(costs.rows, dtype=np.float64),
+        global_numeric=_global_numeric_row(costs.arch, costs.cfg, costs.totals),
     )
 
 
 def featurize_raw(raw: RawGraphFeatures, stats: FeatureStats) -> FeaturizedGraph:
     """Standardize an already-costed graph with the given statistics."""
-    nodes = raw.graph.nodes
-    onehot = _ONE_HOT[[node.kind.index for node in nodes]]
+    onehot, agg = _topology_blocks(raw.graph)
     numeric = _standardize(raw.node_numeric, stats.node_mean, stats.node_std)
     return FeaturizedGraph(
         features=np.concatenate((onehot, numeric), axis=1),
-        agg=_aggregation_matrix(len(nodes), raw.graph.edges),
+        agg=agg,
         global_features=_standardize(raw.global_numeric, stats.global_mean, stats.global_std),
     )
 

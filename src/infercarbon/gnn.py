@@ -299,8 +299,9 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
     ah1 = ah1.reshape(b * n, hidden)
     h2 = _conv(h1, ah1, params.conv2_w, params.conv2_b, take, "h2")
     h2_3d = h2.reshape(b, n, hidden)
-    for i in np.flatnonzero(counts < n):
-        h2_3d[i, counts[i] :] = 0.0
+    if b > 1:  # a lone graph is never padded
+        for i in np.flatnonzero(counts < n):
+            h2_3d[i, counts[i] :] = 0.0
 
     q = np.empty((b, hidden + params.global_width), params.flat.dtype)
     np.divide(h2_3d.sum(axis=1), counts[:, None], out=q[:, :hidden])

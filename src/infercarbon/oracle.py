@@ -33,7 +33,7 @@ class SyntheticEnergyOracle:
     identity = "synthetic-roofline-v1"
 
     def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
-        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
+        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds
         gpu = point.gpu
         scale = point.arch.layer_count * point.cfg.gpu_count * gpu.power_w
         utilization = {Phase.PREFILL: PREFILL_UTILIZATION, Phase.DECODE: DECODE_UTILIZATION}

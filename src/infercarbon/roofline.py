@@ -6,21 +6,21 @@ memory bandwidth (intensity = ops per memory byte); all-reduce kernels roof
 against the interconnect (intensity = ops per network byte).  `RidgePoints`
 holds a GPU's ceilings at one data type, and its ``attainable`` is the one
 place the ceiling test is written; `node_performance` applies it to each
-priced kernel.
+priced kernel.  A GPU record builds its ceilings once, on first use.
 
-``cost_layer(arch, cfg, gpu)`` is the one way to price a layer: it prices
-every kernel of the layer once per phase and keeps the cost triples with
-their Roofline performance in one table, which the features, the energy
-oracle and the carbon report all read (its ``totals()`` and
-``phase_seconds()`` included).  It works on the shared
-kernel graph of the layer's (attention, MLP, TP>=2) topology and reads the
-GPU's ceilings once per layer, so only the request-dependent pricing runs per
-kernel.  It validates nothing: an architecture, a request and a GPU check
-themselves when they are built.
+``cost_layer(arch, cfg, gpu)`` is the one way to price a layer, in one walk
+over the shared kernel graph of the layer's (attention, MLP, TP>=2)
+topology.  At each kernel it prices both phases, takes their Roofline
+performance, writes the kernel's raw feature row and adds to the per-phase
+cost totals and Roofline seconds.  The features, the energy oracle and the
+carbon report all read that one `LayerCosts` and walk nothing again.  It
+validates nothing: an architecture, a request and a GPU check themselves
+when they are built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass
 from importlib import resources
@@ -37,9 +37,12 @@ from .arch import (
     Record,
     _layer_graph,
     check_minimums,
+    dims_quantities,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
+
+_PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
 
 
 class MissingThroughput(ValueError):
@@ -86,6 +89,12 @@ class GpuSpec(Record):
             raise RangeError(f"GPU '{self.name}' area_mm2 must be finite and >= 0")
         check_minimums(self, (("node_size", 1), ("tech_nm", 0), ("s_block", 1)))
 
+    @functools.cached_property
+    def ceilings(self) -> dict[DataType, RidgePoints]:
+        """Roofline ceilings per data type with a peak rate, built on first use."""
+        return {dtype: RidgePoints(th, self.bw_max, self.net_max, th / self.bw_max,
+                                   th / self.net_max) for dtype, th in self.th_max.items()}
+
 
 @dataclass(frozen=True)
 class RidgePoints:
@@ -117,13 +126,11 @@ def ridge_points(gpu: GpuSpec, dtype: DataType) -> RidgePoints:
     """The GPU's ceilings at `dtype`, with its compute-vs-memory and
     compute-vs-network balance points."""
     try:
-        th = gpu.th_max[dtype]
+        return gpu.ceilings[dtype]
     except KeyError:
         raise MissingThroughput(
             f"GPU '{gpu.name}' has no peak throughput for {dtype.name}"
         ) from None
-    return RidgePoints(th=th, bw_max=gpu.bw_max, net_max=gpu.net_max,
-                       mrp=th / gpu.bw_max, nrp=th / gpu.net_max)
 
 
 def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce: bool) -> float:
@@ -140,56 +147,60 @@ def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce:
 
 @dataclass(frozen=True)
 class LayerCosts:
-    """Every kernel of one layer priced once: ``phases[phase][i]`` is the
-    ``(cost, performance)`` pair of ``graph.nodes[i]``, its cost triple in
-    that phase and its Roofline performance."""
+    """Every kernel of one layer priced once, in one walk: ``rows[i]`` holds
+    the 14 raw feature numbers of ``graph.nodes[i]`` (dims, then ops, memory
+    bytes, network bytes and Roofline performance per phase), ``totals`` the
+    per-phase cost sums and ``phase_seconds`` the per-phase Roofline time:
+    ops/performance summed in graph order over the kernels with ops, zero for
+    the decode of a request that generates a single token."""
 
     arch: LlmArchitecture
     cfg: InferenceConfig
     graph: KernelGraph
-    phases: dict[Phase, tuple[tuple[CostTriple, float], ...]]
+    rows: list[list]
+    totals: LayerTotals
+    phase_seconds: dict[Phase, float]
 
-    def totals(self) -> LayerTotals:
-        """Component-wise per-phase cost sums over the layer's kernels."""
-        sums = []
-        for phase in Phase:
-            costs, _ = zip(*self.phases[phase])
-            sums.append(CostTriple(*map(sum, zip(*costs))))
-        return LayerTotals(prefill=sums[0], decode=sums[1])
-
-    def phase_seconds(self) -> dict[Phase, float]:
-        """Per-phase Roofline execution time of the layer, in seconds.
-
-        Sums ops/performance over the kernels in graph order.  Zero-op kernels
-        contribute nothing; a request generating a single token has no decode
-        iterations, so its decode time is zero.
-        """
-        times = {}
-        for phase, column in self.phases.items():
-            total = 0.0
-            if not (phase is Phase.DECODE and self.cfg.generated_tokens == 1):
-                for (ops, _, _), performance in column:
-                    if ops:
-                        total += ops / performance
-            times[phase] = total
-        return times
+    def priced(self, i: int, phase: Phase) -> tuple[CostTriple, float]:
+        """The cost triple and Roofline performance of ``graph.nodes[i]`` in `phase`."""
+        start = 6 if phase is _PREFILL else 10
+        ops, mem, net, performance = self.rows[i][start : start + 4]
+        return CostTriple(ops, mem, net), performance
 
 
 def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> LayerCosts:
     """Price each kernel of the layer graph of `arch` on `cfg.gpu_count` GPUs
     for both phases, with its Roofline performance at the activation data
-    type's peak throughput."""
+    type's peak throughput; the same walk lays out each kernel's row and sums
+    the phases' costs and Roofline times."""
     graph = _layer_graph(arch.flash_attention, arch.gated_mlp, cfg.gpu_count >= 2)
     ceilings = ridge_points(gpu, arch.activation_dtype)
     s_block = gpu.s_block
-    phases = {}
-    for phase in Phase:
-        column = []
-        for node in graph.nodes:
-            cost = kernel_cost(node, arch, cfg, s_block, phase)
-            column.append((cost, node_performance(cost, ceilings, node.kind.is_allreduce)))
-        phases[phase] = tuple(column)
-    return LayerCosts(arch=arch, cfg=cfg, graph=graph, phases=phases)
+    dims = dims_quantities(arch)
+    rows = []
+    pre_ops = pre_mem = pre_net = dec_ops = dec_mem = dec_net = 0
+    pre_seconds = dec_seconds = 0.0
+    for node in graph.nodes:
+        kind = node.kind
+        pre = kernel_cost(node, arch, cfg, s_block, _PREFILL)
+        pre_perf = node_performance(pre, ceilings, kind.is_allreduce)
+        dec = kernel_cost(node, arch, cfg, s_block, _DECODE)
+        dec_perf = node_performance(dec, ceilings, kind.is_allreduce)
+        rows.append([*kind.pick_dims(dims), *pre, pre_perf, *dec, dec_perf])
+        pre_ops, pre_mem, pre_net = pre_ops + pre[0], pre_mem + pre[1], pre_net + pre[2]
+        dec_ops, dec_mem, dec_net = dec_ops + dec[0], dec_mem + dec[1], dec_net + dec[2]
+        if pre[0]:
+            pre_seconds += pre[0] / pre_perf
+        if dec[0]:
+            dec_seconds += dec[0] / dec_perf
+    if cfg.generated_tokens == 1:
+        dec_seconds = 0.0
+    return LayerCosts(
+        arch=arch, cfg=cfg, graph=graph, rows=rows,
+        totals=LayerTotals(prefill=CostTriple(pre_ops, pre_mem, pre_net),
+                           decode=CostTriple(dec_ops, dec_mem, dec_net)),
+        phase_seconds={_PREFILL: pre_seconds, _DECODE: dec_seconds},
+    )
 
 
 # catalog key of each data type's peak rate, in TOPs/s

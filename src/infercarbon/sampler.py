@@ -16,6 +16,7 @@ workstation.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -122,26 +123,44 @@ class HardwarePrior:
     gpu_counts: tuple[int, ...] = (1, 2, 4)
 
 
+class BatchMixture:
+    """A batch-size distribution: each size's weight, normalized.
+
+    A draw is the size ``rng.choice(sorted sizes, p=weights)`` returns, from
+    the same one ``rng.random()``: the cdf is built once, as
+    ``Generator.choice`` builds it on every call, and bisected.
+    """
+
+    def __init__(self, mixture: dict[int, float]):
+        self.sizes = sorted(mixture)
+        weights = np.array([mixture[s] for s in self.sizes], dtype=np.float64)
+        cdf = (weights / weights.sum()).cumsum()
+        self.cdf = (cdf / cdf[-1]).tolist()
+
+    def draw(self, rng: np.random.Generator) -> int:
+        return self.sizes[bisect.bisect_right(self.cdf, rng.random())]
+
+
+# batch size -> weight: the small-batch mixture both inference priors draw from
+DEFAULT_BATCH_MIXTURE = {1: 0.6, 2: 0.3, 4: 0.1}
+_DEFAULT_BATCHES = BatchMixture(DEFAULT_BATCH_MIXTURE)
+
+
 class ParametricInferencePrior:
     """Log-uniform prompt (16-2048) and generation (1-256) lengths and the
     default small-batch mixture."""
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int, int]:
-        batch = draw_batch_size(DEFAULT_BATCH_MIXTURE, rng)
+        batch = _DEFAULT_BATCHES.draw(rng)
         prompt = _log_uniform_int(rng, 16, 2048)
         gen = _log_uniform_int(rng, 1, 256)
         return batch, prompt, gen
 
 
-# batch size -> weight: the small-batch mixture both inference priors draw from
-DEFAULT_BATCH_MIXTURE = {1: 0.6, 2: 0.3, 4: 0.1}
-
-
-def draw_batch_size(mixture: dict[int, float], rng: np.random.Generator) -> int:
-    sizes = sorted(mixture)
-    weights = np.array([mixture[s] for s in sizes], dtype=np.float64)
-    weights = weights / weights.sum()
-    return int(rng.choice(sizes, p=weights))
+def _pick(rng: np.random.Generator, seq):
+    """A uniform pick from `seq`: the item ``rng.choice(seq)`` returns, from
+    the same draw, without the array ``Generator.choice`` makes of `seq`."""
+    return seq[int(rng.integers(len(seq)))]
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -162,24 +181,22 @@ def _sample_arch(prior: ArchPrior, rng: np.random.Generator) -> LlmArchitecture:
     base = prior.base
     heads = base.head_count
     if prior.head_count_choices:
-        heads = int(rng.choice(prior.head_count_choices))
+        heads = _pick(rng, prior.head_count_choices)
     head_dim = base.hidden_size // base.head_count
     if prior.head_dim_choices:
-        head_dim = int(rng.choice(prior.head_dim_choices))
+        head_dim = _pick(rng, prior.head_dim_choices)
     groups = [g for g in prior.kv_group_choices if heads % g == 0] or [1]
-    kv = heads // int(rng.choice(groups))
+    kv = heads // _pick(rng, groups)
     layers = max(1, base.layer_count + int(rng.integers(-prior.layer_delta,
                                                         prior.layer_delta + 1)))
     hidden = heads * head_dim
     inter = base.intermediate_size
     if prior.intermediate_ratio_choices:
-        ratio = prior.intermediate_ratio_choices[
-            int(rng.integers(len(prior.intermediate_ratio_choices)))
-        ]
+        ratio = _pick(rng, prior.intermediate_ratio_choices)
         inter = max(1, int(round(ratio * hidden)))
     weight_dtype = base.weight_dtype
     if prior.weight_dtype_choices:
-        weight_dtype = prior.weight_dtype_choices[int(rng.integers(len(prior.weight_dtype_choices)))]
+        weight_dtype = _pick(rng, prior.weight_dtype_choices)
     return replace(
         base,
         hidden_size=hidden,
@@ -202,14 +219,14 @@ def initial_sample(space: PriorSpace, a: int, seed: int) -> list[SamplePoint]:
     rng = np.random.Generator(np.random.PCG64(seed))
     points = []
     while len(points) < a:
-        prior = space.arch_priors[int(rng.integers(len(space.arch_priors)))]
+        prior = _pick(rng, space.arch_priors)
         arch = _sample_arch(prior, rng)
         batch, prompt, gen = space.inference_prior.draw(rng)
-        gpu = space.hardware_prior.gpus[int(rng.integers(len(space.hardware_prior.gpus)))]
+        gpu = _pick(rng, space.hardware_prior.gpus)
         counts = [c for c in space.hardware_prior.gpu_counts if arch.hidden_size % c == 0]
         if not counts:
             counts = [1]
-        gpu_count = int(rng.choice(counts))
+        gpu_count = _pick(rng, counts)
         cfg = InferenceConfig(batch_size=batch, prompt_length=prompt,
                               generated_tokens=gen, gpu_count=gpu_count)
         points.append(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))

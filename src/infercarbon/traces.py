@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampler import DEFAULT_BATCH_MIXTURE, draw_batch_size
+from .sampler import DEFAULT_BATCH_MIXTURE, BatchMixture
 
 # bucket edges: [0,1), [1,2), [2,4), ... [2^19, 2^20), [2^20, inf)
 HISTOGRAM_EDGES = [0] + [2**i for i in range(21)]
@@ -175,11 +175,11 @@ class EmpiricalInferencePrior:
         self._pairs = [
             (max(1, r.prompt_tokens), max(1, r.generated_tokens)) for r in records
         ]
-        self.batch_mixture = dict(batch_mixture or DEFAULT_BATCH_MIXTURE)
+        self.batches = BatchMixture(batch_mixture or DEFAULT_BATCH_MIXTURE)
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int, int]:
         prompt, generated = self._pairs[int(rng.integers(len(self._pairs)))]
-        return draw_batch_size(self.batch_mixture, rng), prompt, generated
+        return self.batches.draw(rng), prompt, generated
 
 
 def empirical_prior(records: list[TraceRecord], batch_mixture=None) -> EmpiricalInferencePrior:

@@ -46,8 +46,24 @@ class TestEstimate:
             code, out, err = run(capsys, "estimate", "tiny-flash", "t4", "--oracle", "--json",
                                  flag, value)
             assert code == 2
-            assert err == f"error: {field} must be finite, got {value}\n"
+            assert err == f"error: {flag} must be finite, got {value}\n"
             assert out == ""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch", "0", "--batch must be >= 1, got 0"),
+        ("--prompt", "0", "--prompt must be >= 1, got 0"),
+        ("--gen", "0", "--gen must be >= 1, got 0"),
+        ("--n-gpu", "0", "--n-gpu must be >= 1, got 0"),
+        ("--n-gpu", "3", "--n-gpu 3 does not divide the hidden size 64 of 'tiny-flash'"),
+        ("--pue", "0.5", "--pue must be >= 1, got 0.5"),
+        ("--intensity", "-1", "--intensity must be >= 0, got -1.0"),
+        ("--cpa", "-1", "--cpa must be >= 0, got -1.0"),
+        ("--lifetime", "0", "--lifetime must be > 0, got 0.0"),
+        ("--packaging", "-1", "--packaging must be >= 0, got -1.0"),
+    ])
+    def test_out_of_range_flag_is_refused_under_its_name(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "estimate", "tiny-flash", "t4", "--oracle", flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_oracle_and_checkpoint_are_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
@@ -300,7 +316,8 @@ def test_every_hyper_field_is_refused_under_its_flag(capsys, tmp_path, monkeypat
                                                      field):
     # -1 is below every field's least value; the field's own message names
     # the flag, and nothing is read, sampled or trained
-    flag = f"--{cli.FIELD_FLAGS[field]}"
+    classes = (TrainHyper,) if command == "train" else (sampler.LoopHyper, TrainHyper)
+    flag = "--" + next(cli.FIELD_FLAGS[c][field] for c in classes if field in cli.FIELD_FLAGS[c])
     monkeypatch.setattr(cli, "load_gpus", refuse("the GPU catalog was read"))
     monkeypatch.setattr(sampler, "load_dataset", refuse("the dataset was read"))
     monkeypatch.setattr(sampler, "focused_sampling_loop", refuse("sampling started"))

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from infercarbon.arch import (
+    DataType,
     DivisibilityError,
     InferenceConfig,
+    KernelGraph,
     KernelKind,
     LlmArchitecture,
     RangeError,
@@ -37,11 +39,16 @@ from infercarbon.costmodel import (
 from infercarbon.features import (
     GLOBAL_FEATURE_WIDTH,
     NODE_FEATURE_WIDTH,
+    GraphMismatch,
+    featurize_raw,
+    fit_stats,
     raw_featurize,
+    raw_features,
 )
-from infercarbon.gnn import init_params
+from infercarbon.gnn import init_params, predict_energy
 from infercarbon.roofline import (
     GpuSpec,
+    MissingThroughput,
     builtin_gpu_catalog,
     cost_layer,
     node_performance,
@@ -60,7 +67,8 @@ def gpus():
 @pytest.fixture(scope="module")
 def sweep(gpus):
     """Seeded desk-prior points plus catalog requests on every arch, with
-    gen=1, TP 1/2/4 and both attention variants."""
+    gen=1, TP 1/2/4 and both attention variants; and every catalog arch on
+    every catalog GPU at TP 1/2/4, generating 1 and 7 tokens."""
     points = initial_sample(desk_prior_space(gpus), 40, seed=2410)
     rng = np.random.Generator(np.random.PCG64(2410))
     gpu_list = [gpus[name] for name in sorted(gpus)]
@@ -74,13 +82,21 @@ def sweep(gpus):
                                       generated_tokens=gen, gpu_count=tp)
                 gpu = gpu_list[int(rng.integers(len(gpu_list)))]
                 points.append(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
+            for gpu in gpu_list:
+                for gen in (1, 7):
+                    cfg = InferenceConfig(batch_size=2, prompt_length=37, generated_tokens=gen,
+                                          gpu_count=tp)
+                    points.append(SamplePoint(arch=arch, cfg=cfg, gpu=gpu))
     return points
 
 
-def test_sweep_covers_the_variants(sweep):
+def test_sweep_covers_the_variants(sweep, gpus):
     assert any(p.cfg.generated_tokens == 1 for p in sweep)
     assert {p.cfg.gpu_count for p in sweep} == {1, 2, 4}
     assert {p.arch.flash_attention for p in sweep} == {True, False}
+    grid = {(p.arch, p.gpu.name, p.cfg.gpu_count, p.cfg.generated_tokens) for p in sweep}
+    assert grid >= {(arch, gpu, tp, gen) for arch in load_archs(None).values() for gpu in gpus
+                    for tp in (1, 2, 4) for gen in (1, 7)}
 
 
 def test_raw_features_equal_rows_priced_per_node(sweep):
@@ -97,6 +113,12 @@ def test_raw_features_equal_rows_priced_per_node(sweep):
             rows.append(row)
         raw = raw_featurize(graph, p.arch, p.cfg, p.gpu)
         assert np.array_equal(raw.node_numeric, np.array(rows, dtype=np.float64)), p.describe()
+        # the walk keeps the exact numbers, and reads each phase's pair back from them
+        costs = cost_layer(p.arch, p.cfg, p.gpu)
+        assert costs.rows == rows, p.describe()
+        for i, row in enumerate(rows):
+            assert costs.priced(i, Phase.PREFILL) == (CostTriple(*row[6:9]), row[9])
+            assert costs.priced(i, Phase.DECODE) == (CostTriple(*row[10:13]), row[13])
 
 
 def per_node_sums(p) -> LayerTotals:
@@ -114,7 +136,7 @@ def test_table_totals_equal_per_node_sums(sweep):
     for p in sweep:
         graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
         layer = per_node_sums(p)
-        assert cost_layer(p.arch, p.cfg, p.gpu).totals() == layer, p.describe()
+        assert cost_layer(p.arch, p.cfg, p.gpu).totals == layer, p.describe()
         n = p.arch.layer_count
         summed = [n * (layer.prefill.ops + layer.decode.ops),
                   n * (layer.prefill.mem_bytes + layer.decode.mem_bytes),
@@ -138,7 +160,57 @@ def test_phase_times_equal_a_per_kernel_sum(sweep):
                         total += cost.ops / node_performance(
                             cost, ceilings, node.kind is KernelKind.ALL_REDUCE)
             expected[phase] = total
-        assert cost_layer(p.arch, p.cfg, p.gpu).phase_seconds() == expected, p.describe()
+        assert cost_layer(p.arch, p.cfg, p.gpu).phase_seconds == expected, p.describe()
+
+
+def test_model_breakdown_is_the_step_by_step_composition(sweep):
+    params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=3)
+    stats = fit_stats([raw_features(cost_layer(p.arch, p.cfg, p.gpu)) for p in sweep])
+    predictor = ModelEnergyPredictor(params, stats)
+    for p in sweep:
+        graph = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
+        fg = featurize_raw(raw_featurize(graph, p.arch, p.cfg, p.gpu), stats)
+        total = max(0.0, predict_energy(fg, params))
+        seconds = cost_layer(p.arch, p.cfg, p.gpu).phase_seconds
+        span = seconds[Phase.PREFILL] + seconds[Phase.DECODE]
+        share = seconds[Phase.PREFILL] / span if span > 0 else 1.0
+        assert predictor.measure_breakdown(p) == {
+            "prefill_joules": total * share,
+            "decode_joules": total * (1.0 - share),
+            "total_joules": total,
+            "roofline_seconds": span * p.arch.layer_count,
+        }, p.describe()
+
+
+def test_kept_ceilings_still_refuse_a_missing_data_type(sweep):
+    p = next(p for p in sweep if p.gpu.name == "t4")
+    gpu = dataclasses.replace(p.gpu, th_max={DataType.FP16: 65e12})
+    assert ridge_points(gpu, DataType.FP16) is ridge_points(gpu, DataType.FP16)  # built once
+    for call in (lambda: ridge_points(gpu, DataType.INT8),
+                 lambda: cost_layer(dataclasses.replace(p.arch, activation_dtype=DataType.INT8),
+                                    p.cfg, gpu)):
+        with pytest.raises(MissingThroughput, match="^GPU 't4' has no peak throughput for INT8$"):
+            call()
+    # a record built from another keeps ceilings of its own rates
+    faster = dataclasses.replace(gpu, bw_max=2 * gpu.bw_max)
+    assert ridge_points(faster, DataType.FP16).mrp == ridge_points(gpu, DataType.FP16).mrp / 2
+
+
+def test_a_foreign_graph_is_still_refused(sweep):
+    for p in sweep:
+        other = dataclasses.replace(p.arch, flash_attention=not p.arch.flash_attention)
+        with pytest.raises(GraphMismatch):
+            raw_featurize(enumerate_layer_kernels(other, p.cfg.gpu_count), p.arch, p.cfg, p.gpu)
+    # an equal graph that is not the shared one is accepted, and featurizes alike
+    p = sweep[0]
+    shared = enumerate_layer_kernels(p.arch, p.cfg.gpu_count)
+    copy = KernelGraph(nodes=tuple(shared.nodes), edges=tuple(shared.edges))
+    stats = identity_stats()
+    first = featurize_raw(raw_featurize(shared, p.arch, p.cfg, p.gpu), stats)
+    raw = raw_featurize(copy, p.arch, p.cfg, p.gpu)
+    second = featurize_raw(dataclasses.replace(raw, graph=copy), stats)
+    assert np.array_equal(first.features, second.features)
+    assert np.array_equal(first.agg, second.agg)
 
 
 def predictors():

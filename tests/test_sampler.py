@@ -104,6 +104,29 @@ class TestInitialSample:
         with pytest.raises(EmptyPrior):
             initial_sample(empty_hw, 1, seed=0)
 
+    @pytest.mark.parametrize("mixture", [
+        sampler_mod.DEFAULT_BATCH_MIXTURE, {1: 0.2, 3: 0.5, 8: 0.3}, {4: 1, 1: 3}, {2: 1.0},
+    ])
+    def test_batch_draws_equal_generator_choice(self, mixture):
+        # the kept cdf gives the sizes rng.choice(p=...) gives, from the same stream
+        sizes = sorted(mixture)
+        weights = np.array([mixture[s] for s in sizes], dtype=np.float64)
+        weights = weights / weights.sum()
+        batches = sampler_mod.BatchMixture(mixture)
+        ours, numpys = (np.random.Generator(np.random.PCG64(11)) for _ in range(2))
+        assert ([batches.draw(ours) for _ in range(10_000)]
+                == [int(numpys.choice(sizes, p=weights)) for _ in range(10_000)])
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("seq", [
+        (8, 16, 32), (64, 128), (1,), (2.5, 3.0, 4.0), [1, 2, 4], ("fp16", "int8"),
+    ])
+    def test_uniform_picks_equal_generator_choice(self, seq):
+        ours, numpys = (np.random.Generator(np.random.PCG64(12)) for _ in range(2))
+        assert ([sampler_mod._pick(ours, seq) for _ in range(10_000)]
+                == [numpys.choice(seq) for _ in range(10_000)])
+        assert ours.random() == numpys.random()
+
 
 class TestFineGrainedSampling:
     def test_outputs_stay_within_radii(self, gpus):
@@ -219,7 +242,7 @@ class TestSyntheticOracle:
 
     def test_phase_times_positive(self, gpus):
         point = center_point(gpus)
-        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds()
+        times = cost_layer(point.arch, point.cfg, point.gpu).phase_seconds
         assert times[Phase.PREFILL] > 0
         assert times[Phase.DECODE] > 0
 
