@@ -7,16 +7,18 @@ layers down to a scalar.  The scalar lives in log-energy space: targets are
 log1p(joules) and predictions are expm1-ed back at the reporting boundary.
 
 One forward/backward path serves a stack of graphs, each zero-padded to the
-widest: weight products are 2-D GEMMs over all stacked node rows, neighbor
-means a batched (b, n, n) product with each graph's own aggregation matrix.
-Training stacks its samples once per call (padded node features, node counts,
-global vectors, log-space targets, and one aggregation matrix per shared
-topology); each step gathers its mini-batch's rows, CHUNK_GRAPHS graphs to a
-forward and backward, trimmed to the widest graph of the chunk, and adds chunk
-gradients in batch order.  Parameters, gradients and Adam moments each live in
-one flat buffer that a step writes in place, and every forward and backward
-shares one bounded, process-wide activation scratch.  `predict_many` runs the
-same forward over chunks of graphs; `predict_energy` is its batch of one.
+widest: each layer product is one GEMM over all stacked rows, a ones column
+on its input meeting the bias stored as the weight's last row; neighbor means
+are a batched (b, n, n) product with each graph's own aggregation matrix, and
+the node mean a batched matmul with per-graph weights.  Training stacks its
+samples once per call (padded node features, node counts, global vectors,
+log-space targets, and one aggregation matrix per shared topology); each step
+gathers its mini-batch's rows, CHUNK_GRAPHS graphs to a forward and backward,
+trimmed to the widest graph of the chunk, and adds chunk gradients in batch
+order.  Parameters, gradients and Adam moments each live in one flat buffer
+that a step writes in place, and every forward and backward shares one
+bounded, process-wide activation scratch.  `predict_many` runs the same
+forward over chunks of graphs; `predict_energy` is its batch of one.
 
 A forward and backward compute in the dtype of the parameters they are given.
 Training runs them in float32 over float64 master weights: the samples are
@@ -34,6 +36,7 @@ from a seeded generator, and a mini-batch always reduces in the same order.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -99,6 +102,7 @@ class GnnParams:
 
     def _view(self, flat: np.ndarray, shapes) -> None:
         self.flat = flat
+        self.__dict__.pop("layers", None)  # `over` copies the layer views of the old buffer
         start = 0
         for name, shape in zip(PARAM_NAMES, shapes):
             stop = start + math.prod(shape)
@@ -116,6 +120,15 @@ class GnnParams:
 
     def as_list(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in PARAM_NAMES]
+
+    @functools.cached_property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """Each weight stacked on its bias, [W; b], as one (rows + 1, cols)
+        view of `flat`, which holds every bias right after its weight."""
+        arrays = self.as_list()
+        ends = np.cumsum([0] + [arr.size for arr in arrays])
+        return tuple(self.flat[ends[i] : ends[i + 2]].reshape(-1, arrays[i].shape[1])
+                     for i in range(0, len(arrays), 2))
 
     @classmethod
     def from_list(cls, arrays: list[np.ndarray]) -> "GnnParams":
@@ -198,8 +211,8 @@ class _Scratch:
     elements to a float64 one, so float32 training and float64 prediction
     share one set of activations.  The process keeps one, `_SCRATCH`, that
     every forward and backward reuses.  The package is single-threaded: a
-    forward's arrays are views that stay valid only until the next forward in
-    the process."""
+    forward's arrays are views that stay valid only until the next forward or
+    backward in the process."""
 
     def __init__(self):
         self.flat: dict[str, np.ndarray] = {}
@@ -220,7 +233,7 @@ class _Scratch:
         return self.take32 if dtype is _FLOAT32 else self.take
 
 
-# About nine buffers of CHUNK_GRAPHS x widest graph (17 nodes) x HIDDEN_WIDTH floats: <= ~5 MB.
+# xin, h, h2, agg, pool and grads: at most ~2.5 MB (64 graphs of 17 nodes, float64).
 _SCRATCH = _Scratch()
 
 
@@ -265,17 +278,13 @@ def _gather(stack: _Stack, rows: np.ndarray, scratch: _Scratch) -> tuple:
     into `scratch`."""
     counts = stack.counts[rows]
     b, n = len(rows), int(counts.max())
-    # mode="clip" lets take write straight into `out` (the default buffers a copy)
+    # mode="clip" lets take write straight into `out` (the default buffers a
+    # copy); the forward writes h2 over x once it has copied x into xin
     take = scratch.taker(stack.x.dtype)
-    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip", out=take("x", b, n, stack.x.shape[2]))
+    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip", out=take("h2", b, n, stack.x.shape[2]))
     agg = np.take(stack.aggs[:, :n, :n], stack.topology[rows], axis=0, mode="clip",
                   out=take("agg", b, n, n))
     return x, agg, counts, stack.glob[rows]
-
-
-def _one(fg: FeaturizedGraph) -> tuple:
-    """The forward inputs of one graph: views of its own arrays."""
-    return fg.features[None], fg.agg[None], np.array([fg.node_count]), fg.global_features[None]
 
 
 def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tuple:
@@ -284,82 +293,76 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
     counts (b,) and global vectors glob (b, global width), all in the dtype of
     `params`, which the forward computes in.
 
-    A padded row never reaches a real node (its agg column is zero), and its
-    h2 row is zeroed before the node mean, so it gets no gradient either.
-    Returns (agg, counts, x, agg x, h1, agg h1, h2, q, h3, y); the (b*n, .)
-    node arrays are views of `scratch` (x may be the caller's), valid until
-    its next forward.
+    conv1 reads rows xin = [x, agg x, 1] and writes h1 into h = [h1, agg h1, 1],
+    which conv2 reads; each multiplies by its `GnnParams.layers` view.  A
+    padded row never reaches a real node (its agg column is zero) nor the
+    node mean (its pooling weight is zero), so it gets no gradient either.
+    Returns (agg, pool, xin, h, h2, q, h3, y); the (b*n, .) node arrays are
+    views of `scratch`, valid until its next forward or backward.
     """
     b, n, width = x.shape
-    hidden, take = params.hidden_width, scratch.taker(params.flat.dtype)
-    ax = np.matmul(agg, x, out=take("ax", b, n, width)).reshape(b * n, width)
-    x = x.reshape(b * n, width)
-    h1 = _conv(x, ax, params.conv1_w, params.conv1_b, take, "h1")
-    ah1 = np.matmul(agg, h1.reshape(b, n, hidden), out=take("ah1", b, n, hidden))
-    ah1 = ah1.reshape(b * n, hidden)
-    h2 = _conv(h1, ah1, params.conv2_w, params.conv2_b, take, "h2")
-    h2_3d = h2.reshape(b, n, hidden)
-    if b > 1:  # a lone graph is never padded
-        for i in np.flatnonzero(counts < n):
-            h2_3d[i, counts[i] :] = 0.0
-
-    q = np.empty((b, hidden + params.global_width), params.flat.dtype)
-    np.divide(h2_3d.sum(axis=1), counts[:, None], out=q[:, :hidden])
-    q[:, hidden:] = glob
-    h3 = np.maximum(q @ params.head1_w + params.head1_b, 0.0)
-    y = h3 @ params.head2_w[:, 0] + params.head2_b[0]
-    return agg, counts, x, ax, h1, ah1, h2, q, h3, y
-
-
-def _conv(own: np.ndarray, neighbor: np.ndarray, w: np.ndarray, bias: np.ndarray,
-          take, name: str) -> np.ndarray:
-    """relu([own, neighbor] @ w + bias), written into the scratch buffer `name`
-    that `take` hands out."""
-    half = own.shape[1]
-    out = np.matmul(own, w[:half], out=take(name, own.shape[0], w.shape[1]))
-    out += np.matmul(neighbor, w[half:], out=take("tmp", *out.shape))
-    out += bias
-    return np.maximum(out, 0.0, out=out)
-
-
-def _backward(act: tuple, params: GnnParams, dy: np.ndarray, scratch: _Scratch,
-              grads: GnnParams) -> None:
-    """Write the parameter gradients of sum(dy * y) into `grads`."""
-    agg, counts, x, ax, h1, ah1, h2, q, h3, _ = act
-    b, n, _ = agg.shape
-    hidden, width = params.hidden_width, params.node_width
+    rows, hidden = b * n, params.hidden_width
     take = scratch.taker(params.flat.dtype)
-    ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3 > 0)
+    conv1, conv2, head1, head2 = params.layers
+    xin = take("xin", b, n, 2 * width + 1)
+    xin[..., :width] = x
+    np.matmul(agg, x, out=xin[..., width:-1])
+    xin[..., -1] = 1.0
+    xin = xin.reshape(rows, -1)
+    h = take("h", rows, 2 * hidden + 1)
+    h1 = np.matmul(xin, conv1, out=h[:, :hidden])
+    np.maximum(h1, 0.0, out=h1)
+    h_3d = h.reshape(b, n, -1)
+    np.matmul(agg, h_3d[..., :hidden], out=h_3d[..., hidden:-1])
+    h[:, -1] = 1.0
+    h2 = np.matmul(h, conv2, out=take("h2", rows, hidden))
+    np.maximum(h2, 0.0, out=h2)
+
+    pool = np.divide(np.arange(n) < counts[:, None], counts[:, None], out=take("pool", b, n))
+    q = np.ones((b, hidden + params.global_width + 1), params.flat.dtype)
+    np.matmul(pool[:, None, :], h2.reshape(b, n, hidden), out=q[:, None, :hidden])
+    q[:, hidden:-1] = glob
+    h3 = np.ones((b, hidden + 1), params.flat.dtype)
+    np.maximum(np.matmul(q, head1, out=h3[:, :hidden]), 0.0, out=h3[:, :hidden])
+    y = h3 @ head2[:, 0]
+    return agg, pool, xin, h, h2, q, h3, y
+
+
+def _backward(act: tuple, params: GnnParams, dy: np.ndarray, grads: GnnParams) -> None:
+    """Write the parameter gradients of sum(dy * y) into `grads`: one GEMM
+    per layer gives its weight and bias gradients together.  The backward
+    works in the forward's h2 and h buffers, which it overwrites."""
+    agg, pool, xin, h, h2, q, h3, _ = act
+    b, n, _ = agg.shape
+    rows, hidden = b * n, params.hidden_width
+    conv1, conv2, head1, head2 = grads.layers
+    np.matmul(h3.T, dy, out=head2[:, 0])
+    ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3[:, :hidden] > 0)
+    np.matmul(q.T, ds3, out=head1)
     dmean = ds3 @ params.head1_w[:hidden].T
-    dmean /= counts[:, None]
-
-    ds2 = take("ds2", b, n, hidden)
-    np.multiply(dmean[:, None, :], h2.reshape(b, n, hidden) > 0, out=ds2)
-    ds2 = ds2.reshape(b * n, hidden)
-    np.matmul(h1.T, ds2, out=grads.conv2_w[:hidden])
-    np.matmul(ah1.T, ds2, out=grads.conv2_w[hidden:])
-    np.sum(ds2, axis=0, out=grads.conv2_b)
-    # conv1's output gradient: the self half, plus agg^T times the neighbor half
-    ds1 = np.matmul(ds2, params.conv2_w[:hidden].T, out=take("ds1", b * n, hidden))
-    back = np.matmul(ds2, params.conv2_w[hidden:].T, out=take("tmp", b * n, hidden))
-    back = np.matmul(agg.transpose(0, 2, 1), back.reshape(b, n, hidden),
-                     out=ds2.reshape(b, n, hidden))
-    ds1 += back.reshape(b * n, hidden)
-    ds1 *= h1 > 0
-
-    np.matmul(x.T, ds1, out=grads.conv1_w[:width])
-    np.matmul(ax.T, ds1, out=grads.conv1_w[width:])
-    np.sum(ds1, axis=0, out=grads.conv1_b)
-    np.matmul(q.T, ds3, out=grads.head1_w)
-    np.sum(ds3, axis=0, out=grads.head1_b)
-    np.matmul(h3.T, dy, out=grads.head2_w[:, 0])
-    grads.head2_b[0] = dy.sum()
+    relu2 = h2 > 0  # and the pooling weights keep padded rows out
+    ds2_3d = np.multiply(pool[:, :, None], dmean[:, None, :], out=h2.reshape(b, n, hidden))
+    ds2 = ds2_3d.reshape(rows, hidden)
+    ds2 *= relu2
+    np.matmul(h.T, ds2, out=conv2)
+    # conv1's output gradient: the own half of conv2's input gradient, plus
+    # agg^T times its neighbor half
+    relu1 = h[:, :hidden] > 0
+    dh = np.matmul(ds2, params.conv2_w.T, out=h[:, :-1])
+    back = np.matmul(agg.transpose(0, 2, 1), dh.reshape(b, n, -1)[..., hidden:], out=ds2_3d)
+    ds1 = dh[:, :hidden]
+    ds1 += back.reshape(rows, hidden)
+    ds1 *= relu1
+    np.matmul(xin.T, ds1, out=conv1)
 
 
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
-    """Predicted energy in joules: the batch-of-one forward, out of log space."""
+    """Predicted energy in joules: the batch-of-one forward on views of the
+    graph's own arrays, out of log space."""
     _check_widths([fg], params)
-    return float(np.expm1(_forward(*_one(fg), params, _SCRATCH)[-1][0]))
+    act = _forward(fg.features[None], fg.agg[None], np.array([fg.node_count]),
+                   fg.global_features[None], params, _SCRATCH)
+    return float(np.expm1(act[-1][0]))
 
 
 def predict_many(graphs: list[FeaturizedGraph], params: GnnParams) -> list[float]:
@@ -411,7 +414,7 @@ def loss_and_gradients(
         # the first chunk writes `grads` itself; a later one adds its own
         part = grads if start == 0 else params.over(
             _SCRATCH.taker(params.flat.dtype)("grads", params.flat.size))
-        _backward(act, params, 2.0 * inv * residual, _SCRATCH, part)
+        _backward(act, params, 2.0 * inv * residual, part)
         if start:
             grads.flat += part.flat
     loss = total * inv
@@ -591,10 +594,9 @@ def gradient_check(
         """Squared error and relu sign patterns with one coordinate moved."""
         moved = params.copy()
         moved.flat[index] += delta
-        *_, h1, _, h2, _, h3, y = _forward(*_gather(stack, np.arange(1), _SCRATCH), moved,
-                                           _SCRATCH)
+        *_, h, h2, _, h3, y = _forward(*_gather(stack, np.arange(1), _SCRATCH), moved, _SCRATCH)
         residual = float(y[0]) - stack.targets[0]
-        return residual * residual, (h1 > 0, h2 > 0, h3 > 0)
+        return residual * residual, (h > 0, h2 > 0, h3 > 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     size = params.flat.size
@@ -658,6 +660,10 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
                            (stats.global_std, (params.global_width,))):
             if arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise ShapeError(f"feature statistics do not fit the weights' widths {actual}")
+        for name in ("node_std", "global_std"):  # a zero std is a constant slot, which reads 0
+            std = getattr(stats, name)
+            if np.any(std < 0):
+                raise ShapeError(f"field '{name}' must not be negative, got {std.min()}")
     except KeyError as exc:
         raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -5,10 +5,11 @@ import pytest
 
 from infercarbon import cli, sampler
 from infercarbon.cli import main
-from infercarbon.gnn import TrainHyper
+from infercarbon.features import GLOBAL_FEATURE_WIDTH, NODE_FEATURE_WIDTH
+from infercarbon.gnn import TrainHyper, init_params, save_checkpoint
 from infercarbon.roofline import builtin_gpu_catalog
 
-from conftest import src_first_env
+from conftest import identity_stats, src_first_env
 
 
 def run(capsys, *argv):
@@ -176,6 +177,21 @@ class TestMalformedFiles:
         code, _, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path))
         assert code == 2
         assert str(path) in err
+
+    @pytest.mark.parametrize("slot", ["node_std", "global_std"])
+    def test_negative_feature_std_exits_2_naming_file_and_field(self, capsys, tmp_path, slot):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        identity_stats(), seed=0)
+        payload = json.loads(path.read_text())
+        payload["stats"][slot][0] = -5.0
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path),
+                             "--json")
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert f"field '{slot}' must not be negative, got -5.0" in err
 
     @pytest.mark.parametrize("text", ["[1]\n", "", "not json\n"])
     def test_dataset_is_config_error_naming_the_file(self, capsys, tmp_path, text):

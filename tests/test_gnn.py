@@ -422,6 +422,37 @@ class TestBatchedPath:
             assert gnn._SCRATCH.flat[name] is buffer
             assert np.shares_memory(view, buffer)
 
+    def test_padded_rows_cannot_leak(self, monkeypatch):
+        # only the pooling weights and zero agg columns keep padded rows out:
+        # fill them with finite garbage and nothing a real node reads may move
+        batch = mixed_batch() * 3
+        graphs, energies = [fg for fg, _ in batch], [energy for _, energy in batch]
+        params = biased_params(graphs[0], seed=15)
+        stack_graphs = gnn._stack
+
+        def dirty_stack(graphs, params, energies=None):
+            stack = stack_graphs(graphs, params, energies)
+            for i, count in enumerate(stack.counts):
+                stack.x[i, count:] = 7.0
+                stack.aggs[stack.topology[i], count:] = 7.0
+            return stack
+
+        clean, dirty = stack_graphs(graphs, params, energies), dirty_stack(graphs, params, energies)
+        assert len(set(dirty.counts)) >= 2
+        assert not np.array_equal(dirty.x, clean.x)
+        want_loss, want_grads = loss_and_gradients(clean, params)
+        want_grads = want_grads.flat.copy()
+        loss, grads = loss_and_gradients(dirty, params)
+        assert loss == want_loss
+        assert grads.flat.tobytes() == want_grads.tobytes()
+
+        want = predict_many(graphs, params)
+        monkeypatch.setattr(gnn, "_stack", dirty_stack)
+        got = predict_many(graphs, params)
+        assert got == want
+        for fg, pred in zip(graphs, got):
+            assert pred == pytest.approx(predict_energy(fg, params), rel=1e-12)
+
     def test_stack_takes_the_dtype_of_the_params(self):
         batch = mixed_batch()
         params = biased_params(batch[0][0], seed=13)
@@ -573,6 +604,20 @@ class TestParams:
         copied.flat[-1] = 4.0
         assert params.head2_b[0] == 3.0
 
+    def test_layers_are_weight_over_bias_views(self):
+        params = init_params(6, 3, seed=0)
+        batch = mixed_batch()
+        _, grads = loss_and_gradients(batch, biased_params(batch[0][0], seed=1))
+        for arrays in (params, grads, params.copy(), params.over(params.flat.astype(np.float32))):
+            assert len(arrays.layers) == len(gnn.PARAM_NAMES) // 2
+            pairs = zip(arrays.as_list()[::2], arrays.as_list()[1::2], arrays.layers)
+            for weight, bias, layer in pairs:
+                assert np.array_equal(layer, np.vstack([weight, bias[None]]))
+                assert np.shares_memory(layer, arrays.flat)
+        params.layers[3][-1, 0] = 5.0
+        assert params.head2_b[0] == 5.0
+        assert not np.shares_memory(params.copy().layers[0], params.flat)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -602,10 +647,13 @@ class TestCheckpoint:
         assert params.flat.dtype == np.float64
         assert all(arr.dtype == np.float64 for arr in params.as_list())
         assert all(isinstance(loss, float) for loss in history)
-        path = tmp_path / "model.json"
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_checkpoint(path, params, fit_stats(random_raws(3, seed=41)), seed=0)
-        loaded, _, _ = load_checkpoint(path)
+        loaded, stats, _ = load_checkpoint(path)
         assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.layers, params.layers))
+        save_checkpoint(again, loaded, stats, seed=0)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_refuses_width_mismatch(self, tmp_path):
         import json
@@ -654,6 +702,23 @@ class TestCheckpoint:
         *parents, last = where
         functools.reduce(operator.getitem, parents, payload)[last] = value
         path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("slot", ["node_std", "global_std"])
+    def test_refuses_a_negative_feature_std(self, tmp_path, slot):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(3, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        payload["stats"][slot][0] = 0.0  # a constant slot reads 0 and is legal
+        path.write_text(json.dumps(payload))
+        load_checkpoint(path)
+        payload["stats"][slot][-1] = -4.5
+        path.write_text(json.dumps(payload))
+        message = f"field '{slot}' must not be negative, got -4.5"
         with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
             load_checkpoint(path)
 
