@@ -16,8 +16,7 @@ from .arch import InferenceConfig, LlmArchitecture, RangeError, check_minimums
 from .costmodel import Phase
 from .features import FeatureStats, featurize_raw, raw_features
 from .gnn import GnnParams, predict_energy
-from .roofline import GpuSpec, cost_layer
-from .sampler import SamplePoint
+from .roofline import GpuSpec, SamplePoint, cost_layer
 
 JOULES_PER_KWH = 3.6e6
 

@@ -9,7 +9,6 @@ validation error, 3 runtime/numeric failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -20,11 +19,10 @@ from pathlib import Path
 from . import arch as arch_mod
 from . import carbon as carbon_mod
 from . import gnn as gnn_mod
-from . import sampler as sampler_mod
-from . import traces as traces_mod
 from .costmodel import PartitionError, check_partition
-from .features import export_graph, featurize_raw, fit_stats
-from .roofline import builtin_gpu_catalog, load_gpu_catalog
+from .features import export_graph, featurize_raw, fit_stats, raw_features
+from .oracle import OracleFailure, SyntheticEnergyOracle
+from .roofline import builtin_gpu_catalog, cost_layer, load_gpu_catalog
 
 GPU_CATALOG_ENV = "INFERCARBON_GPU_CATALOG"
 ARCH_CATALOG_ENV = "INFERCARBON_ARCH_CATALOG"
@@ -32,7 +30,7 @@ ARCH_CATALOG_ENV = "INFERCARBON_ARCH_CATALOG"
 # ConfigError, RangeError and DivisibilityError are ValueErrors; NonFiniteLoss
 # is an ArithmeticError
 CONFIG_ERRORS = (FileNotFoundError, KeyError, ValueError)
-RUNTIME_ERRORS = (sampler_mod.OracleFailure, ArithmeticError)
+RUNTIME_ERRORS = (OracleFailure, ArithmeticError)
 
 
 class CliError(Exception):
@@ -90,7 +88,7 @@ def cmd_estimate(args) -> int:
                      lifetime_seconds=args.lifetime, packaging_g=args.packaging)
     llm, gpu, cfg = _request(args)
     if args.oracle:
-        predictor = sampler_mod.SyntheticEnergyOracle()
+        predictor = SyntheticEnergyOracle()
     elif args.checkpoint:
         params, stats, _ = gnn_mod.load_checkpoint(args.checkpoint)
         predictor = carbon_mod.ModelEnergyPredictor(params, stats)
@@ -103,35 +101,34 @@ def cmd_estimate(args) -> int:
 
 def cmd_graph(args) -> int:
     llm, gpu, cfg = _request(args)
-    point = sampler_mod.SamplePoint(arch=llm, cfg=cfg, gpu=gpu)
-    print(export_graph(sampler_mod.raw_featurize_point(point), args.format))
+    print(export_graph(raw_features(cost_layer(llm, cfg, gpu)), args.format))
     return 0
 
 
-# record class -> {field: the flag that fills it}; a table per class, since
-# one field name can come from different flags (a request's batch_size is
-# --batch, training's is --batch-size)
+# record class name -> {field: the flag that fills it}; a table per class,
+# since one field name can come from different flags (a request's batch_size
+# is --batch, training's is --batch-size)
 FIELD_FLAGS = {
-    sampler_mod.LoopHyper: {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
-                            "max_iterations": "max-iterations", "update_epochs": "update-epochs",
-                            "seed": "seed"},
-    gnn_mod.TrainHyper: {"learning_rate": "lr", "batch_size": "batch-size", "epochs": "epochs",
-                         "seed": "seed"},
-    arch_mod.InferenceConfig: {"batch_size": "batch", "prompt_length": "prompt",
-                               "generated_tokens": "gen", "gpu_count": "n-gpu"},
-    carbon_mod.DatacenterParams: {"pue": "pue", "carbon_intensity": "intensity"},
-    carbon_mod.EmbodiedParams: {"cpa_g_per_mm2": "cpa", "lifetime_seconds": "lifetime",
-                                "packaging_g": "packaging"},
+    "LoopHyper": {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
+                  "max_iterations": "max-iterations", "update_epochs": "update-epochs",
+                  "seed": "seed"},
+    "TrainHyper": {"learning_rate": "lr", "batch_size": "batch-size", "epochs": "epochs",
+                   "seed": "seed"},
+    "InferenceConfig": {"batch_size": "batch", "prompt_length": "prompt",
+                        "generated_tokens": "gen", "gpu_count": "n-gpu"},
+    "DatacenterParams": {"pue": "pue", "carbon_intensity": "intensity"},
+    "EmbodiedParams": {"cpa_g_per_mm2": "cpa", "lifetime_seconds": "lifetime",
+                       "packaging_g": "packaging"},
 }
 
 
 def _from_flags(record_class, **values):
-    """A record of flag values; a field out of its range is reported under
-    the flag that set it."""
+    """A record of the flag values that were given, the record's defaults for
+    the rest; a field out of its range is reported under the flag that set it."""
     try:
-        return record_class(**values)
+        return record_class(**{k: v for k, v in values.items() if v is not None})
     except arch_mod.RangeError as exc:
-        flag = FIELD_FLAGS[record_class][exc.field]
+        flag = FIELD_FLAGS[record_class.__name__][exc.field]
         raise CliError(f"--{flag}{str(exc).removeprefix(exc.field)}") from exc
 
 
@@ -142,10 +139,15 @@ def _train_hyper(args) -> gnn_mod.TrainHyper:
 
 def _file_digest(path) -> str:
     """sha256 of a file's bytes: the same files hash alike from any path."""
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def cmd_sample(args) -> int:
+    from . import sampler as sampler_mod
+    from . import traces as traces_mod
+
     hyper = _from_flags(
         sampler_mod.LoopHyper,
         initial_points=args.a,
@@ -168,7 +170,7 @@ def cmd_sample(args) -> int:
     else:
         prior = None
     space = sampler_mod.desk_prior_space(gpus, inference_prior=prior)
-    oracle = sampler_mod.SyntheticEnergyOracle()
+    oracle = SyntheticEnergyOracle()
     result = sampler_mod.focused_sampling_loop(space, oracle, args.threshold, hyper)
 
     out = Path(args.out)
@@ -200,6 +202,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import sampler as sampler_mod
+
     hyper = _train_hyper(args)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
@@ -224,6 +228,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import sampler as sampler_mod
+
     params, stats, meta = gnn_mod.load_checkpoint(args.checkpoint)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
@@ -246,9 +252,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace_stats(args) -> int:
-    columns = traces_mod.ColumnMap(
-        timestamp=args.timestamp_col, prompt=args.prompt_col, generated=args.generated_col
-    )
+    from . import traces as traces_mod
+
+    columns = _from_flags(traces_mod.ColumnMap, timestamp=args.timestamp_col,
+                          prompt=args.prompt_col, generated=args.generated_col)
     records = traces_mod.parse_trace(args.trace, columns)
     stats = traces_mod.trace_stats(records)
     if args.json:
@@ -314,15 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run the focused sampling loop with the synthetic oracle")
     common_catalogs(p)
     p.add_argument("--out", required=True, help="output directory")
-    loop = sampler_mod.LoopHyper
-    p.add_argument("--a", type=int, default=loop.initial_points, help="initial sample count")
-    p.add_argument("--b", type=int, default=loop.refine_per_center,
-                   help="refinements per high-error center")
-    p.add_argument("--k", type=int, default=loop.worst_count,
-                   help="high-error centers per iteration")
+    p.add_argument("--a", type=int, help="initial sample count")
+    p.add_argument("--b", type=int, help="refinements per high-error center")
+    p.add_argument("--k", type=int, help="high-error centers per iteration")
     p.add_argument("--threshold", type=float, default=15.0, help="target MAPE percent")
-    p.add_argument("--max-iterations", type=int, default=loop.max_iterations)
-    p.add_argument("--update-epochs", type=int, default=loop.update_epochs)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--update-epochs", type=int)
     common_training(p)
     p.add_argument("--trace", help="trace file for the empirical inference prior")
     p.set_defaults(func=cmd_sample)
@@ -341,10 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-stats", help="distribution statistics of a trace file")
     p.add_argument("trace")
-    columns = traces_mod.ColumnMap
-    p.add_argument("--timestamp-col", default=columns.timestamp)
-    p.add_argument("--prompt-col", default=columns.prompt)
-    p.add_argument("--generated-col", default=columns.generated)
+    p.add_argument("--timestamp-col")
+    p.add_argument("--prompt-col")
+    p.add_argument("--generated-col")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_trace_stats)
 

@@ -1,22 +1,21 @@
 """The synthetic energy oracle: a deterministic stand-in for on-GPU energy
 measurement, built on the cost model and Roofline times, so the whole
-pipeline can run and be verified on a workstation.  `sampler` re-exports it.
+pipeline can run and be verified on a workstation.  `sampler` re-exports its classes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .costmodel import Phase
-from .roofline import cost_layer
-
-if TYPE_CHECKING:
-    from .sampler import SamplePoint
+from .roofline import SamplePoint, cost_layer
 
 
 PREFILL_UTILIZATION = 0.8
 DECODE_UTILIZATION = 0.4
 IDLE_FRACTION = 0.1
+
+
+class OracleFailure(RuntimeError):
+    """Energy oracle failed; the message identifies the offending point."""
 
 
 class SyntheticEnergyOracle:

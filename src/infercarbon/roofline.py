@@ -15,7 +15,8 @@ performance, writes the kernel's raw feature row and adds to the per-phase
 cost totals and Roofline seconds.  The features, the energy oracle and the
 carbon report all read that one `LayerCosts` and walk nothing again.  It
 validates nothing: an architecture, a request and a GPU check themselves
-when they are built.
+when they are built.  A `SamplePoint` is one such (architecture, request,
+GPU) triple, the unit the energy predictors and the sampling loop take.
 """
 
 from __future__ import annotations
@@ -166,6 +167,31 @@ class LayerCosts:
         start = 6 if phase is _PREFILL else 10
         ops, mem, net, performance = self.rows[i][start : start + 4]
         return CostTriple(ops, mem, net), performance
+
+
+@dataclass(frozen=True)
+class SamplePoint:
+    """One (architecture, inference request, GPU) configuration."""
+
+    arch: LlmArchitecture
+    cfg: InferenceConfig
+    gpu: GpuSpec
+
+    def to_dict(self) -> dict:
+        return {"arch": self.arch.to_dict(), "inference": self.cfg.to_dict(),
+                "gpu": self.gpu.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SamplePoint":
+        return cls(arch=LlmArchitecture.from_dict(d["arch"]),
+                   cfg=InferenceConfig.from_dict(d["inference"]), gpu=GpuSpec.from_dict(d["gpu"]))
+
+    def describe(self) -> str:
+        a, c = self.arch, self.cfg
+        return (
+            f"{self.gpu.name} x{c.gpu_count}, h={a.hidden_size}, layers={a.layer_count}, "
+            f"batch={c.batch_size}, prompt={c.prompt_length}, gen={c.generated_tokens}"
+        )
 
 
 def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> LayerCosts:

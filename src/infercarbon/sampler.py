@@ -30,44 +30,12 @@ from .costmodel import check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
 from .kvfile import ConfigError
-from .oracle import SyntheticEnergyOracle  # noqa: F401  (re-exported for callers of sampler)
-from .roofline import GpuSpec, cost_layer, ridge_points
+from .oracle import OracleFailure, SyntheticEnergyOracle  # noqa: F401  (re-exported)
+from .roofline import GpuSpec, SamplePoint, cost_layer, ridge_points
 
 
 class EmptyPrior(ValueError):
     """A prior distribution has nothing to draw from."""
-
-
-class OracleFailure(RuntimeError):
-    """Energy oracle failed; the message identifies the offending point."""
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One (architecture, inference request, GPU) configuration."""
-
-    arch: LlmArchitecture
-    cfg: InferenceConfig
-    gpu: GpuSpec
-
-    def to_dict(self) -> dict:
-        return {"arch": self.arch.to_dict(), "inference": self.cfg.to_dict(),
-                "gpu": self.gpu.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplePoint":
-        return cls(
-            arch=LlmArchitecture.from_dict(d["arch"]),
-            cfg=InferenceConfig.from_dict(d["inference"]),
-            gpu=GpuSpec.from_dict(d["gpu"]),
-        )
-
-    def describe(self) -> str:
-        a, c = self.arch, self.cfg
-        return (
-            f"{self.gpu.name} x{c.gpu_count}, h={a.hidden_size}, layers={a.layer_count}, "
-            f"batch={c.batch_size}, prompt={c.prompt_length}, gen={c.generated_tokens}"
-        )
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,33 @@ class TestConsoleEntry:
         assert json.loads(proc.stdout)["total_g"] > 0
 
 
+class TestColdImports:
+    def test_estimate_and_graph_load_neither_sampling_nor_traces(self, tmp_path):
+        # a fresh interpreter, since this one has loaded every module
+        import subprocess
+        import sys
+
+        checkpoint = tmp_path / "model.json"
+        save_checkpoint(checkpoint, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        identity_stats(), seed=0)
+        commands = [["estimate", "tiny-flash", "t4", "--oracle", "--json"],
+                    ["estimate", "tiny-mha", "a100", "--n-gpu", "2", "--checkpoint",
+                     str(checkpoint)],
+                    ["graph", "tiny-flash", "--format", "json"]]
+        code = ("import contextlib, io, json, sys\n"
+                "from infercarbon import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0, argv\n"
+                "print(json.dumps(sorted(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                              capture_output=True, text=True, env=src_first_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "infercarbon.carbon" in loaded
+        assert loaded.isdisjoint({"infercarbon.sampler", "infercarbon.traces", "hashlib"})
+
+
 class TestGraph:
     def test_dot_export(self, capsys):
         code, out, _ = run(capsys, "graph", "tiny-flash", "--n-gpu", "4")
@@ -296,6 +323,21 @@ class TestSampleFlags:
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_unset_loop_flags_leave_the_loop_defaults(self, capsys, tmp_path, monkeypatch):
+        def tiny_loop(space, oracle, threshold, hyper):
+            assert hyper == sampler.LoopHyper()
+            return sampler.LoopResult(
+                train_set=[], test_set=[], error_log=[50.0], termination="iteration_cap",
+                iterations=0, refinements=[], stats=identity_stats(),
+                params=init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH))
+
+        monkeypatch.setattr(sampler, "focused_sampling_loop", tiny_loop)
+        code, _, err = run(capsys, "sample", "--out", str(tmp_path))
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        defaults = sampler.LoopHyper().to_dict()
+        assert {key: manifest[key] for key in defaults} == defaults
+
 
 class TestSeedFlag:
     def test_sample_refuses_a_negative_seed_before_reading_any_file(self, capsys, tmp_path,
@@ -333,7 +375,8 @@ def test_every_hyper_field_is_refused_under_its_flag(capsys, tmp_path, monkeypat
     # -1 is below every field's least value; the field's own message names
     # the flag, and nothing is read, sampled or trained
     classes = (TrainHyper,) if command == "train" else (sampler.LoopHyper, TrainHyper)
-    flag = "--" + next(cli.FIELD_FLAGS[c][field] for c in classes if field in cli.FIELD_FLAGS[c])
+    tables = [cli.FIELD_FLAGS[c.__name__] for c in classes]
+    flag = "--" + next(table[field] for table in tables if field in table)
     monkeypatch.setattr(cli, "load_gpus", refuse("the GPU catalog was read"))
     monkeypatch.setattr(sampler, "load_dataset", refuse("the dataset was read"))
     monkeypatch.setattr(sampler, "focused_sampling_loop", refuse("sampling started"))
