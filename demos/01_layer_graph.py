@@ -11,9 +11,9 @@ tensor-parallel (two all-reduce kernels appear for 2+ GPUs).
 import dataclasses
 
 from infercarbon import LlmArchitecture, enumerate_layer_kernels, export_graph
-from infercarbon.features import raw_featurize
+from infercarbon.features import raw_features
 from infercarbon.arch import InferenceConfig
-from infercarbon.roofline import builtin_gpu_catalog
+from infercarbon.roofline import builtin_gpu_catalog, cost_layer
 
 llama_like = LlmArchitecture(
     hidden_size=4096,
@@ -44,6 +44,6 @@ print(f"unfused + ungated, 1 GPU: {len(unfused.nodes)} kernels")
 # costed graphs export to DOT for visualization (or JSON with their raw features)
 cfg = InferenceConfig(batch_size=1, prompt_length=64, generated_tokens=8, gpu_count=4)
 gpu = builtin_gpu_catalog()["a100"]
-raw = raw_featurize(graph, llama_like, cfg, gpu)
+raw = raw_features(cost_layer(llama_like, cfg, gpu))
 print("\nDOT export (first lines):")
 print("\n".join(export_graph(raw, "dot").splitlines()[:6]))

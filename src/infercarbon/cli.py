@@ -188,7 +188,7 @@ def cmd_sample(args) -> int:
         },
     )
     gnn_mod.save_checkpoint(
-        out / "checkpoint.json", result.params, result.stats, seed=args.seed,
+        out / "checkpoint.json", result.params, result.stats, seed=hyper.seed,
         extra={"termination": result.termination, "config_hash": manifest["config_hash"]},
     )
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False),
@@ -213,16 +213,16 @@ def cmd_train(args) -> int:
     pairs = [(featurize_raw(r, stats), s.energy_joules) for r, s in zip(raws, samples)]
     params, history = gnn_mod.train(pairs, hyper)
     gnn_mod.save_checkpoint(
-        args.out, params, stats, seed=args.seed,
+        args.out, params, stats, seed=hyper.seed,
         extra={
             "dataset": str(args.dataset),
-            "epochs": args.epochs,
+            "epochs": hyper.epochs,
             "final_train_loss": history[-1],
             "config_hash": sampler_mod.config_hash(
                 {"dataset": _file_digest(args.dataset), **vars(hyper)}),
         },
     )
-    print(f"trained {args.epochs} epochs; loss {history[0]:.4f} -> {history[-1]:.4f}; "
+    print(f"trained {hyper.epochs} epochs; loss {history[0]:.4f} -> {history[-1]:.4f}; "
           f"checkpoint -> {args.out}")
     return 0
 
@@ -273,8 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_catalogs(p):
+    def gpu_catalog(p):
         p.add_argument("--gpu-catalog", help=f"GPU catalog file (default: builtin or ${GPU_CATALOG_ENV})")
+
+    def common_catalogs(p):
+        gpu_catalog(p)
         p.add_argument("--arch-catalog", help=f"architecture catalog file (default: builtin or ${ARCH_CATALOG_ENV})")
 
     def common_request(p):
@@ -283,12 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen", type=int, default=8, help="generated token count")
         p.add_argument("--n-gpu", type=int, default=1, help="tensor-parallel GPU count")
 
+    # flags that fill a dataclass field default to None: `_from_flags` then
+    # leaves the field's own default
     def common_training(p):
-        train = gnn_mod.TrainHyper
-        p.add_argument("--epochs", type=int, default=train.epochs)
-        p.add_argument("--lr", type=float, default=train.learning_rate)
-        p.add_argument("--batch-size", type=int, default=train.batch_size)
-        p.add_argument("--seed", type=int, default=train.seed)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("estimate", help="carbon report for one inference request")
     common_catalogs(p)
@@ -298,15 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     predictor = p.add_mutually_exclusive_group()
     predictor.add_argument("--oracle", action="store_true", help="use the synthetic energy oracle")
     predictor.add_argument("--checkpoint", help="trained model checkpoint")
-    dc, ep = carbon_mod.DatacenterParams, carbon_mod.EmbodiedParams
-    p.add_argument("--pue", type=float, default=dc.pue)
-    p.add_argument("--intensity", type=float, default=dc.carbon_intensity, help="gCO2eq per kWh")
-    p.add_argument("--cpa", type=float, default=ep.cpa_g_per_mm2,
-                   help="embodied g per mm2 of die")
-    p.add_argument("--lifetime", type=float, default=ep.lifetime_seconds,
-                   help="amortization horizon, seconds")
-    p.add_argument("--packaging", type=float, default=ep.packaging_g,
-                   help="fixed per-device embodied grams")
+    p.add_argument("--pue", type=float)
+    p.add_argument("--intensity", type=float, help="gCO2eq per kWh")
+    p.add_argument("--cpa", type=float, help="embodied g per mm2 of die")
+    p.add_argument("--lifetime", type=float, help="amortization horizon, seconds")
+    p.add_argument("--packaging", type=float, help="fixed per-device embodied grams")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("sample", help="run the focused sampling loop with the synthetic oracle")
-    common_catalogs(p)
+    gpu_catalog(p)  # the desk prior's architectures are fixed
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--a", type=int, help="initial sample count")
     p.add_argument("--b", type=int, help="refinements per high-error center")

@@ -6,9 +6,13 @@ over nodes, concatenation with the global feature vector, then two linear
 layers down to a scalar.  The scalar lives in log-energy space: targets are
 log1p(joules) and predictions are expm1-ed back at the reporting boundary.
 
+The parameters are four layers, conv1, conv2, head1 and head2, each held as
+its weight stacked over its bias, [W; b], so that a layer product is one GEMM
+of input rows ending in a ones column.  Checkpoints store each weight and
+bias apart, under `<layer>_w` and `<layer>_b`.
+
 One forward/backward path serves a stack of graphs, each zero-padded to the
-widest: each layer product is one GEMM over all stacked rows, a ones column
-on its input meeting the bias stored as the weight's last row; neighbor means
+widest: each layer product is one GEMM over all stacked rows; neighbor means
 are a batched (b, n, n) product with each graph's own aggregation matrix, and
 the node mean a batched matmul with per-graph weights.  Training stacks its
 samples once per call (padded node features, node counts, global vectors,
@@ -36,7 +40,6 @@ from a seeded generator, and a mini-batch always reduces in the same order.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,16 +57,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-PARAM_NAMES = (
-    "conv1_w",
-    "conv1_b",
-    "conv2_w",
-    "conv2_b",
-    "head1_w",
-    "head1_b",
-    "head2_w",
-    "head2_b",
-)
+# The layers in the order `GnnParams.flat` holds them.
+LAYER_NAMES = ("conv1", "conv2", "head1", "head2")
 
 
 class ShapeError(ValueError):
@@ -80,112 +75,89 @@ class ZeroTruth(ValueError):
 
 @dataclass
 class GnnParams:
-    """The regressor's eight weight arrays.  Construction copies them into one
-    flat float64 buffer, `flat`, in PARAM_NAMES order, and keeps each field as
-    a view of it: writing a field's elements writes `flat`, and Adam updates
-    every array as one vector.  Gradients are held in a GnnParams too, and
-    `over` views a buffer of any dtype (training's float32 working copy)."""
+    """The regressor's four layers, in LAYER_NAMES order, each its weight
+    stacked over its bias, [W; b], of shape (inputs + 1, outputs).
+    Construction copies them into one flat float64 buffer, `flat`, and keeps
+    each field as a view of it: writing a field's elements writes `flat`, and
+    Adam updates every layer as one vector.  Gradients are held in a GnnParams
+    too, and `over` views a buffer of any dtype (training's float32 working
+    copy)."""
 
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    head1_w: np.ndarray
-    head1_b: np.ndarray
-    head2_w: np.ndarray
-    head2_b: np.ndarray
+    conv1: np.ndarray
+    conv2: np.ndarray
+    head1: np.ndarray
+    head2: np.ndarray
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = [np.asarray(arr, dtype=np.float64) for arr in self.as_list()]
-        self._view(np.concatenate([arr.ravel() for arr in arrays]), [arr.shape for arr in arrays])
+        layers = [np.asarray(layer, dtype=np.float64) for layer in self.as_list()]
+        self._view(np.concatenate([layer.ravel() for layer in layers]),
+                   [layer.shape for layer in layers])
 
     def _view(self, flat: np.ndarray, shapes) -> None:
         self.flat = flat
-        self.__dict__.pop("layers", None)  # `over` copies the layer views of the old buffer
         start = 0
-        for name, shape in zip(PARAM_NAMES, shapes):
+        for name, shape in zip(LAYER_NAMES, shapes):
             stop = start + math.prod(shape)
             setattr(self, name, flat[start:stop].reshape(shape))
             start = stop
 
     def over(self, flat: np.ndarray) -> "GnnParams":
-        """Arrays of these shapes viewing `flat`, which is not copied."""
+        """Layers of these shapes viewing `flat`, which is not copied."""
         other = copy.copy(self)
-        other._view(flat, [arr.shape for arr in self.as_list()])
+        other._view(flat, [layer.shape for layer in self.as_list()])
         return other
 
     def copy(self) -> "GnnParams":
         return self.over(self.flat.copy())
 
     def as_list(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in PARAM_NAMES]
-
-    @functools.cached_property
-    def layers(self) -> tuple[np.ndarray, ...]:
-        """Each weight stacked on its bias, [W; b], as one (rows + 1, cols)
-        view of `flat`, which holds every bias right after its weight."""
-        arrays = self.as_list()
-        ends = np.cumsum([0] + [arr.size for arr in arrays])
-        return tuple(self.flat[ends[i] : ends[i + 2]].reshape(-1, arrays[i].shape[1])
-                     for i in range(0, len(arrays), 2))
-
-    @classmethod
-    def from_list(cls, arrays: list[np.ndarray]) -> "GnnParams":
-        return cls(**dict(zip(PARAM_NAMES, arrays)))
+        return [getattr(self, name) for name in LAYER_NAMES]
 
     @property
     def node_width(self) -> int:
-        return self.conv1_w.shape[0] // 2
+        return (self.conv1.shape[0] - 1) // 2
 
     @property
     def hidden_width(self) -> int:
-        return self.conv1_w.shape[1]
+        return self.conv1.shape[1]
 
     @property
     def global_width(self) -> int:
-        return self.head1_w.shape[0] - self.hidden_width
+        return self.head1.shape[0] - 1 - self.hidden_width
 
     def validate(self) -> "GnnParams":
-        if self.conv1_w.ndim != 2 or self.head1_w.ndim != 2:
-            raise ShapeError("conv1 and head1 weights must be matrices")
+        if any(layer.ndim != 2 for layer in self.as_list()):
+            raise ShapeError("every layer must be a matrix")
         h = self.hidden_width
         checks = [
-            (self.conv1_w.shape[0] % 2 == 0, "conv1 input must be 2 x node width"),
-            (self.conv1_b.shape == (h,), "conv1 bias width"),
-            (self.conv2_w.shape == (2 * h, h), "conv2 maps 2H -> H"),
-            (self.conv2_b.shape == (h,), "conv2 bias width"),
-            (self.head1_w.shape[1] == h, "head1 output width"),
-            (self.head1_b.shape == (h,), "head1 bias width"),
-            (self.head2_w.shape == (h, 1), "head2 maps H -> 1"),
-            (self.head2_b.shape == (1,), "head2 bias width"),
+            (self.conv1.shape[0] % 2 == 1, "conv1 input must be 2 x node width"),
+            (self.conv2.shape == (2 * h + 1, h), "conv2 maps 2H -> H"),
+            (self.head1.shape[1] == h, "head1 output width"),
+            (self.head2.shape == (h + 1, 1), "head2 maps H -> 1"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ShapeError(message)
-        for arr in self.as_list():
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError("parameter contains a non-finite value")
+        if not np.all(np.isfinite(self.flat)):
+            raise ShapeError("parameter contains a non-finite value")
         return self
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A Xavier-uniform weight over a zero bias."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return np.vstack([rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros((1, fan_out))])
 
 
 def init_params(node_width: int, global_width: int, seed: int = 0) -> GnnParams:
     rng = np.random.Generator(np.random.PCG64(seed))
     hidden = HIDDEN_WIDTH
     return GnnParams(
-        conv1_w=_xavier(rng, 2 * node_width, hidden),
-        conv1_b=np.zeros(hidden),
-        conv2_w=_xavier(rng, 2 * hidden, hidden),
-        conv2_b=np.zeros(hidden),
-        head1_w=_xavier(rng, hidden + global_width, hidden),
-        head1_b=np.zeros(hidden),
-        head2_w=_xavier(rng, hidden, 1),
-        head2_b=np.zeros(1),
+        conv1=_layer(rng, 2 * node_width, hidden),
+        conv2=_layer(rng, 2 * hidden, hidden),
+        head1=_layer(rng, hidden + global_width, hidden),
+        head2=_layer(rng, hidden, 1),
     ).validate()
 
 
@@ -202,35 +174,24 @@ def _check_widths(graphs, params: GnnParams) -> None:
                              f"graph has {fg.global_features.shape[0]}")
 
 
-_FLOAT32 = np.dtype(np.float32)
-
-
 class _Scratch:
-    """One float64 buffer per name, grown to the largest request and handed
-    out as views.  `take32` views the same buffer's bytes as float32, two
-    elements to a float64 one, so float32 training and float64 prediction
-    share one set of activations.  The process keeps one, `_SCRATCH`, that
-    every forward and backward reuses.  The package is single-threaded: a
-    forward's arrays are views that stay valid only until the next forward or
-    backward in the process."""
+    """One float64 buffer per name, grown to the largest request, that `take`
+    hands out as views of any dtype: a float32 array takes half the float64
+    elements, so float32 training and float64 prediction share one set of
+    activations.  The process keeps one, `_SCRATCH`, that every forward and
+    backward reuses.  The package is single-threaded: a forward's arrays are
+    views that stay valid only until the next forward or backward in the
+    process."""
 
     def __init__(self):
         self.flat: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        size = math.prod(shape)
+    def take(self, name: str, dtype: np.dtype, *shape: int) -> np.ndarray:
+        words = -(-math.prod(shape) * dtype.itemsize // 8)
         flat = self.flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self.flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-    def take32(self, name: str, *shape: int) -> np.ndarray:
-        size = math.prod(shape)
-        return self.take(name, (size + 1) // 2).view(np.float32)[:size].reshape(shape)
-
-    def taker(self, dtype: np.dtype):
-        """The take of arrays of `dtype`: float32 or float64."""
-        return self.take32 if dtype is _FLOAT32 else self.take
+        if flat is None or flat.size < words:
+            flat = self.flat[name] = np.empty(words)
+        return np.ndarray(shape, dtype, flat)
 
 
 # xin, h, h2, agg, pool and grads: at most ~2.5 MB (64 graphs of 17 nodes, float64).
@@ -280,10 +241,11 @@ def _gather(stack: _Stack, rows: np.ndarray, scratch: _Scratch) -> tuple:
     b, n = len(rows), int(counts.max())
     # mode="clip" lets take write straight into `out` (the default buffers a
     # copy); the forward writes h2 over x once it has copied x into xin
-    take = scratch.taker(stack.x.dtype)
-    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip", out=take("h2", b, n, stack.x.shape[2]))
+    dtype = stack.x.dtype
+    x = np.take(stack.x[:, :n], rows, axis=0, mode="clip",
+                out=scratch.take("h2", dtype, b, n, stack.x.shape[2]))
     agg = np.take(stack.aggs[:, :n, :n], stack.topology[rows], axis=0, mode="clip",
-                  out=take("agg", b, n, n))
+                  out=scratch.take("agg", dtype, b, n, n))
     return x, agg, counts, stack.glob[rows]
 
 
@@ -294,7 +256,7 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
     `params`, which the forward computes in.
 
     conv1 reads rows xin = [x, agg x, 1] and writes h1 into h = [h1, agg h1, 1],
-    which conv2 reads; each multiplies by its `GnnParams.layers` view.  A
+    which conv2 reads; each multiplies by its [W; b] layer.  A
     padded row never reaches a real node (its agg column is zero) nor the
     node mean (its pooling weight is zero), so it gets no gradient either.
     Returns (agg, pool, xin, h, h2, q, h3, y); the (b*n, .) node arrays are
@@ -302,29 +264,29 @@ def _forward(x, agg, counts, glob, params: GnnParams, scratch: _Scratch) -> tupl
     """
     b, n, width = x.shape
     rows, hidden = b * n, params.hidden_width
-    take = scratch.taker(params.flat.dtype)
-    conv1, conv2, head1, head2 = params.layers
-    xin = take("xin", b, n, 2 * width + 1)
+    dtype = params.flat.dtype
+    xin = scratch.take("xin", dtype, b, n, 2 * width + 1)
     xin[..., :width] = x
     np.matmul(agg, x, out=xin[..., width:-1])
     xin[..., -1] = 1.0
     xin = xin.reshape(rows, -1)
-    h = take("h", rows, 2 * hidden + 1)
-    h1 = np.matmul(xin, conv1, out=h[:, :hidden])
+    h = scratch.take("h", dtype, rows, 2 * hidden + 1)
+    h1 = np.matmul(xin, params.conv1, out=h[:, :hidden])
     np.maximum(h1, 0.0, out=h1)
     h_3d = h.reshape(b, n, -1)
     np.matmul(agg, h_3d[..., :hidden], out=h_3d[..., hidden:-1])
     h[:, -1] = 1.0
-    h2 = np.matmul(h, conv2, out=take("h2", rows, hidden))
+    h2 = np.matmul(h, params.conv2, out=scratch.take("h2", dtype, rows, hidden))
     np.maximum(h2, 0.0, out=h2)
 
-    pool = np.divide(np.arange(n) < counts[:, None], counts[:, None], out=take("pool", b, n))
-    q = np.ones((b, hidden + params.global_width + 1), params.flat.dtype)
+    pool = np.divide(np.arange(n) < counts[:, None], counts[:, None],
+                     out=scratch.take("pool", dtype, b, n))
+    q = np.ones((b, hidden + params.global_width + 1), dtype)
     np.matmul(pool[:, None, :], h2.reshape(b, n, hidden), out=q[:, None, :hidden])
     q[:, hidden:-1] = glob
-    h3 = np.ones((b, hidden + 1), params.flat.dtype)
-    np.maximum(np.matmul(q, head1, out=h3[:, :hidden]), 0.0, out=h3[:, :hidden])
-    y = h3 @ head2[:, 0]
+    h3 = np.ones((b, hidden + 1), dtype)
+    np.maximum(np.matmul(q, params.head1, out=h3[:, :hidden]), 0.0, out=h3[:, :hidden])
+    y = h3 @ params.head2[:, 0]
     return agg, pool, xin, h, h2, q, h3, y
 
 
@@ -335,25 +297,24 @@ def _backward(act: tuple, params: GnnParams, dy: np.ndarray, grads: GnnParams) -
     agg, pool, xin, h, h2, q, h3, _ = act
     b, n, _ = agg.shape
     rows, hidden = b * n, params.hidden_width
-    conv1, conv2, head1, head2 = grads.layers
-    np.matmul(h3.T, dy, out=head2[:, 0])
-    ds3 = np.outer(dy, params.head2_w[:, 0]) * (h3[:, :hidden] > 0)
-    np.matmul(q.T, ds3, out=head1)
-    dmean = ds3 @ params.head1_w[:hidden].T
+    np.matmul(h3.T, dy, out=grads.head2[:, 0])
+    ds3 = np.outer(dy, params.head2[:-1, 0]) * (h3[:, :hidden] > 0)
+    np.matmul(q.T, ds3, out=grads.head1)
+    dmean = ds3 @ params.head1[:hidden].T
     relu2 = h2 > 0  # and the pooling weights keep padded rows out
     ds2_3d = np.multiply(pool[:, :, None], dmean[:, None, :], out=h2.reshape(b, n, hidden))
     ds2 = ds2_3d.reshape(rows, hidden)
     ds2 *= relu2
-    np.matmul(h.T, ds2, out=conv2)
+    np.matmul(h.T, ds2, out=grads.conv2)
     # conv1's output gradient: the own half of conv2's input gradient, plus
     # agg^T times its neighbor half
     relu1 = h[:, :hidden] > 0
-    dh = np.matmul(ds2, params.conv2_w.T, out=h[:, :-1])
+    dh = np.matmul(ds2, params.conv2[:-1].T, out=h[:, :-1])
     back = np.matmul(agg.transpose(0, 2, 1), dh.reshape(b, n, -1)[..., hidden:], out=ds2_3d)
     ds1 = dh[:, :hidden]
     ds1 += back.reshape(rows, hidden)
     ds1 *= relu1
-    np.matmul(xin.T, ds1, out=conv1)
+    np.matmul(xin.T, ds1, out=grads.conv1)
 
 
 def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
@@ -413,7 +374,7 @@ def loss_and_gradients(
         total += float(wide @ wide)
         # the first chunk writes `grads` itself; a later one adds its own
         part = grads if start == 0 else params.over(
-            _SCRATCH.taker(params.flat.dtype)("grads", params.flat.size))
+            _SCRATCH.take("grads", params.flat.dtype, params.flat.size))
         _backward(act, params, 2.0 * inv * residual, part)
         if start:
             grads.flat += part.flat
@@ -425,7 +386,7 @@ def loss_and_gradients(
 
 @dataclass
 class AdamState:
-    """Adam's moments as flat vectors in PARAM_NAMES order, the step count,
+    """Adam's moments as flat vectors in the order of `GnnParams.flat`, the step count,
     and two flat work rows that a step writes its temporaries into."""
 
     m: np.ndarray
@@ -531,7 +492,7 @@ def train(
     return params, history
 
 
-def _relative_errors(preds, truths) -> np.ndarray:
+def relative_errors(preds, truths) -> np.ndarray:
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
@@ -545,14 +506,14 @@ def _relative_errors(preds, truths) -> np.ndarray:
 
 def mape(preds, truths) -> float:
     """Mean absolute percentage error, in percent."""
-    return float(np.mean(_relative_errors(preds, truths)) * 100.0)
+    return float(np.mean(relative_errors(preds, truths)) * 100.0)
 
 
 def eba(preds, truths, delta: float) -> float:
     """Share of predictions within relative error delta, in percent."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return float((_relative_errors(preds, truths) <= delta).mean() * 100.0)
+    return float((relative_errors(preds, truths) <= delta).mean() * 100.0)
 
 
 @dataclass
@@ -625,12 +586,25 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
         "global_width": params.global_width,
         "hidden_width": params.hidden_width,
         "stats": stats.to_dict(),
-        "params": {name: arr.tolist() for name, arr in zip(PARAM_NAMES, params.as_list())},
+        "params": {f"{name}_{part}": arr.tolist()
+                   for name, layer in zip(LAYER_NAMES, params.as_list())
+                   for part, arr in (("w", layer[:-1]), ("b", layer[-1]))},
     }
     if extra:
         payload["extra"] = extra
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
+
+
+def _stacked_layer(arrays: dict, name: str) -> np.ndarray:
+    """Layer `name` of a checkpoint's "params", which holds each weight and
+    bias apart, as `<name>_w` and `<name>_b`."""
+    weight = json_float_array(f"{name}_w", arrays[f"{name}_w"])
+    bias = json_float_array(f"{name}_b", arrays[f"{name}_b"])
+    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"'{name}_b' of shape {bias.shape} does not fit "
+                         f"'{name}_w' of shape {weight.shape}")
+    return np.vstack([weight, bias])
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
@@ -645,9 +619,8 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
             or type(payload.get("version")) is not int or payload["version"] != 1):
         raise ShapeError(f"{path}: not a recognized checkpoint file")
     try:
-        params = GnnParams.from_list(
-            [json_float_array(name, payload["params"][name]) for name in PARAM_NAMES]
-        ).validate()
+        params = GnnParams(**{name: _stacked_layer(payload["params"], name)
+                              for name in LAYER_NAMES}).validate()
         expected = tuple(JSON_DECODERS["int"](name, payload[name])
                          for name in ("node_width", "global_width", "hidden_width"))
         actual = (params.node_width, params.global_width, params.hidden_width)

@@ -28,7 +28,7 @@ from .arch import (JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, Ra
                    check_minimums)
 from .costmodel import check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
-from .gnn import GnnParams, TrainHyper, evaluate, mape, predict_many, train
+from .gnn import GnnParams, TrainHyper, evaluate, predict_many, relative_errors, train
 from .kvfile import ConfigError
 from .oracle import OracleFailure, SyntheticEnergyOracle  # noqa: F401  (re-exported)
 from .roofline import GpuSpec, SamplePoint, cost_layer, ridge_points
@@ -132,8 +132,6 @@ def _pick(rng: np.random.Generator, seq):
 
 
 def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
-    if lo >= hi:
-        return lo
     value = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     return max(lo, min(hi, int(round(value))))
 
@@ -253,12 +251,13 @@ def select_high_error(predict, test_set: list[EnergySample], k: int) -> list[Sam
     `predict` maps an EnergySample to predicted joules.  Ties and the k >
     dataset case resolve in stable index order.
     """
-    errors = []
-    for index, sample in enumerate(test_set):
-        ape = abs(predict(sample) - sample.energy_joules) / sample.energy_joules
-        errors.append((-ape, index))
-    errors.sort()
-    return [test_set[index].point for _, index in errors[: max(0, k)]]
+    errors = relative_errors([predict(s) for s in test_set], [s.energy_joules for s in test_set])
+    return _worst_points(errors, test_set, k)
+
+
+def _worst_points(errors: np.ndarray, test_set: list[EnergySample], k: int) -> list[SamplePoint]:
+    """The points of the k largest relative `errors`, ties in index order."""
+    return [test_set[i].point for i in np.argsort(-errors, kind="stable")[: max(0, k)]]
 
 
 @dataclass
@@ -351,13 +350,13 @@ def focused_sampling_loop(
     while True:  # one round: score the model, then stop or refine and retrain
         test_set += new_test
         test_graphs += [featurize_raw(raw_featurize_point(s.point), stats) for s in new_test]
-        preds = predict_many(test_graphs, params)
-        error_log.append(mape(preds, [s.energy_joules for s in test_set]))
+        errors = relative_errors(predict_many(test_graphs, params),
+                                 [s.energy_joules for s in test_set])
+        error_log.append(float(errors.mean() * 100.0))  # the MAPE, in percent
         # a NaN error stops the loop as well
         if not error_log[-1] > e_threshold or len(refinements) >= hyper.max_iterations:
             break
-        predicted = {id(s): p for s, p in zip(test_set, preds)}
-        worst = select_high_error(lambda s: predicted[id(s)], test_set, hyper.worst_count)
+        worst = _worst_points(errors, test_set, hyper.worst_count)
         refined = fine_grained_sampling(
             worst, hyper.refine_per_center, JitterRadii(), seed=hyper.seed + len(refinements) + 1
         )

@@ -321,6 +321,25 @@ def probe_section(text: str) -> SectionReader:
     return SectionReader("p", parse_sections(f"[p]\n{text}", "p.cfg")["p"], "p.cfg")
 
 
+class TestParseSections:
+    def test_keeps_each_value_and_its_line(self):
+        text = "# comment\n[a]\nx = 1\n\n; note\n[b]\ny = two words \n"
+        assert parse_sections(text, "t.cfg") == {"a": {"x": ("1", 3)},
+                                                  "b": {"y": ("two words", 7)}}
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ ]\n", "t.cfg:1: empty section name"),
+        ("[a]\nx = 1\n[a]\n", "t.cfg:3: duplicate section 'a'"),
+        ("[a]\nx 1\n", "t.cfg:2: expected 'key = value', got 'x 1'"),
+        ("x = 1\n[a]\n", "t.cfg:1: key/value pair outside any [section]"),
+        ("[a]\n = 1\n", "t.cfg:2: missing key before '='"),
+        ("[a]\nx = 1\nx = 2\n", "t.cfg:3: duplicate field 'x' in section 'a'"),
+    ])
+    def test_refuses_malformed_text_naming_source_and_line(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_sections(text, "t.cfg")
+
+
 class TestFromSection:
     def test_reads_each_declared_field_under_its_name(self):
         reader = probe_section("count = 3\nscale = 2\nenabled = no\ndtype = int8\n")

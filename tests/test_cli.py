@@ -190,6 +190,17 @@ class TestTraceStats:
         code, _, err = run(capsys, "trace-stats", str(tmp_path / "absent.csv"))
         assert code == 2
 
+    def test_stats_text(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        rows = ["TIMESTAMP,ContextTokens,GeneratedTokens"]
+        rows += [f"{i},{i + 1},{2 * i + 1}" for i in range(100)]
+        trace.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "trace-stats", str(trace))
+        assert code == 0
+        assert out == ("records            100\n"
+                       "prompt tokens      p50=50  p90=90  p99=99\n"
+                       "generated tokens   p50=99  p90=179  p99=197\n")
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("text", [
@@ -397,6 +408,55 @@ class TestSampleConfigHash:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
         assert checkpoint["extra"]["config_hash"] == manifest["config_hash"]
+
+
+class TestCommandFlags:
+    def test_sample_has_no_arch_catalog_flag(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--out", str(tmp_path / "run"), "--arch-catalog", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --arch-catalog x" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_without_training_flags_records_the_defaults(self, capsys, tmp_path):
+        dataset = small_dataset(tmp_path / "data.jsonl")
+        out = tmp_path / "model.json"
+        code, stdout, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(out))
+        assert code == 0, err
+        defaults = TrainHyper()
+        saved = json.loads(out.read_text())
+        assert (saved["seed"], saved["extra"]["epochs"]) == (defaults.seed, defaults.epochs)
+        assert stdout.startswith(f"trained {defaults.epochs} epochs; ")
+
+
+class TestEmptyAndOutputFiles:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_count_0_dataset_exits_2(self, capsys, tmp_path, command):
+        dataset = tmp_path / "data.jsonl"
+        sampler.save_dataset(dataset, [])
+        out = tmp_path / "model.json"
+        if command == "train":
+            argv = ["train", "--dataset", str(dataset), "--out", str(out)]
+        else:
+            save_checkpoint(out, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                            identity_stats(), seed=0)
+            argv = ["eval", "--checkpoint", str(out), "--dataset", str(dataset)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: dataset {dataset} is empty\n"
+
+    def test_eval_out_holds_the_printed_report(self, capsys, tmp_path):
+        dataset = small_dataset(tmp_path / "data.jsonl")
+        ckpt, report = tmp_path / "model.json", tmp_path / "report.json"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out", str(ckpt),
+                           "--epochs", "1")
+        assert code == 0, err
+        code, stdout, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                                "--dataset", str(dataset), "--out", str(report))
+        assert code == 0, err
+        assert stdout == report.read_text() + "\n"
+        assert json.loads(stdout)["manifest"]["dataset"] == str(dataset)
 
 
 class TestTrainConfigHash:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import operator
 import re
@@ -60,16 +61,9 @@ def random_graphs(count, seed=0):
 
 def hand_params(conv1_w, conv2_w, head1_w, head2_w) -> GnnParams:
     """Zero-bias params with the given weights (global width follows head1)."""
-    return GnnParams(
-        conv1_w=np.asarray(conv1_w, dtype=np.float64),
-        conv1_b=np.zeros(np.shape(conv1_w)[1]),
-        conv2_w=np.asarray(conv2_w, dtype=np.float64),
-        conv2_b=np.zeros(np.shape(conv2_w)[1]),
-        head1_w=np.asarray(head1_w, dtype=np.float64),
-        head1_b=np.zeros(np.shape(head1_w)[1]),
-        head2_w=np.asarray(head2_w, dtype=np.float64),
-        head2_b=np.zeros(1),
-    ).validate()
+    layers = [np.vstack([weight, np.zeros((1, np.shape(weight)[1]))])
+              for weight in (conv1_w, conv2_w, head1_w, head2_w)]
+    return GnnParams(*layers).validate()
 
 
 def hand_graph(features, agg, global_features=()) -> FeaturizedGraph:
@@ -116,10 +110,10 @@ class TestModelForward:
     def test_zero_params_predict_bias_chain(self):
         fg = random_graphs(1)[0]
         params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=0)
-        zeros = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
+        zeros = params.over(np.zeros(params.flat.size))
         assert predict_energy(fg, zeros) == 0.0
-        biased = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
-        biased.head2_b[0] = 1.25
+        biased = params.over(np.zeros(params.flat.size))
+        biased.head2[-1, 0] = 1.25
         assert predict_energy(fg, biased) == np.expm1(1.25)
 
     def test_node_permutation_invariance(self):
@@ -160,8 +154,8 @@ class TestLossAndAdam:
     def test_perfect_prediction_zero_loss(self):
         fg = random_graphs(1)[0]
         params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=0)
-        zeros = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
-        zeros.head2_b[0] = 2.0
+        zeros = params.over(np.zeros(params.flat.size))
+        zeros.head2[-1, 0] = 2.0
         energy = float(np.expm1(2.0))
         loss, grads = loss_and_gradients([(fg, energy)], zeros)
         assert loss == pytest.approx(0.0, abs=1e-24)
@@ -296,8 +290,8 @@ def biased_params(fg, seed):
     so only the padding masks keep it out of real nodes and the node mean."""
     params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    for bias in (params.conv1_b, params.conv2_b, params.head1_b, params.head2_b):
-        bias[:] = rng.uniform(-0.5, 1.0, size=bias.shape)
+    for layer in params.as_list():
+        layer[-1] = rng.uniform(-0.5, 1.0, size=layer.shape[1])
     return params
 
 
@@ -373,7 +367,7 @@ class TestBatchedPath:
         monkeypatch.setattr(gnn, "_SCRATCH", gnn._Scratch())
         want = loss_and_gradients(narrow, params)
         assert got[0] == want[0]
-        assert len(got[1].as_list()) == len(gnn.PARAM_NAMES)
+        assert len(got[1].as_list()) == len(gnn.LAYER_NAMES)
         assert all(np.array_equal(a, b) for a, b in zip(got[1].as_list(), want[1].as_list()))
 
     def test_repeated_step_replaces_no_scratch_array(self, monkeypatch):
@@ -418,7 +412,7 @@ class TestBatchedPath:
         # one buffer per name: a float32 take views the float64 buffer in place
         for name, buffer in gnn._SCRATCH.flat.items():
             assert buffer.dtype == np.float64
-            view = gnn._SCRATCH.take32(name, 2 * buffer.size)
+            view = gnn._SCRATCH.take(name, np.dtype(np.float32), 2 * buffer.size)
             assert gnn._SCRATCH.flat[name] is buffer
             assert np.shares_memory(view, buffer)
 
@@ -578,8 +572,8 @@ class TestGradientCheck:
     def test_zero_loss_point_is_quiet(self):
         fg = random_graphs(1, seed=37)[0]
         params = init_params(fg.features.shape[1], fg.global_features.shape[0], seed=5)
-        zeros = GnnParams.from_list([np.zeros_like(a) for a in params.as_list()])
-        zeros.head2_b[0] = 1.0
+        zeros = params.over(np.zeros(params.flat.size))
+        zeros.head2[-1, 0] = 1.0
         energy = float(np.expm1(1.0))
         worst = gradient_check(zeros, (fg, energy), eps=1e-5, coords=100, seed=1)
         assert worst <= 1e-6
@@ -594,29 +588,33 @@ class TestGradientCheck:
 class TestParams:
     def test_arrays_are_views_of_one_flat_buffer(self):
         arrays = init_params(6, 3, seed=0).as_list()
-        params = GnnParams.from_list(arrays)
+        params = GnnParams(*arrays)
         assert params.flat.size == sum(a.size for a in arrays)
         assert all(np.shares_memory(a, params.flat) for a in params.as_list())
         assert not any(np.shares_memory(a, params.flat) for a in arrays)
-        params.head2_b[0] = 3.0
+        params.head2[-1, 0] = 3.0
         assert params.flat[-1] == 3.0
         copied = params.copy()
         copied.flat[-1] = 4.0
-        assert params.head2_b[0] == 3.0
+        assert params.head2[-1, 0] == 3.0
 
     def test_layers_are_weight_over_bias_views(self):
         params = init_params(6, 3, seed=0)
         batch = mixed_batch()
         _, grads = loss_and_gradients(batch, biased_params(batch[0][0], seed=1))
         for arrays in (params, grads, params.copy(), params.over(params.flat.astype(np.float32))):
-            assert len(arrays.layers) == len(gnn.PARAM_NAMES) // 2
-            pairs = zip(arrays.as_list()[::2], arrays.as_list()[1::2], arrays.layers)
-            for weight, bias, layer in pairs:
-                assert np.array_equal(layer, np.vstack([weight, bias[None]]))
-                assert np.shares_memory(layer, arrays.flat)
-        params.layers[3][-1, 0] = 5.0
-        assert params.head2_b[0] == 5.0
-        assert not np.shares_memory(params.copy().layers[0], params.flat)
+            node, hidden, glob = arrays.node_width, arrays.hidden_width, arrays.global_width
+            layers = [getattr(arrays, name) for name in gnn.LAYER_NAMES]
+            assert [layer.shape for layer in layers] == [
+                (2 * node + 1, hidden), (2 * hidden + 1, hidden), (hidden + glob + 1, hidden),
+                (hidden + 1, 1)]
+            assert all(np.shares_memory(layer, arrays.flat) for layer in layers)
+            # `flat` holds the layers in order, each bias right after its weight
+            assert np.array_equal(np.concatenate([layer.ravel() for layer in layers]), arrays.flat)
+        assert (params.node_width, params.hidden_width, params.global_width) == (6, 64, 3)
+        params.head2[-1, 0] = 5.0
+        assert params.flat[-1] == 5.0
+        assert not np.shares_memory(params.copy().conv1, params.flat)
 
 
 class TestCheckpoint:
@@ -631,6 +629,47 @@ class TestCheckpoint:
         assert np.array_equal(stats.node_mean, loaded_stats.node_mean)
         assert meta["seed"] == 11
         assert meta["extra"]["note"] == "test"
+
+    def test_format_is_pinned(self, tmp_path):
+        # Xavier draws and JSON float text only, no BLAS: the same bytes on any machine
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(31, 11, seed=0), identity_stats(), seed=0)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ffbcbcc50399c8771dc09560b0a5e64cd472b9de0a070bc239c6583251a5ae5f")
+
+    def test_stores_each_weight_and_bias_apart(self, tmp_path):
+        import json
+
+        params = init_params(6, 3, seed=2)
+        params.flat[:] = np.arange(params.flat.size)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, identity_stats(), seed=0)
+        stored = json.loads(path.read_text())["params"]
+        names = [f"{name}_{part}" for name in gnn.LAYER_NAMES for part in "wb"]
+        assert list(stored) == names
+        for name in gnn.LAYER_NAMES:
+            layer = getattr(params, name)
+            assert stored[f"{name}_w"] == layer[:-1].tolist()
+            assert stored[f"{name}_b"] == layer[-1].tolist()
+
+    @pytest.mark.parametrize("name, cut", [("conv1_b", 1), ("head2_b", 1), ("head1_w", 0)])
+    def test_refuses_a_bias_that_does_not_fit_its_weight(self, tmp_path, name, cut):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        stored = payload["params"]
+        if cut:
+            stored[name].pop()
+        else:
+            stored[name] = [row[:-1] for row in stored[name]]
+        path.write_text(json.dumps(payload))
+        layer = name[:-2]
+        message = f"'{layer}_b' of shape"
+        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_checkpoint(path)
 
     def test_trains_in_float32_and_round_trips_float64_weights(self, tmp_path, monkeypatch):
         samples = mixed_batch()
@@ -651,7 +690,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, fit_stats(random_raws(3, seed=41)), seed=0)
         loaded, stats, _ = load_checkpoint(path)
         assert loaded.flat.tobytes() == params.flat.tobytes()
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.layers, params.layers))
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.as_list(), params.as_list()))
         save_checkpoint(again, loaded, stats, seed=0)
         assert again.read_bytes() == path.read_bytes()
 

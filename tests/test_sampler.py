@@ -206,6 +206,19 @@ class TestSelectHighError:
         worst = select_high_error(lambda s: 0.0, samples, 10)
         assert len(worst) == 2
 
+    def test_ranks_like_a_stable_sort_of_relative_errors(self, gpus):
+        rng = np.random.Generator(np.random.PCG64(3))
+        truths = rng.choice([10.0, 20.0, 40.0], size=30).tolist()
+        samples = self.make_set(gpus, truths)
+        # repeated predictions make many equal errors, which keep index order
+        preds = {id(s): t * float(rng.choice([0.5, 1.0, 1.5, 3.0]))
+                 for s, t in zip(samples, truths)}
+        want = sorted(range(len(samples)),
+                      key=lambda i: (-abs(preds[id(samples[i])] - truths[i]) / truths[i], i))
+        for k in (0, 1, 7, 30, 40):
+            worst = select_high_error(lambda s: preds[id(s)], samples, k)
+            assert worst == [samples[i].point for i in want[:k]]
+
 
 class TestSyntheticOracle:
     def test_one_class_under_every_name(self):
