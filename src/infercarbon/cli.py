@@ -64,13 +64,7 @@ def _pick(catalog: dict, key: str, what: str):
 def _request(args):
     """The (architecture, GPU, request) that the request flags name; a GPU
     count that does not split the hidden size is refused under its flag."""
-    cfg = _from_flags(
-        arch_mod.InferenceConfig,
-        batch_size=args.batch,
-        prompt_length=args.prompt,
-        generated_tokens=args.gen,
-        gpu_count=args.n_gpu,
-    )
+    cfg = _from_flags(arch_mod.InferenceConfig, args)
     gpus = load_gpus(args.gpu_catalog)
     llm = _pick(load_archs(args.arch_catalog), args.arch, "architecture")
     gpu = _pick(gpus, args.gpu, "GPU")
@@ -83,9 +77,8 @@ def _request(args):
 
 
 def cmd_estimate(args) -> int:
-    dc = _from_flags(carbon_mod.DatacenterParams, pue=args.pue, carbon_intensity=args.intensity)
-    ep = _from_flags(carbon_mod.EmbodiedParams, cpa_g_per_mm2=args.cpa,
-                     lifetime_seconds=args.lifetime, packaging_g=args.packaging)
+    dc = _from_flags(carbon_mod.DatacenterParams, args)
+    ep = _from_flags(carbon_mod.EmbodiedParams, args)
     llm, gpu, cfg = _request(args)
     if args.oracle:
         predictor = SyntheticEnergyOracle()
@@ -105,9 +98,10 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# record class name -> {field: the flag that fills it}; a table per class,
-# since one field name can come from different flags (a request's batch_size
-# is --batch, training's is --batch-size)
+# record class name -> {field: the flag that fills it}, the one place a
+# command's record meets its flags; a table per class, since one field name can
+# come from different flags (a request's batch_size is --batch, training's is
+# --batch-size)
 FIELD_FLAGS = {
     "LoopHyper": {"initial_points": "a", "refine_per_center": "b", "worst_count": "k",
                   "max_iterations": "max-iterations", "update_epochs": "update-epochs",
@@ -119,22 +113,22 @@ FIELD_FLAGS = {
     "DatacenterParams": {"pue": "pue", "carbon_intensity": "intensity"},
     "EmbodiedParams": {"cpa_g_per_mm2": "cpa", "lifetime_seconds": "lifetime",
                        "packaging_g": "packaging"},
+    "ColumnMap": {"timestamp": "timestamp-col", "prompt": "prompt-col",
+                  "generated": "generated-col"},
 }
 
 
-def _from_flags(record_class, **values):
-    """A record of the flag values that were given, the record's defaults for
-    the rest; a field out of its range is reported under the flag that set it."""
+def _from_flags(record_class, args, **given):
+    """The record whose fields its FIELD_FLAGS row reads from `args` (a flag's
+    dest is its name with '-' as '_'), with `given` on top; a None leaves the
+    field's default, and a field out of its range is reported under its flag."""
+    flags = FIELD_FLAGS[record_class.__name__]
+    values = {field: getattr(args, flag.replace("-", "_")) for field, flag in flags.items()}
+    values.update(given)
     try:
         return record_class(**{k: v for k, v in values.items() if v is not None})
     except arch_mod.RangeError as exc:
-        flag = FIELD_FLAGS[record_class.__name__][exc.field]
-        raise CliError(f"--{flag}{str(exc).removeprefix(exc.field)}") from exc
-
-
-def _train_hyper(args) -> gnn_mod.TrainHyper:
-    return _from_flags(gnn_mod.TrainHyper, epochs=args.epochs, seed=args.seed,
-                       learning_rate=args.lr, batch_size=args.batch_size)
+        raise CliError(f"--{flags[exc.field]}{str(exc).removeprefix(exc.field)}") from exc
 
 
 def _file_digest(path) -> str:
@@ -148,16 +142,8 @@ def cmd_sample(args) -> int:
     from . import sampler as sampler_mod
     from . import traces as traces_mod
 
-    hyper = _from_flags(
-        sampler_mod.LoopHyper,
-        initial_points=args.a,
-        refine_per_center=args.b,
-        worst_count=args.k,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        train=_train_hyper(args),
-        update_epochs=args.update_epochs,
-    )
+    hyper = _from_flags(sampler_mod.LoopHyper, args,
+                        train=_from_flags(gnn_mod.TrainHyper, args))
     # no dataclass holds the threshold, so it is checked here
     if not args.threshold > 0:  # NaN included
         raise CliError(f"--threshold must be > 0, got {args.threshold}")
@@ -204,7 +190,7 @@ def cmd_sample(args) -> int:
 def cmd_train(args) -> int:
     from . import sampler as sampler_mod
 
-    hyper = _train_hyper(args)
+    hyper = _from_flags(gnn_mod.TrainHyper, args)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")
@@ -254,8 +240,7 @@ def cmd_eval(args) -> int:
 def cmd_trace_stats(args) -> int:
     from . import traces as traces_mod
 
-    columns = _from_flags(traces_mod.ColumnMap, timestamp=args.timestamp_col,
-                          prompt=args.prompt_col, generated=args.generated_col)
+    columns = _from_flags(traces_mod.ColumnMap, args)
     records = traces_mod.parse_trace(args.trace, columns)
     stats = traces_mod.trace_stats(records)
     if args.json:

@@ -24,7 +24,7 @@ import numpy as np
 from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture
 from .costmodel import LayerTotals
 from .kvfile import ConfigError
-from .roofline import GpuSpec, LayerCosts, cost_layer
+from .roofline import PHASE_SLOTS, GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
 
@@ -234,25 +234,12 @@ def fit_stats(raws: list[RawGraphFeatures]) -> FeatureStats:
 def _graph_json_obj(raw: RawGraphFeatures) -> dict:
     nodes = []
     for node, row in zip(raw.graph.nodes, raw.node_numeric):
-        nodes.append(
-            {
-                "id": node.id,
-                "kind": node.kind.value,
-                "dims": [int(x) for x in row[:6]],
-                "prefill": {
-                    "ops": int(row[6]),
-                    "mem_bytes": int(row[7]),
-                    "net_bytes": int(row[8]),
-                    "performance": float(row[9]),
-                },
-                "decode": {
-                    "ops": int(row[10]),
-                    "mem_bytes": int(row[11]),
-                    "net_bytes": int(row[12]),
-                    "performance": float(row[13]),
-                },
-            }
-        )
+        entry = {"id": node.id, "kind": node.kind.value, "dims": [int(x) for x in row[:6]]}
+        for phase, slots in PHASE_SLOTS.items():
+            ops, mem, net, performance = row[slots]
+            entry[phase.value] = {"ops": int(ops), "mem_bytes": int(mem), "net_bytes": int(net),
+                                  "performance": float(performance)}
+        nodes.append(entry)
     global_fields = {
         name: (float(v) if name.startswith("total") else int(v))
         for name, v in zip(GLOBAL_SLOT_NAMES, raw.global_numeric)

@@ -73,7 +73,7 @@ class ZeroTruth(ValueError):
     """Percentage metrics need strictly positive ground-truth values."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GnnParams:
     """The regressor's four layers, in LAYER_NAMES order, each its weight
     stacked over its bias, [W; b], of shape (inputs + 1, outputs).
@@ -81,13 +81,13 @@ class GnnParams:
     each field as a view of it: writing a field's elements writes `flat`, and
     Adam updates every layer as one vector.  Gradients are held in a GnnParams
     too, and `over` views a buffer of any dtype (training's float32 working
-    copy)."""
+    copy).  Two parameter sets are equal only if they are the same object."""
 
     conv1: np.ndarray
     conv2: np.ndarray
     head1: np.ndarray
     head2: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         layers = [np.asarray(layer, dtype=np.float64) for layer in self.as_list()]
@@ -133,6 +133,8 @@ class GnnParams:
         checks = [
             (self.conv1.shape[0] % 2 == 1, "conv1 input must be 2 x node width"),
             (self.conv2.shape == (2 * h + 1, h), "conv2 maps 2H -> H"),
+            (self.head1.shape[0] > h, f"head1 needs at least H + 1 = {h + 1} rows "
+                                      f"(a global width >= 0), got {self.head1.shape[0]}"),
             (self.head1.shape[1] == h, "head1 output width"),
             (self.head2.shape == (h + 1, 1), "head2 maps H -> 1"),
         ]

@@ -36,14 +36,18 @@ from .arch import (
     LlmArchitecture,
     RangeError,
     Record,
-    _layer_graph,
     check_minimums,
     dims_quantities,
+    enumerate_layer_kernels,
 )
 from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
 from .kvfile import ConfigError, SectionReader, parse_sections
 
 _PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
+
+# the slots of a kernel's raw row that hold each phase's ops, memory bytes,
+# network bytes and Roofline performance; the six before them hold its dims
+PHASE_SLOTS = {_PREFILL: slice(6, 10), _DECODE: slice(10, 14)}
 
 
 class MissingThroughput(ValueError):
@@ -164,8 +168,7 @@ class LayerCosts:
 
     def priced(self, i: int, phase: Phase) -> tuple[CostTriple, float]:
         """The cost triple and Roofline performance of ``graph.nodes[i]`` in `phase`."""
-        start = 6 if phase is _PREFILL else 10
-        ops, mem, net, performance = self.rows[i][start : start + 4]
+        ops, mem, net, performance = self.rows[i][PHASE_SLOTS[phase]]
         return CostTriple(ops, mem, net), performance
 
 
@@ -199,7 +202,7 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
     for both phases, with its Roofline performance at the activation data
     type's peak throughput; the same walk lays out each kernel's row and sums
     the phases' costs and Roofline times."""
-    graph = _layer_graph(arch.flash_attention, arch.gated_mlp, cfg.gpu_count >= 2)
+    graph = enumerate_layer_kernels(arch, cfg.gpu_count)
     ceilings = ridge_points(gpu, arch.activation_dtype)
     s_block = gpu.s_block
     dims = dims_quantities(arch)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from infercarbon import cli, sampler
+from infercarbon import arch, carbon, cli, sampler, traces
 from infercarbon.cli import main
 from infercarbon.features import GLOBAL_FEATURE_WIDTH, NODE_FEATURE_WIDTH
 from infercarbon.gnn import TrainHyper, init_params, save_checkpoint
@@ -397,6 +397,32 @@ def test_every_hyper_field_is_refused_under_its_flag(capsys, tmp_path, monkeypat
     assert code == 2
     assert err.startswith(f"error: {flag} must be ")
     assert not out.exists()
+
+
+# command -> (a minimal argv, the records it builds from its flags)
+RECORD_COMMANDS = {
+    "estimate": (["estimate", "x", "y"], (arch.InferenceConfig, carbon.DatacenterParams,
+                                          carbon.EmbodiedParams)),
+    "graph": (["graph", "x"], (arch.InferenceConfig,)),
+    "sample": (["sample", "--out", "o"], (sampler.LoopHyper, TrainHyper)),
+    "train": (["train", "--dataset", "d", "--out", "o"], (TrainHyper,)),
+    "trace-stats": (["trace-stats", "t"], (traces.ColumnMap,)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+def test_every_table_flag_is_an_option_of_its_command(command):
+    # a row naming a flag its command lacks would be an AttributeError
+    # traceback, not exit 2; a row naming no field, a TypeError
+    argv, records = RECORD_COMMANDS[command]
+    parser = cli.build_parser()
+    for record in records:
+        flags = cli.FIELD_FLAGS[record.__name__]
+        assert set(flags) <= {f.name for f in dataclasses.fields(record)}, record
+        for flag in flags.values():
+            dest = flag.replace("-", "_")
+            assert dest in vars(parser.parse_args(argv)), flag
+            assert vars(parser.parse_args([*argv, f"--{flag}", "7"]))[dest] in (7, "7"), flag
 
 
 class TestSampleConfigHash:

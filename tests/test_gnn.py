@@ -616,6 +616,17 @@ class TestParams:
         assert params.flat[-1] == 5.0
         assert not np.shares_memory(params.copy().conv1, params.flat)
 
+    def test_equality_is_identity(self):
+        params = init_params(2, 1)
+        assert params == params
+        assert params != params.copy()
+        assert len({params, params, params.copy()}) == 2
+
+    def test_refuses_a_negative_global_width(self):
+        with pytest.raises(ShapeError, match=r"^head1 needs at least H \+ 1 = 65 rows .*got 62$"):
+            init_params(31, -3)
+        assert init_params(31, 0).global_width == 0
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -669,6 +680,19 @@ class TestCheckpoint:
         layer = name[:-2]
         message = f"'{layer}_b' of shape"
         with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_checkpoint(path)
+
+    def test_refuses_a_head1_cut_below_the_hidden_width_naming_it(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        payload["params"]["head1_w"] = payload["params"]["head1_w"][:9]
+        path.write_text(json.dumps(payload))
+        message = f"{path}: malformed checkpoint: head1 needs at least H + 1 = 65 rows"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)} .*got 10$"):
             load_checkpoint(path)
 
     def test_trains_in_float32_and_round_trips_float64_weights(self, tmp_path, monkeypatch):

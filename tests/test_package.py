@@ -1,7 +1,9 @@
 """The package namespace: each name it exports is the one object its module
 defines, whether the package loads that module up front or on first use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +59,16 @@ def test_star_import_gives_every_name():
 def test_unknown_attribute_is_refused_by_name():
     with pytest.raises(AttributeError, match="'infercarbon' has no attribute 'no_such_name'"):
         infercarbon.no_such_name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a `_`-prefixed name is its module's own; a second user means it wants a
+    # public name
+    borrowed = []
+    for path in sorted(Path(infercarbon.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.partition(".")[0] == "infercarbon"):
+                borrowed += [f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert borrowed == []
