@@ -24,13 +24,12 @@ import numpy as np
 from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture
 from .costmodel import LayerTotals
 from .kvfile import ConfigError
-from .roofline import PHASE_SLOTS, GpuSpec, LayerCosts, cost_layer
+from .roofline import DIMS_SLOTS, PHASE_SLOTS, GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
 
-NODE_NUMERIC_SLOTS = 6 + 8  # dims, then (ops, mem, net, perf) per phase
+NODE_NUMERIC_SLOTS = max(slots.stop for slots in PHASE_SLOTS.values())
 NODE_FEATURE_WIDTH = NUM_KINDS + NODE_NUMERIC_SLOTS
-GLOBAL_FEATURE_WIDTH = 11
 
 GLOBAL_SLOT_NAMES = (
     "quant_bitwidth",
@@ -45,6 +44,7 @@ GLOBAL_SLOT_NAMES = (
     "total_mem_bytes",
     "total_net_bytes",
 )
+GLOBAL_FEATURE_WIDTH = len(GLOBAL_SLOT_NAMES)
 
 
 class NonFiniteFeature(ValueError):
@@ -234,7 +234,7 @@ def fit_stats(raws: list[RawGraphFeatures]) -> FeatureStats:
 def _graph_json_obj(raw: RawGraphFeatures) -> dict:
     nodes = []
     for node, row in zip(raw.graph.nodes, raw.node_numeric):
-        entry = {"id": node.id, "kind": node.kind.value, "dims": [int(x) for x in row[:6]]}
+        entry = {"id": node.id, "kind": node.kind.value, "dims": [int(x) for x in row[DIMS_SLOTS]]}
         for phase, slots in PHASE_SLOTS.items():
             ops, mem, net, performance = row[slots]
             entry[phase.value] = {"ops": int(ops), "mem_bytes": int(mem), "net_bytes": int(net),

@@ -25,12 +25,11 @@ bounded, process-wide activation scratch.  `predict_many` runs the same
 forward over chunks of graphs; `predict_energy` is its batch of one.
 
 A forward and backward compute in the dtype of the parameters they are given.
-Training runs them in float32 over float64 master weights: the samples are
-stacked once in float32, each step copies the float64 parameters into a
-float32 working copy and casts its float32 gradients back, and Adam, its
-moments, the returned parameters, checkpoints and the loss (summed from the
-float32 residuals in float64) stay float64.  Prediction and the gradient
-check pass float64 parameters, so they run in float64 throughout.
+Training runs them in float32, on samples stacked once in float32 and on a
+per-step float32 copy of the float64 master weights.  Adam widens the float32
+gradients once per step; it, its moments, the returned parameters, checkpoints
+and the loss (summed from the float32 residuals in float64) stay float64.
+Prediction and the gradient check pass float64 parameters, so run in float64.
 
 Gradients are reverse-mode by hand and checked against central finite
 differences.  Training is deterministic for a fixed seed: shuffling comes
@@ -129,9 +128,9 @@ class GnnParams:
     def validate(self) -> "GnnParams":
         if any(layer.ndim != 2 for layer in self.as_list()):
             raise ShapeError("every layer must be a matrix")
-        h = self.hidden_width
+        h, rows = self.hidden_width, self.conv1.shape[0]
         checks = [
-            (self.conv1.shape[0] % 2 == 1, "conv1 input must be 2 x node width"),
+            (rows % 2 == 1 and rows >= 3, f"conv1 needs 2 x node width + 1 >= 3 rows, got {rows}"),
             (self.conv2.shape == (2 * h + 1, h), "conv2 maps 2H -> H"),
             (self.head1.shape[0] > h, f"head1 needs at least H + 1 = {h + 1} rows "
                                       f"(a global width >= 0), got {self.head1.shape[0]}"),
@@ -153,6 +152,9 @@ def _layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_params(node_width: int, global_width: int, seed: int = 0) -> GnnParams:
+    for name, width, least in (("node", node_width, 1), ("global", global_width, 0)):
+        if width < least:
+            raise ShapeError(f"{name} width must be >= {least}, got {width}")
     rng = np.random.Generator(np.random.PCG64(seed))
     hidden = HIDDEN_WIDTH
     return GnnParams(
@@ -389,7 +391,7 @@ def loss_and_gradients(
 @dataclass
 class AdamState:
     """Adam's moments as flat vectors in the order of `GnnParams.flat`, the step count,
-    and two flat work rows that a step writes its temporaries into."""
+    and two flat work rows for a step's temporaries, its widened gradients among them."""
 
     m: np.ndarray
     v: np.ndarray
@@ -420,29 +422,30 @@ def init_adam_state(params: GnnParams) -> AdamState:
 
 def adam_step(params: GnnParams, grads: GnnParams, state: AdamState, hyper: TrainHyper) -> None:
     """One bias-corrected Adam update of `params` and `state`, in place and
-    allocation-free:
+    allocation-free, from float32 or float64 `grads` widened once to float64:
 
         m <- beta1 m + (1 - beta1) g
         v <- beta2 v + ((1 - beta2) g) g
         params <- params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
     """
     state.step += 1
-    t = state.step
-    g, m, v = grads.flat, state.m, state.v
-    a, b = state.work
+    m, v = state.m, state.v
+    a, g = state.work
+    # one widening pass: a float32 operand would cost one in each product
+    np.copyto(g, grads.flat)
     np.multiply(m, ADAM_BETA1, out=m)
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     np.multiply(v, ADAM_BETA2, out=v)
     np.multiply(g, 1.0 - ADAM_BETA2, out=a)
     a *= g
     v += a
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=a)
+    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=a)
     np.sqrt(a, out=a)
     a += ADAM_EPSILON
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=b)
-    b *= hyper.learning_rate
-    b /= a
-    params.flat -= b
+    update = np.divide(m, 1.0 - ADAM_BETA1**state.step, out=g)
+    update *= hyper.learning_rate
+    update /= a
+    params.flat -= update
 
 
 def train(
@@ -457,7 +460,7 @@ def train(
     parameters are freshly initialized from the first sample's feature widths
     with the run seed.  The samples are stacked once, in float32; each step
     gathers its mini-batch's rows and runs them on a float32 working copy of
-    the parameters, then takes its Adam step in float64, all in place.
+    the parameters, then takes its Adam step from their float32 gradients, in place.
     """
     if not samples:
         raise ValueError("training set must not be empty")
@@ -473,7 +476,6 @@ def train(
     work = params.over(np.empty(params.flat.size, np.float32))
     work_grads = work.over(np.empty_like(work.flat))
     stack = _stack([fg for fg, _ in samples], work, [energy for _, energy in samples])
-    grads = params.over(np.empty(params.flat.size))
     state = init_adam_state(params)
     rng = np.random.Generator(np.random.PCG64(hyper.seed + 1))
     history = []
@@ -487,8 +489,7 @@ def train(
                 loss, _ = loss_and_gradients(stack, work, rows, work_grads)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
-            np.copyto(grads.flat, work_grads.flat)
-            adam_step(params, grads, state, hyper)
+            adam_step(params, work_grads, state, hyper)
             epoch_loss += loss * len(rows)
         history.append(epoch_loss / len(samples))
     return params, history

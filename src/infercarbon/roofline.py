@@ -45,8 +45,9 @@ from .kvfile import ConfigError, SectionReader, parse_sections
 
 _PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
 
-# the slots of a kernel's raw row that hold each phase's ops, memory bytes,
-# network bytes and Roofline performance; the six before them hold its dims
+# the slots of a kernel's raw row: its six dims, then each phase's ops,
+# memory bytes, network bytes and Roofline performance
+DIMS_SLOTS = slice(0, 6)
 PHASE_SLOTS = {_PREFILL: slice(6, 10), _DECODE: slice(10, 14)}
 
 
@@ -152,9 +153,8 @@ def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce:
 
 @dataclass(frozen=True)
 class LayerCosts:
-    """Every kernel of one layer priced once, in one walk: ``rows[i]`` holds
-    the 14 raw feature numbers of ``graph.nodes[i]`` (dims, then ops, memory
-    bytes, network bytes and Roofline performance per phase), ``totals`` the
+    """Every kernel of one layer priced once, in one walk: ``rows[i]`` is the
+    raw feature row of ``graph.nodes[i]`` (see PHASE_SLOTS), ``totals`` the
     per-phase cost sums and ``phase_seconds`` the per-phase Roofline time:
     ops/performance summed in graph order over the kernels with ops, zero for
     the decode of a request that generates a single token."""

@@ -182,6 +182,4 @@ class EmpiricalInferencePrior:
         return self.batches.draw(rng), prompt, generated
 
 
-def empirical_prior(records: list[TraceRecord], batch_mixture=None) -> EmpiricalInferencePrior:
-    """The sampler-facing inference prior for a parsed trace."""
-    return EmpiricalInferencePrior(records, batch_mixture=batch_mixture)
+empirical_prior = EmpiricalInferencePrior

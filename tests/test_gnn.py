@@ -221,6 +221,23 @@ class TestLossAndAdam:
             assert all(np.array_equal(a, b) for a, b in zip(params.as_list(), values))
         assert state.step == 5
 
+    def test_adam_reads_float32_gradients_as_their_float64_widening(self):
+        # the per-array reference runs on the float32 gradients widened to
+        # float64; Adam must not round (1 - beta) g to float32 first
+        params = init_params(6, 3, seed=0)
+        want = params.copy()
+        hyper = TrainHyper(learning_rate=0.003)
+        state, want_state = init_adam_state(params), init_adam_state(want)
+        rng = np.random.Generator(np.random.PCG64(6))
+        for _ in range(5):
+            grads = params.over(rng.normal(size=params.flat.size).astype(np.float32))
+            adam_step(params, grads, state, hyper)
+            adam_step(want, want.over(grads.flat.astype(np.float64)), want_state, hyper)
+            assert grads.flat.dtype == np.float32
+            assert params.flat.tobytes() == want.flat.tobytes()
+            assert state.m.tobytes() == want_state.m.tobytes()
+            assert state.v.tobytes() == want_state.v.tobytes()
+
 
 class TestTraining:
     def test_single_sample_overfits(self):
@@ -382,7 +399,8 @@ class TestBatchedPath:
 
         # inside train, seen after each step's gradients: from the second step
         # on, no scratch array, gradient, parameter or Adam buffer is replaced,
-        # and the float32 working weights and gradients are the same arrays
+        # the float32 working weights and gradients are the same arrays, and
+        # Adam is handed those float32 gradients, not a float64 copy
         seen, working = [], []
         step, gradients = gnn.adam_step, gnn.loss_and_gradients
 
@@ -407,7 +425,9 @@ class TestBatchedPath:
             assert all(a is b for a, b in zip(later_buffers, buffers))
         assert all(flat.dtype == np.float32 for pair in working for flat in pair)
         assert all(pair[0] is working[0][0] and pair[1] is working[0][1] for pair in working)
-        assert all(buffer.dtype == np.float64 for buffer in buffers)
+        params_flat, grads_flat, *adam_buffers = buffers
+        assert grads_flat is working[0][1]
+        assert all(buffer.dtype == np.float64 for buffer in [params_flat, *adam_buffers])
 
         # one buffer per name: a float32 take views the float64 buffer in place
         for name, buffer in gnn._SCRATCH.flat.items():
@@ -623,9 +643,26 @@ class TestParams:
         assert len({params, params, params.copy()}) == 2
 
     def test_refuses_a_negative_global_width(self):
-        with pytest.raises(ShapeError, match=r"^head1 needs at least H \+ 1 = 65 rows .*got 62$"):
+        with pytest.raises(ShapeError, match=r"^global width must be >= 0, got -3$"):
             init_params(31, -3)
-        assert init_params(31, 0).global_width == 0
+        with pytest.raises(ShapeError, match=r"^global width must be >= 0, got -65$"):
+            init_params(31, -65)
+        layers = init_params(31, 0).as_list()
+        assert GnnParams(*layers).global_width == 0
+        layers[2] = layers[2][:62]
+        with pytest.raises(ShapeError, match=r"^head1 needs at least H \+ 1 = 65 rows .*got 62$"):
+            GnnParams(*layers).validate()
+
+    def test_refuses_a_node_width_below_one(self):
+        for node_width in (0, -1):
+            with pytest.raises(ShapeError, match=f"^node width must be >= 1, got {node_width}$"):
+                init_params(node_width, 3)
+        layers = init_params(1, 3).as_list()
+        assert GnnParams(*layers).node_width == 1
+        layers[0] = layers[0][-1:]  # the bias alone: node width 0
+        message = r"^conv1 needs 2 x node width \+ 1 >= 3 rows, got 1$"
+        with pytest.raises(ShapeError, match=message):
+            GnnParams(*layers).validate()
 
 
 class TestCheckpoint:
@@ -693,6 +730,19 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         message = f"{path}: malformed checkpoint: head1 needs at least H + 1 = 65 rows"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)} .*got 10$"):
+            load_checkpoint(path)
+
+    def test_refuses_a_conv1_weight_of_no_rows_naming_the_path(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        payload["params"]["conv1_w"] = []
+        payload["node_width"] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: malformed checkpoint: "):
             load_checkpoint(path)
 
     def test_trains_in_float32_and_round_trips_float64_weights(self, tmp_path, monkeypatch):
