@@ -8,8 +8,8 @@ log1p(joules) and predictions are expm1-ed back at the reporting boundary.
 
 The parameters are four layers, conv1, conv2, head1 and head2, each held as
 its weight stacked over its bias, [W; b], so that a layer product is one GEMM
-of input rows ending in a ones column.  Checkpoints store each weight and
-bias apart, under `<layer>_w` and `<layer>_b`.
+of input rows ending in a ones column.  A checkpoint stores each layer as
+one array: its dtype, shape and the base64 of its little-endian float64 bytes.
 
 One forward/backward path serves a stack of graphs, each zero-padded to the
 widest: each layer product is one GEMM over all stacked rows; neighbor means
@@ -38,15 +38,17 @@ from a seeded generator, and a mini-batch always reduces in the same order.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arch import JSON_DECODERS, RangeError, check_minimums
-from .features import NUM_KINDS, FeatureStats, FeaturizedGraph, json_float_array
+from .features import NUM_KINDS, FeatureStats, FeaturizedGraph
 
 HIDDEN_WIDTH = 64
 # Graphs per forward/backward pass: bounds one step's activations at any batch size.
@@ -58,6 +60,7 @@ ADAM_EPSILON = 1e-8
 
 # The layers in the order `GnnParams.flat` holds them.
 LAYER_NAMES = ("conv1", "conv2", "head1", "head2")
+CHECKPOINT_VERSION, CHECKPOINT_DTYPE = 2, "<f8"  # little-endian float64 layers
 
 
 class ShapeError(ValueError):
@@ -129,20 +132,27 @@ class GnnParams:
         if any(layer.ndim != 2 for layer in self.as_list()):
             raise ShapeError("every layer must be a matrix")
         h, rows = self.hidden_width, self.conv1.shape[0]
-        checks = [
-            (rows % 2 == 1 and rows >= 3, f"conv1 needs 2 x node width + 1 >= 3 rows, got {rows}"),
-            (self.conv2.shape == (2 * h + 1, h), "conv2 maps 2H -> H"),
-            (self.head1.shape[0] > h, f"head1 needs at least H + 1 = {h + 1} rows "
-                                      f"(a global width >= 0), got {self.head1.shape[0]}"),
-            (self.head1.shape[1] == h, "head1 output width"),
-            (self.head2.shape == (h + 1, 1), "head2 maps H -> 1"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ShapeError(message)
+        if not (rows % 2 == 1 and rows >= 3):
+            raise ShapeError(f"conv1 needs 2 x node width + 1 >= 3 rows, got {rows}")
+        if self.head1.shape[0] <= h:
+            raise ShapeError(f"head1 needs at least H + 1 = {h + 1} rows "
+                             f"(a global width >= 0), got {self.head1.shape[0]}")
+        self.check_shapes(layer_shapes(self.node_width, self.global_width, h))
         if not np.all(np.isfinite(self.flat)):
             raise ShapeError("parameter contains a non-finite value")
         return self
+
+    def check_shapes(self, shapes, reason: str = "") -> None:
+        """Refuse the first layer whose shape is not its entry of `shapes`."""
+        for name, layer, shape in zip(LAYER_NAMES, self.as_list(), shapes):
+            if layer.shape != shape:
+                raise ShapeError(f"{name} needs shape {shape}{reason}, got {layer.shape}")
+
+
+def layer_shapes(node_width: int, global_width: int, hidden_width: int = HIDDEN_WIDTH) -> tuple:
+    """Each layer's [W; b] shape, (inputs + 1, outputs), in LAYER_NAMES order."""
+    h = hidden_width
+    return (2 * node_width + 1, h), (2 * h + 1, h), (h + global_width + 1, h), (h + 1, 1)
 
 
 def _layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -156,13 +166,8 @@ def init_params(node_width: int, global_width: int, seed: int = 0) -> GnnParams:
         if width < least:
             raise ShapeError(f"{name} width must be >= {least}, got {width}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    hidden = HIDDEN_WIDTH
-    return GnnParams(
-        conv1=_layer(rng, 2 * node_width, hidden),
-        conv2=_layer(rng, 2 * hidden, hidden),
-        head1=_layer(rng, hidden + global_width, hidden),
-        head2=_layer(rng, hidden, 1),
-    ).validate()
+    return GnnParams(*(_layer(rng, rows - 1, cols)
+                       for rows, cols in layer_shapes(node_width, global_width))).validate()
 
 
 def _check_widths(graphs, params: GnnParams) -> None:
@@ -579,63 +584,89 @@ def gradient_check(
 
 
 def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, extra: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint with shapes, stats and weights."""
+    """Write a versioned JSON checkpoint of widths, seed, feature statistics and
+    each layer's dtype, shape and base64 bytes, through a sibling `<name>.tmp`
+    that replaces `path`: a write cut short leaves the previous file whole."""
     params.validate()
     payload = {
         "format": "infercarbon-checkpoint",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "seed": seed,
         "node_width": params.node_width,
         "global_width": params.global_width,
         "hidden_width": params.hidden_width,
         "stats": stats.to_dict(),
-        "params": {f"{name}_{part}": arr.tolist()
-                   for name, layer in zip(LAYER_NAMES, params.as_list())
-                   for part, arr in (("w", layer[:-1]), ("b", layer[-1]))},
+        "params": {name: {"dtype": CHECKPOINT_DTYPE, "shape": list(layer.shape),
+                          "data": base64.b64encode(layer.astype(CHECKPOINT_DTYPE)).decode()}
+                   for name, layer in zip(LAYER_NAMES, params.as_list())},
     }
     if extra:
         payload["extra"] = extra
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    partial = f"{os.fspath(path)}.tmp"
+    with open(partial, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload))
+    os.replace(partial, path)
 
 
-def _stacked_layer(arrays: dict, name: str) -> np.ndarray:
-    """Layer `name` of a checkpoint's "params", which holds each weight and
-    bias apart, as `<name>_w` and `<name>_b`."""
-    weight = json_float_array(f"{name}_w", arrays[f"{name}_w"])
-    bias = json_float_array(f"{name}_b", arrays[f"{name}_b"])
-    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
-        raise ShapeError(f"'{name}_b' of shape {bias.shape} does not fit "
-                         f"'{name}_w' of shape {weight.shape}")
-    return np.vstack([weight, bias])
+def _decode_layer(name: str, entry) -> np.ndarray:
+    """Layer `name` of a checkpoint's "params": an object of its dtype, its
+    shape (two positive integers) and the base64 of its bytes."""
+    if type(entry) is not dict:
+        raise ShapeError(f"layer '{name}' must be an object of dtype, shape and data")
+    if entry.get("dtype") != CHECKPOINT_DTYPE:
+        raise ShapeError(f"field '{name}.dtype' must be \"{CHECKPOINT_DTYPE}\", "
+                         f"got {json.dumps(entry.get('dtype'))}")
+    shape = entry.get("shape")
+    if (type(shape) is not list or len(shape) != 2
+            or min(JSON_DECODERS["int"](f"{name}.shape", n) for n in shape) < 1):
+        raise ShapeError(f"field '{name}.shape' must be two positive integers, "
+                         f"got {json.dumps(shape)}")
+    try:
+        data = base64.b64decode(entry.get("data"), validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise ShapeError(f"field '{name}.data' is not base64: {exc}") from None
+    size = 8 * shape[0] * shape[1]  # float64 bytes
+    if len(data) != size:
+        raise ShapeError(f"field '{name}.data' holds {len(data)} bytes, "
+                         f"shape {tuple(shape)} needs {size}")
+    return np.frombuffer(data, CHECKPOINT_DTYPE).reshape(shape)
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
-    """Load a checkpoint; refuses a foreign format, malformed weights or
-    statistics and mismatched widths with a ShapeError naming the path."""
+    """Load a checkpoint; refuses a foreign format, another version, malformed
+    layers or statistics and mismatched widths with a ShapeError naming the
+    path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except ValueError as exc:
             raise ShapeError(f"{path}: unreadable checkpoint: {exc}") from exc
     if (not isinstance(payload, dict) or payload.get("format") != "infercarbon-checkpoint"
-            or type(payload.get("version")) is not int or payload["version"] != 1):
+            or type(payload.get("version")) is not int):
         raise ShapeError(f"{path}: not a recognized checkpoint file")
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise ShapeError(f"{path}: checkpoint version {payload['version']} is not readable "
+                         f"(this release reads version {CHECKPOINT_VERSION}); re-run "
+                         "`infercarbon train` or `infercarbon sample` to write it anew")
     try:
-        params = GnnParams(**{name: _stacked_layer(payload["params"], name)
+        stored = payload["params"]
+        params = GnnParams(**{name: _decode_layer(name, stored[name])
                               for name in LAYER_NAMES}).validate()
-        expected = tuple(JSON_DECODERS["int"](name, payload[name])
-                         for name in ("node_width", "global_width", "hidden_width"))
-        actual = (params.node_width, params.global_width, params.hidden_width)
-        if expected != actual:
-            raise ShapeError(f"checkpoint widths {expected} do not match weights {actual}")
+        unknown = sorted(set(stored) - set(LAYER_NAMES))
+        if unknown:
+            raise ShapeError(f"unknown layer '{unknown[0]}' (the layers are "
+                             f"{', '.join(LAYER_NAMES)})")
+        widths = node, glob, hidden = tuple(
+            JSON_DECODERS["int"](name, payload[name])
+            for name in ("node_width", "global_width", "hidden_width"))
+        params.check_shapes(layer_shapes(*widths), f" for node_width {node}, "
+                            f"global_width {glob} and hidden_width {hidden}")
         stats = FeatureStats.from_dict(payload["stats"])
-        node_slots = (params.node_width - NUM_KINDS,)
+        node_slots = (node - NUM_KINDS,)
         for arr, shape in ((stats.node_mean, node_slots), (stats.node_std, node_slots),
-                           (stats.global_mean, (params.global_width,)),
-                           (stats.global_std, (params.global_width,))):
+                           (stats.global_mean, (glob,)), (stats.global_std, (glob,))):
             if arr.shape != shape or not np.all(np.isfinite(arr)):
-                raise ShapeError(f"feature statistics do not fit the weights' widths {actual}")
+                raise ShapeError(f"feature statistics do not fit the weights' widths {widths}")
         for name in ("node_std", "global_std"):  # a zero std is a constant slot, which reads 0
             std = getattr(stats, name)
             if np.any(std < 0):

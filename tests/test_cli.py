@@ -205,8 +205,10 @@ class TestTraceStats:
 class TestMalformedFiles:
     @pytest.mark.parametrize("text", [
         "[1]", "", "not json",
-        '{"format": "infercarbon-checkpoint", "version": 1, "params": [1]}',
-        '{"format": "infercarbon-checkpoint", "version": 1}',
+        '{"format": "infercarbon-checkpoint", "version": 2, "params": [1]}',
+        '{"format": "infercarbon-checkpoint", "version": 2}',
+        '{"format": "infercarbon-checkpoint", "version": 2, "params": {"conv1": '
+        '{"dtype": "<f8", "shape": [1, 1], "data": "x"}}}',
         '{"format": "infercarbon-checkpoint", "version": 1, "params": {"conv1_w": [["x"]]}}',
     ])
     def test_checkpoint_is_config_error_naming_the_file(self, capsys, tmp_path, text):
@@ -215,6 +217,15 @@ class TestMalformedFiles:
         code, _, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path))
         assert code == 2
         assert str(path) in err
+
+    def test_version_1_checkpoint_exits_2_naming_the_file_and_version(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "infercarbon-checkpoint", "version": 1, "params": {}}')
+        code, out, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: checkpoint version 1 is not readable" in err
+        assert "re-run `infercarbon train` or `infercarbon sample`" in err
 
     @pytest.mark.parametrize("slot", ["node_std", "global_std"])
     def test_negative_feature_std_exits_2_naming_file_and_field(self, capsys, tmp_path, slot):

@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -64,6 +66,17 @@ def hand_params(conv1_w, conv2_w, head1_w, head2_w) -> GnnParams:
     layers = [np.vstack([weight, np.zeros((1, np.shape(weight)[1]))])
               for weight in (conv1_w, conv2_w, head1_w, head2_w)]
     return GnnParams(*layers).validate()
+
+
+def stored_layer(array) -> dict:
+    """A checkpoint's "params" entry for `array`: dtype, shape and base64 bytes."""
+    array = np.asarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape),
+            "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def decoded_layer(entry: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(entry["data"]), "<f8").reshape(entry["shape"])
 
 
 def hand_graph(features, agg, global_features=()) -> FeaturizedGraph:
@@ -679,44 +692,155 @@ class TestCheckpoint:
         assert meta["extra"]["note"] == "test"
 
     def test_format_is_pinned(self, tmp_path):
-        # Xavier draws and JSON float text only, no BLAS: the same bytes on any machine
+        # Xavier draws, their float64 bytes and JSON statistics only, no BLAS: the
+        # same bytes on any machine
         path = tmp_path / "model.json"
         save_checkpoint(path, init_params(31, 11, seed=0), identity_stats(), seed=0)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ffbcbcc50399c8771dc09560b0a5e64cd472b9de0a070bc239c6583251a5ae5f")
+            "a83efa1b230a44610321a264b40920163850a0d0ca542ddbb7f65f6e110b9311")
 
-    def test_stores_each_weight_and_bias_apart(self, tmp_path):
+    def test_stores_each_layer_as_one_typed_array(self, tmp_path):
         import json
 
         params = init_params(6, 3, seed=2)
         params.flat[:] = np.arange(params.flat.size)
         path = tmp_path / "model.json"
         save_checkpoint(path, params, identity_stats(), seed=0)
-        stored = json.loads(path.read_text())["params"]
-        names = [f"{name}_{part}" for name in gnn.LAYER_NAMES for part in "wb"]
-        assert list(stored) == names
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        stored = payload["params"]
+        assert list(stored) == list(gnn.LAYER_NAMES)
         for name in gnn.LAYER_NAMES:
             layer = getattr(params, name)
-            assert stored[f"{name}_w"] == layer[:-1].tolist()
-            assert stored[f"{name}_b"] == layer[-1].tolist()
+            assert stored[name]["dtype"] == "<f8"
+            assert stored[name]["shape"] == list(layer.shape)
+            assert base64.b64decode(stored[name]["data"]) == layer.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("name, cut", [("conv1_b", 1), ("head2_b", 1), ("head1_w", 0)])
-    def test_refuses_a_bias_that_does_not_fit_its_weight(self, tmp_path, name, cut):
+    def test_round_trip_keeps_negative_zero_and_subnormal_weights(self, tmp_path):
+        params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=5)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        params.conv1[0, :3] = (-0.0, tiny, -7 * tiny)
+        params.head2[-1, 0] = -0.0
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_checkpoint(path, params, fit_stats(random_raws(3, seed=41)), seed=5,
+                        extra={"note": "test"})
+        loaded, stats, meta = load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert np.signbit(loaded.conv1[0, 0]) and np.signbit(loaded.head2[-1, 0])
+        assert loaded.conv1[0, 1] == tiny and loaded.conv1[0, 2] == -7 * tiny
+        # re-saving what was loaded writes the same bytes
+        save_checkpoint(again, loaded, stats, seed=meta["seed"], extra=meta["extra"])
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_a_write_cut_short_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=1),
+                        identity_stats(), seed=1)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A text file that writes half of what it is given, then fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gnn, "open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=2),
+                            identity_stats(), seed=2)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("conv1", (61, 64), "conv1 needs shape (63, 64) for node_width 31, global_width 11 "
+                            "and hidden_width 64, got (61, 64)"),
+        ("conv2", (128, 64), "conv2 needs shape (129, 64), got (128, 64)"),
+        ("head1", (74, 64), "head1 needs shape (76, 64) for node_width 31, global_width 11 "
+                            "and hidden_width 64, got (74, 64)"),
+        ("head2", (64, 1), "head2 needs shape (65, 1), got (64, 1)"),
+    ], ids=["conv1", "conv2", "head1", "head2"])
+    def test_refuses_a_misshapen_layer_naming_the_shape_it_needs(self, tmp_path, name, shape,
+                                                                  message):
         import json
 
         path = tmp_path / "model.json"
         save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
                         fit_stats(random_raws(1, seed=43)), seed=0)
         payload = json.loads(path.read_text())
-        stored = payload["params"]
-        if cut:
-            stored[name].pop()
-        else:
-            stored[name] = [row[:-1] for row in stored[name]]
+        layer = decoded_layer(payload["params"][name])
+        payload["params"][name] = stored_layer(layer[: shape[0], : shape[1]])
         path.write_text(json.dumps(payload))
-        layer = name[:-2]
-        message = f"'{layer}_b' of shape"
-        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        message = f"{path}: malformed checkpoint: {message}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("conv2", "dtype", "<f4", 'field \'conv2.dtype\' must be "<f8", got "<f4"'),
+        ("conv2", "dtype", None, 'field \'conv2.dtype\' must be "<f8", got null'),
+        ("head1", "shape", [76], "field 'head1.shape' must be two positive integers, got [76]"),
+        ("head1", "shape", [0, 64],
+         "field 'head1.shape' must be two positive integers, got [0, 64]"),
+        ("head1", "shape", [76, True], "field 'head1.shape' must be an integer, got true"),
+        ("head2", "data", "not base64!", "field 'head2.data' is not base64: "),
+        ("head2", "data", "AAAAAAAAAAA=", "field 'head2.data' holds 8 bytes, "
+                                          "shape (65, 1) needs 520"),
+        ("head2", "data", 12, "field 'head2.data' is not base64: "),
+    ])
+    def test_refuses_a_malformed_layer_field_naming_the_path_and_layer(self, tmp_path, name,
+                                                                       field, value, message):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        payload["params"][name][field] = value
+        path.write_text(json.dumps(payload))
+        message = f"{path}: malformed checkpoint: {message}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+            load_checkpoint(path)
+
+    def test_refuses_a_missing_or_unknown_layer_naming_it(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        fit_stats(random_raws(1, seed=43)), seed=0)
+        payload = json.loads(path.read_text())
+        payload["params"]["conv3"] = payload["params"]["conv2"]
+        path.write_text(json.dumps(payload))
+        message = (f"{path}: malformed checkpoint: unknown layer 'conv3' "
+                   "(the layers are conv1, conv2, head1, head2)")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        del payload["params"]["conv3"], payload["params"]["head2"]
+        path.write_text(json.dumps(payload))
+        message = f"{path}: checkpoint has no 'head2' entry"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        payload["params"]["head2"] = [[0.0]] * 65
+        path.write_text(json.dumps(payload))
+        message = f"{path}: malformed checkpoint: layer 'head2' must be an object"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+            load_checkpoint(path)
+
+    def test_refuses_version_1_naming_it(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "infercarbon-checkpoint", "version": 1, "seed": 0, '
+                        '"params": {"conv1_w": [[0.5]], "conv1_b": [0.0]}}')
+        message = (f"{path}: checkpoint version 1 is not readable (this release reads "
+                   "version 2); re-run `infercarbon train` or `infercarbon sample` "
+                   "to write it anew")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_refuses_a_head1_cut_below_the_hidden_width_naming_it(self, tmp_path):
@@ -726,7 +850,7 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
                         fit_stats(random_raws(1, seed=43)), seed=0)
         payload = json.loads(path.read_text())
-        payload["params"]["head1_w"] = payload["params"]["head1_w"][:9]
+        payload["params"]["head1"] = stored_layer(decoded_layer(payload["params"]["head1"])[:10])
         path.write_text(json.dumps(payload))
         message = f"{path}: malformed checkpoint: head1 needs at least H + 1 = 65 rows"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)} .*got 10$"):
@@ -739,10 +863,11 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
                         fit_stats(random_raws(1, seed=43)), seed=0)
         payload = json.loads(path.read_text())
-        payload["params"]["conv1_w"] = []
+        payload["params"]["conv1"] = stored_layer(decoded_layer(payload["params"]["conv1"])[-1:])
         payload["node_width"] = 0
         path.write_text(json.dumps(payload))
-        with pytest.raises(ShapeError, match=f"^{re.escape(str(path))}: malformed checkpoint: "):
+        message = f"{path}: malformed checkpoint: conv1 needs 2 x node width + 1 >= 3 rows, got 1"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_trains_in_float32_and_round_trips_float64_weights(self, tmp_path, monkeypatch):
@@ -798,8 +923,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("where, value, message", [
         (["version"], True, "not a recognized checkpoint file"),
         (["hidden_width"], 64.0, "field 'hidden_width' must be an integer, got 64.0"),
-        (["params", "conv1_b", 0], "1.5", 'field \'conv1_b\' must hold only numbers, got "1.5"'),
-        (["params", "conv1_w", 0, 0], True, "field 'conv1_w' must hold only numbers, got true"),
+        (["params", "conv1", "shape", 0], "1.5",
+         'field \'conv1.shape\' must be an integer, got "1.5"'),
+        (["params", "conv1", "shape", 1], True, "field 'conv1.shape' must be an integer, got true"),
         (["stats", "node_std", 0], "1.5", 'field \'node_std\' must hold only numbers, got "1.5"'),
         (["stats", "global_mean", 0], False,
          "field 'global_mean' must hold only numbers, got false"),
@@ -843,8 +969,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("text", [
         "[1]", "", "not json", '"text"',
-        '{"format": "infercarbon-checkpoint", "version": 1, "params": [1]}',
-        '{"format": "infercarbon-checkpoint", "version": 1}',
+        '{"format": "infercarbon-checkpoint", "version": 2, "params": [1]}',
+        '{"format": "infercarbon-checkpoint", "version": 2}',
+        '{"format": "infercarbon-checkpoint", "version": 2, "params": {"conv1": '
+        '{"dtype": "<f8", "shape": [1, 1], "data": "x"}}}',
         '{"format": "infercarbon-checkpoint", "version": 1, "params": {"conv1_w": [["x"]]}}',
     ])
     def test_refuses_malformed_file_with_path(self, tmp_path, text):
