@@ -119,8 +119,8 @@ class ModelEnergyPredictor:
 
     The network predicts total energy; the per-phase split is apportioned by
     the phases' Roofline time shares (the regressor itself is phase-blind at
-    the output).  Negative raw predictions clamp to zero joules.  The features
-    and the time shares read one costing of the layer.
+    the output).  The network regresses log joules, so its total is never negative.
+    The features and the time shares read one costing of the layer.
     """
 
     identity = "gnn-regressor"
@@ -131,7 +131,7 @@ class ModelEnergyPredictor:
 
     def measure_breakdown(self, point: SamplePoint) -> dict[str, float]:
         costs = cost_layer(point.arch, point.cfg, point.gpu)
-        total = max(0.0, predict_energy(featurize_raw(raw_features(costs), self.stats), self.params))
+        total = predict_energy(featurize_raw(raw_features(costs), self.stats), self.params)
         times = costs.phase_seconds
         t_pre, t_dec = times[Phase.PREFILL], times[Phase.DECODE]
         span = t_pre + t_dec

@@ -131,11 +131,11 @@ def _from_flags(record_class, args, **given):
         raise CliError(f"--{flags[exc.field]}{str(exc).removeprefix(exc.field)}") from exc
 
 
-def _file_digest(path) -> str:
-    """sha256 of a file's bytes: the same files hash alike from any path."""
+def _digest(data: bytes) -> str:
+    """sha256 of bytes: a file hashed by its content hashes alike from any path."""
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def cmd_sample(args) -> int:
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
             "epochs": hyper.epochs,
             "final_train_loss": history[-1],
             "config_hash": sampler_mod.config_hash(
-                {"dataset": _file_digest(args.dataset), **vars(hyper)}),
+                {"dataset": _digest(Path(args.dataset).read_bytes()), **vars(hyper)}),
         },
     )
     print(f"trained {hyper.epochs} epochs; loss {history[0]:.4f} -> {history[-1]:.4f}; "
@@ -221,14 +221,17 @@ def cmd_eval(args) -> int:
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")
     report = sampler_mod.evaluate_model(params, stats, samples)
+    arrays = [*params.as_list(), *vars(stats).values()]
     payload = report.to_dict()
     payload["manifest"] = {
         "checkpoint": str(args.checkpoint),
         "dataset": str(args.dataset),
         "checkpoint_seed": meta.get("seed"),
-        "config_hash": sampler_mod.config_hash(
-            {"checkpoint": _file_digest(args.checkpoint), "dataset": _file_digest(args.dataset)}
-        ),
+        # the model by its target and arrays, not its file: seed and extra do not count
+        "config_hash": sampler_mod.config_hash({
+            "target": gnn_mod.TARGET, "shapes": [array.shape for array in arrays],
+            "model": _digest(b"".join(array.tobytes() for array in arrays)),
+            "dataset": _digest(Path(args.dataset).read_bytes())}),
     }
     text = json.dumps(payload, indent=2)
     if args.out:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .arch import KIND_ORDER, InferenceConfig, KernelGraph, LlmArchitecture
 from .costmodel import LayerTotals
-from .kvfile import ConfigError
 from .roofline import DIMS_SLOTS, PHASE_SLOTS, GpuSpec, LayerCosts, cost_layer
 
 NUM_KINDS = len(KIND_ORDER)
@@ -68,30 +67,6 @@ class FeatureStats:
     node_std: np.ndarray
     global_mean: np.ndarray
     global_std: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "node_mean": self.node_mean.tolist(),
-            "node_std": self.node_std.tolist(),
-            "global_mean": self.global_mean.tolist(),
-            "global_std": self.global_std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureStats":
-        return cls(**{name: json_float_array(name, d[name])
-                      for name in ("node_mean", "node_std", "global_mean", "global_std")})
-
-
-def json_float_array(name: str, value) -> np.ndarray:
-    """A JSON array of numbers, at any depth, as float64; as in ``JSON_DECODERS``
-    a bool is not a number, so a leaf that is not an int or a float (a bool, a
-    string, a row of uneven length) is a ConfigError naming the field."""
-    leaves = np.array(value, dtype=object)
-    if not set(map(type, leaves.flat)) <= {int, float}:
-        bad = next(leaf for leaf in leaves.flat if type(leaf) not in (int, float))
-        raise ConfigError(f"field '{name}' must hold only numbers, got {json.dumps(bad)}")
-    return leaves.astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ Architecture: two mean-aggregation graph convolutions (each node is updated
 from the concatenation of itself and the mean of its neighbors), mean pooling
 over nodes, concatenation with the global feature vector, then two linear
 layers down to a scalar.  The scalar lives in log-energy space: targets are
-log1p(joules) and predictions are expm1-ed back at the reporting boundary.
+log(joules) (TARGET), so the squared loss weighs relative error, and
+predictions are exp-ed back at the reporting boundary.
 
 The parameters are four layers, conv1, conv2, head1 and head2, each held as
 its weight stacked over its bias, [W; b], so that a layer product is one GEMM
-of input rows ending in a ones column.  A checkpoint stores each layer as
-one array: its dtype, shape and the base64 of its little-endian float64 bytes.
+of input rows ending in a ones column; their shapes fix the node, global and
+hidden widths.  A checkpoint names the target and stores eight arrays, the
+layers and the four feature statistics, each as its dtype, shape and the
+base64 of its little-endian float64 bytes.
 
 One forward/backward path serves a stack of graphs, each zero-padded to the
 widest: each layer product is one GEMM over all stacked rows; neighbor means
@@ -43,7 +46,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +63,10 @@ ADAM_EPSILON = 1e-8
 
 # The layers in the order `GnnParams.flat` holds them.
 LAYER_NAMES = ("conv1", "conv2", "head1", "head2")
-CHECKPOINT_VERSION, CHECKPOINT_DTYPE = 2, "<f8"  # little-endian float64 layers
+# The FeatureStats fields, in the order a checkpoint stores them.
+STAT_NAMES = tuple(f.name for f in fields(FeatureStats))
+CHECKPOINT_VERSION, CHECKPOINT_DTYPE = 3, "<f8"  # little-endian float64 arrays
+TARGET = "log"  # the regression target, which a checkpoint names: log(joules)
 
 
 class ShapeError(ValueError):
@@ -132,21 +138,20 @@ class GnnParams:
         if any(layer.ndim != 2 for layer in self.as_list()):
             raise ShapeError("every layer must be a matrix")
         h, rows = self.hidden_width, self.conv1.shape[0]
+        if h < 1:
+            raise ShapeError(f"conv1 needs at least one column (the hidden width), got {h}")
         if not (rows % 2 == 1 and rows >= 3):
             raise ShapeError(f"conv1 needs 2 x node width + 1 >= 3 rows, got {rows}")
         if self.head1.shape[0] <= h:
             raise ShapeError(f"head1 needs at least H + 1 = {h + 1} rows "
                              f"(a global width >= 0), got {self.head1.shape[0]}")
-        self.check_shapes(layer_shapes(self.node_width, self.global_width, h))
+        for name, layer, shape in zip(LAYER_NAMES, self.as_list(),
+                                      layer_shapes(self.node_width, self.global_width, h)):
+            if layer.shape != shape:
+                raise ShapeError(f"{name} needs shape {shape}, got {layer.shape}")
         if not np.all(np.isfinite(self.flat)):
             raise ShapeError("parameter contains a non-finite value")
         return self
-
-    def check_shapes(self, shapes, reason: str = "") -> None:
-        """Refuse the first layer whose shape is not its entry of `shapes`."""
-        for name, layer, shape in zip(LAYER_NAMES, self.as_list(), shapes):
-            if layer.shape != shape:
-                raise ShapeError(f"{name} needs shape {shape}{reason}, got {layer.shape}")
 
 
 def layer_shapes(node_width: int, global_width: int, hidden_width: int = HIDDEN_WIDTH) -> tuple:
@@ -332,7 +337,7 @@ def predict_energy(fg: FeaturizedGraph, params: GnnParams) -> float:
     _check_widths([fg], params)
     act = _forward(fg.features[None], fg.agg[None], np.array([fg.node_count]),
                    fg.global_features[None], params, _SCRATCH)
-    return float(np.expm1(act[-1][0]))
+    return float(np.exp(act[-1][0]))
 
 
 def predict_many(graphs: list[FeaturizedGraph], params: GnnParams) -> list[float]:
@@ -343,12 +348,12 @@ def predict_many(graphs: list[FeaturizedGraph], params: GnnParams) -> list[float
     for start in range(0, len(graphs), CHUNK_GRAPHS):
         stack = _stack(graphs[start : start + CHUNK_GRAPHS], params)
         act = _forward(*_gather(stack, np.arange(len(stack.counts)), _SCRATCH), params, _SCRATCH)
-        preds += np.expm1(act[-1]).tolist()
+        preds += np.exp(act[-1]).tolist()
     return preds
 
 
 def target_transform(energy_joules: float) -> float:
-    return math.log1p(energy_joules)
+    return math.log(energy_joules)
 
 
 def loss_and_gradients(
@@ -583,22 +588,23 @@ def gradient_check(
     return worst
 
 
+def _encoded(array: np.ndarray) -> dict:
+    return {"dtype": CHECKPOINT_DTYPE, "shape": list(array.shape),
+            "data": base64.b64encode(array.astype(CHECKPOINT_DTYPE)).decode()}
+
+
 def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, extra: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint of widths, seed, feature statistics and
-    each layer's dtype, shape and base64 bytes, through a sibling `<name>.tmp`
-    that replaces `path`: a write cut short leaves the previous file whole."""
+    """Write a versioned JSON checkpoint of the target, the seed, the layers and
+    the feature statistics, through a sibling `<name>.tmp` that replaces
+    `path`: a write cut short leaves the previous file whole."""
     params.validate()
     payload = {
         "format": "infercarbon-checkpoint",
         "version": CHECKPOINT_VERSION,
+        "target": TARGET,
         "seed": seed,
-        "node_width": params.node_width,
-        "global_width": params.global_width,
-        "hidden_width": params.hidden_width,
-        "stats": stats.to_dict(),
-        "params": {name: {"dtype": CHECKPOINT_DTYPE, "shape": list(layer.shape),
-                          "data": base64.b64encode(layer.astype(CHECKPOINT_DTYPE)).decode()}
-                   for name, layer in zip(LAYER_NAMES, params.as_list())},
+        "params": {name: _encoded(layer) for name, layer in zip(LAYER_NAMES, params.as_list())},
+        "stats": {name: _encoded(getattr(stats, name)) for name in STAT_NAMES},
     }
     if extra:
         payload["extra"] = extra
@@ -608,34 +614,47 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
     os.replace(partial, path)
 
 
-def _decode_layer(name: str, entry) -> np.ndarray:
-    """Layer `name` of a checkpoint's "params": an object of its dtype, its
-    shape (two positive integers) and the base64 of its bytes."""
+def _decoded(name: str, entry, ndim: int) -> np.ndarray:
+    """Array `name` of a checkpoint: an object of its dtype, its shape (`ndim`
+    integers >= 0) and the base64 of its finite float64 bytes."""
     if type(entry) is not dict:
-        raise ShapeError(f"layer '{name}' must be an object of dtype, shape and data")
+        raise ShapeError(f"field '{name}' must be an object of dtype, shape and data")
     if entry.get("dtype") != CHECKPOINT_DTYPE:
         raise ShapeError(f"field '{name}.dtype' must be \"{CHECKPOINT_DTYPE}\", "
                          f"got {json.dumps(entry.get('dtype'))}")
     shape = entry.get("shape")
-    if (type(shape) is not list or len(shape) != 2
-            or min(JSON_DECODERS["int"](f"{name}.shape", n) for n in shape) < 1):
-        raise ShapeError(f"field '{name}.shape' must be two positive integers, "
+    if (type(shape) is not list or len(shape) != ndim
+            or min(JSON_DECODERS["int"](f"{name}.shape", n) for n in shape) < 0):
+        raise ShapeError(f"field '{name}.shape' must be {ndim} integers >= 0, "
                          f"got {json.dumps(shape)}")
     try:
         data = base64.b64decode(entry.get("data"), validate=True)
     except (TypeError, ValueError) as exc:  # not a string, or not base64
         raise ShapeError(f"field '{name}.data' is not base64: {exc}") from None
-    size = 8 * shape[0] * shape[1]  # float64 bytes
+    size = 8 * math.prod(shape)  # float64 bytes
     if len(data) != size:
         raise ShapeError(f"field '{name}.data' holds {len(data)} bytes, "
                          f"shape {tuple(shape)} needs {size}")
-    return np.frombuffer(data, CHECKPOINT_DTYPE).reshape(shape)
+    array = np.frombuffer(data, CHECKPOINT_DTYPE).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ShapeError(f"field '{name}.data' holds a non-finite value")
+    return array
+
+
+def _decoded_section(stored, names: tuple, kind: str, ndim: int) -> dict[str, np.ndarray]:
+    """The arrays of a checkpoint section, which must hold exactly `names`."""
+    if type(stored) is not dict:
+        raise ShapeError(f"the {kind}s must be an object of {', '.join(names)}")
+    unknown = sorted(set(stored) - set(names))
+    if unknown:
+        raise ShapeError(f"unknown {kind} '{unknown[0]}' (the {kind}s are {', '.join(names)})")
+    return {name: _decoded(name, stored[name], ndim) for name in names}
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
-    """Load a checkpoint; refuses a foreign format, another version, malformed
-    layers or statistics and mismatched widths with a ShapeError naming the
-    path."""
+    """Load a checkpoint.  A foreign format, another version or target, a
+    malformed layer or statistic, and statistics that do not fit the widths
+    the layers fix are refused with a ShapeError naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -648,29 +667,24 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
         raise ShapeError(f"{path}: checkpoint version {payload['version']} is not readable "
                          f"(this release reads version {CHECKPOINT_VERSION}); re-run "
                          "`infercarbon train` or `infercarbon sample` to write it anew")
+    if payload.get("target") != TARGET:
+        raise ShapeError(f"{path}: checkpoint target {json.dumps(payload.get('target'))} is "
+                         f"not this release's target \"{TARGET}\"")
     try:
-        stored = payload["params"]
-        params = GnnParams(**{name: _decode_layer(name, stored[name])
-                              for name in LAYER_NAMES}).validate()
-        unknown = sorted(set(stored) - set(LAYER_NAMES))
-        if unknown:
-            raise ShapeError(f"unknown layer '{unknown[0]}' (the layers are "
-                             f"{', '.join(LAYER_NAMES)})")
-        widths = node, glob, hidden = tuple(
-            JSON_DECODERS["int"](name, payload[name])
-            for name in ("node_width", "global_width", "hidden_width"))
-        params.check_shapes(layer_shapes(*widths), f" for node_width {node}, "
-                            f"global_width {glob} and hidden_width {hidden}")
-        stats = FeatureStats.from_dict(payload["stats"])
-        node_slots = (node - NUM_KINDS,)
-        for arr, shape in ((stats.node_mean, node_slots), (stats.node_std, node_slots),
-                           (stats.global_mean, (glob,)), (stats.global_std, (glob,))):
-            if arr.shape != shape or not np.all(np.isfinite(arr)):
-                raise ShapeError(f"feature statistics do not fit the weights' widths {widths}")
-        for name in ("node_std", "global_std"):  # a zero std is a constant slot, which reads 0
-            std = getattr(stats, name)
-            if np.any(std < 0):
-                raise ShapeError(f"field '{name}' must not be negative, got {std.min()}")
+        layers = _decoded_section(payload["params"], LAYER_NAMES, "layer", 2)
+        params = GnnParams(**layers).validate()
+        arrays = _decoded_section(payload["stats"], STAT_NAMES, "statistic", 1)
+        for name, array in arrays.items():
+            kind = name.split("_")[0]  # node or global
+            width = getattr(params, f"{kind}_width")
+            need = (width - NUM_KINDS if kind == "node" else width,)
+            if array.shape != need:
+                raise ShapeError(f"field '{name}' needs shape {need} for the layers' {kind} "
+                                 f"width {width}, got {array.shape}")
+            # a zero std is a constant slot, which reads 0
+            if name.endswith("std") and np.any(array < 0):
+                raise ShapeError(f"field '{name}' must not be negative, got {array.min()}")
+        stats = FeatureStats(**arrays)
     except KeyError as exc:
         raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -305,7 +305,10 @@ def _run_acceptance_loop():
         train=TrainHyper(epochs=150, seed=0),
         update_epochs=50,
     )
-    return focused_sampling_loop(space, SyntheticEnergyOracle(), 15.0, hyper), hyper
+    # The log-energy model starts at 7.6% MAPE on these settings and reads
+    # 4.4% after one round (measured), so a 6% threshold makes the loop refine
+    # once: the radius, growth and rerun checks below read a real round.
+    return focused_sampling_loop(space, SyntheticEnergyOracle(), 6.0, hyper), hyper
 
 
 def test_criterion_7_focused_sampling_loop():
@@ -321,6 +324,7 @@ def test_criterion_7_focused_sampling_loop():
             f"MAPE log {[f'{e:.2f}' for e in result.error_log]} in {elapsed:.0f}s"
         )
 
+        assert result.refinements, "the loop met its threshold without refining"
         radii = JitterRadii()
         for trace in result.refinements:
             b = hyper.refine_per_center

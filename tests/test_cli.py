@@ -205,9 +205,9 @@ class TestTraceStats:
 class TestMalformedFiles:
     @pytest.mark.parametrize("text", [
         "[1]", "", "not json",
-        '{"format": "infercarbon-checkpoint", "version": 2, "params": [1]}',
-        '{"format": "infercarbon-checkpoint", "version": 2}',
-        '{"format": "infercarbon-checkpoint", "version": 2, "params": {"conv1": '
+        '{"format": "infercarbon-checkpoint", "version": 3, "target": "log", "params": [1]}',
+        '{"format": "infercarbon-checkpoint", "version": 3, "target": "log"}',
+        '{"format": "infercarbon-checkpoint", "version": 3, "target": "log", "params": {"conv1": '
         '{"dtype": "<f8", "shape": [1, 1], "data": "x"}}}',
         '{"format": "infercarbon-checkpoint", "version": 1, "params": {"conv1_w": [["x"]]}}',
     ])
@@ -218,23 +218,44 @@ class TestMalformedFiles:
         assert code == 2
         assert str(path) in err
 
-    def test_version_1_checkpoint_exits_2_naming_the_file_and_version(self, capsys, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_version_checkpoint_exits_2_naming_the_file_and_version(self, capsys,
+                                                                           tmp_path, version):
         path = tmp_path / "model.json"
-        path.write_text('{"format": "infercarbon-checkpoint", "version": 1, "params": {}}')
+        path.write_text(json.dumps({"format": "infercarbon-checkpoint", "version": version,
+                                    "params": {}}))
         code, out, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path))
         assert code == 2
         assert out == ""
-        assert f"{path}: checkpoint version 1 is not readable" in err
+        assert f"{path}: checkpoint version {version} is not readable" in err
         assert "re-run `infercarbon train` or `infercarbon sample`" in err
 
-    @pytest.mark.parametrize("slot", ["node_std", "global_std"])
-    def test_negative_feature_std_exits_2_naming_file_and_field(self, capsys, tmp_path, slot):
+    @pytest.mark.parametrize("command", ["estimate", "eval"])
+    def test_checkpoint_of_another_target_exits_2_naming_the_file_and_both(self, capsys,
+                                                                           tmp_path, command):
         path = tmp_path / "model.json"
         save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
                         identity_stats(), seed=0)
         payload = json.loads(path.read_text())
-        payload["stats"][slot][0] = -5.0
+        payload["target"] = "log1p"
         path.write_text(json.dumps(payload))
+        if command == "estimate":
+            argv = ["estimate", "tiny-flash", "a100", "--checkpoint", str(path)]
+        else:
+            argv = ["eval", "--checkpoint", str(path),
+                    "--dataset", str(small_dataset(tmp_path / "data.jsonl"))]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f'{path}: checkpoint target "log1p" is not this release\'s target "log"' in err
+
+    @pytest.mark.parametrize("slot", ["node_std", "global_std"])
+    def test_negative_feature_std_exits_2_naming_file_and_field(self, capsys, tmp_path, slot):
+        path = tmp_path / "model.json"
+        stats = identity_stats()
+        getattr(stats, slot)[0] = -5.0
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH), stats,
+                        seed=0)
         code, out, err = run(capsys, "estimate", "tiny-flash", "a100", "--checkpoint", str(path),
                              "--json")
         assert code == 2
@@ -537,6 +558,26 @@ class TestTrainConfigHash:
         small_dataset(second / "data.jsonl", seed=2)
         changed = hashes(second)
         assert changed[0] != same[0] and changed[1] != same[1]
+
+
+    def test_eval_hash_follows_the_model_not_the_file(self, capsys, tmp_path):
+        dataset = small_dataset(tmp_path / "data.jsonl")
+        params = init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH, seed=4)
+        first, second, changed = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+        save_checkpoint(first, params, identity_stats(), seed=0)
+        save_checkpoint(second, params, identity_stats(), seed=9, extra={"note": "rerun"})
+        params.head2[0, 0] += 0.5
+        save_checkpoint(changed, params, identity_stats(), seed=0)
+
+        def eval_hash(checkpoint):
+            code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                                 "--dataset", str(dataset))
+            assert code == 0, err
+            return json.loads(out)["manifest"]["config_hash"]
+
+        assert first.read_bytes() != second.read_bytes()
+        assert eval_hash(first) == eval_hash(second)
+        assert eval_hash(changed) != eval_hash(first)
 
 
 def refuse_non_standard_json(constant):
