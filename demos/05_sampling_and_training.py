@@ -33,7 +33,7 @@ hyper = LoopHyper(
     update_epochs=30,
 )
 
-result = focused_sampling_loop(space, SyntheticEnergyOracle(), e_threshold=18.0, hyper=hyper)
+result = focused_sampling_loop(space, SyntheticEnergyOracle(), e_threshold=12.0, hyper=hyper)
 print(f"termination: {result.termination} after {result.iterations} refinement round(s)")
 print("MAPE per iteration:", [f"{e:.1f}%" for e in result.error_log])
 print(f"dataset: {len(result.train_set)} train / {len(result.test_set)} held-out samples")

@@ -20,7 +20,7 @@ from . import arch as arch_mod
 from . import carbon as carbon_mod
 from . import gnn as gnn_mod
 from .costmodel import PartitionError, check_partition
-from .features import export_graph, featurize_raw, fit_stats, raw_features
+from .features import export_graph, raw_features
 from .oracle import OracleFailure, SyntheticEnergyOracle
 from .roofline import builtin_gpu_catalog, cost_layer, load_gpu_catalog
 
@@ -194,9 +194,7 @@ def cmd_train(args) -> int:
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")
-    raws = [sampler_mod.raw_featurize_point(s.point) for s in samples]
-    stats = fit_stats(raws)
-    pairs = [(featurize_raw(r, stats), s.energy_joules) for r, s in zip(raws, samples)]
+    pairs, stats = sampler_mod.featurized(samples)
     params, history = gnn_mod.train(pairs, hyper)
     gnn_mod.save_checkpoint(
         args.out, params, stats, seed=hyper.seed,

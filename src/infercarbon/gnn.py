@@ -66,6 +66,7 @@ LAYER_NAMES = ("conv1", "conv2", "head1", "head2")
 # The FeatureStats fields, in the order a checkpoint stores them.
 STAT_NAMES = tuple(f.name for f in fields(FeatureStats))
 CHECKPOINT_VERSION, CHECKPOINT_DTYPE = 3, "<f8"  # little-endian float64 arrays
+CHECKPOINT_KEYS = ("format", "version", "target", "seed", "params", "stats", "extra")
 TARGET = "log"  # the regression target, which a checkpoint names: log(joules)
 
 
@@ -652,9 +653,11 @@ def _decoded_section(stored, names: tuple, kind: str, ndim: int) -> dict[str, np
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
-    """Load a checkpoint.  A foreign format, another version or target, a
-    malformed layer or statistic, and statistics that do not fit the widths
-    the layers fix are refused with a ShapeError naming the path."""
+    """Load a checkpoint.  A foreign format, another version or target, a key
+    the format does not define, a malformed layer or statistic, statistics
+    that do not fit the widths the layers fix, a seed that is not an integer
+    >= 0 and an `extra` that is not an object are refused with a ShapeError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -670,6 +673,10 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
     if payload.get("target") != TARGET:
         raise ShapeError(f"{path}: checkpoint target {json.dumps(payload.get('target'))} is "
                          f"not this release's target \"{TARGET}\"")
+    unknown = sorted(set(payload) - set(CHECKPOINT_KEYS))
+    if unknown:
+        raise ShapeError(f"{path}: unknown checkpoint key '{unknown[0]}' "
+                         f"(the keys are {', '.join(CHECKPOINT_KEYS)})")
     try:
         layers = _decoded_section(payload["params"], LAYER_NAMES, "layer", 2)
         params = GnnParams(**layers).validate()
@@ -685,9 +692,14 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
             if name.endswith("std") and np.any(array < 0):
                 raise ShapeError(f"field '{name}' must not be negative, got {array.min()}")
         stats = FeatureStats(**arrays)
+        seed = JSON_DECODERS["int"]("seed", payload["seed"])
+        if seed < 0:
+            raise ShapeError(f"field 'seed' must be >= 0, got {seed}")
+        extra = payload.get("extra", {})
+        if type(extra) is not dict:
+            raise ShapeError(f"field 'extra' must be an object, got {json.dumps(extra)}")
     except KeyError as exc:
         raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{path}: malformed checkpoint: {exc}") from exc
-    meta = {"seed": payload.get("seed"), "extra": payload.get("extra", {})}
-    return params, stats, meta
+    return params, stats, {"seed": seed, "extra": extra}

@@ -337,10 +337,7 @@ def focused_sampling_loop(
 
     points = initial_sample(space, hyper.initial_points, seed=hyper.seed)
     train_set, new_test = _split_20(label_points(points, oracle), rng)
-    train_raws = [raw_featurize_point(s.point) for s in train_set]
-    stats = fit_stats(train_raws)
-    train_pairs = [(featurize_raw(raw, stats), s.energy_joules)
-                   for raw, s in zip(train_raws, train_set)]
+    train_pairs, stats = featurized(train_set)
     params, _ = train(train_pairs, hyper.train)
 
     test_set: list[EnergySample] = []
@@ -349,7 +346,7 @@ def focused_sampling_loop(
     refinements: list[RefinementTrace] = []
     while True:  # one round: score the model, then stop or refine and retrain
         test_set += new_test
-        test_graphs += [featurize_raw(raw_featurize_point(s.point), stats) for s in new_test]
+        test_graphs += [graph for graph, _ in featurized(new_test, stats)[0]]
         errors = relative_errors(predict_many(test_graphs, params),
                                  [s.energy_joules for s in test_set])
         error_log.append(float(errors.mean() * 100.0))  # the MAPE, in percent
@@ -363,8 +360,7 @@ def focused_sampling_loop(
         new_train, new_test = _split_20(label_points(refined, oracle), rng)
         refinements.append(RefinementTrace(worst, refined, test_added=len(new_test)))
         train_set += new_train
-        train_pairs += [(featurize_raw(raw_featurize_point(s.point), stats), s.energy_joules)
-                        for s in new_train]
+        train_pairs += featurized(new_train, stats)[0]
         update_hyper = replace(hyper.train, epochs=hyper.update_epochs,
                                seed=hyper.train.seed + len(refinements))
         params, _ = train(train_pairs, update_hyper, params=params)
@@ -375,18 +371,24 @@ def focused_sampling_loop(
                       iterations=len(refinements), refinements=refinements)
 
 
-def raw_featurize_point(point: SamplePoint):
-    return raw_features(cost_layer(point.arch, point.cfg, point.gpu))
+def featurized(samples: list[EnergySample], stats: FeatureStats | None = None):
+    """Each sample as a (featurized graph, joules) pair, in order, and the
+    statistics used: `stats`, or when None those fitted on `samples` alone
+    (so a training split's, never a test split's); each layer is costed once."""
+    raws = [raw_features(cost_layer(s.point.arch, s.point.cfg, s.point.gpu)) for s in samples]
+    if stats is None:
+        stats = fit_stats(raws)
+    return [(featurize_raw(raw, stats), s.energy_joules) for raw, s in zip(raws, samples)], stats
 
 
 def evaluate_model(params: GnnParams, stats: FeatureStats, samples: list[EnergySample]):
-    preds = predict_many([featurize_raw(raw_featurize_point(s.point), stats) for s in samples],
-                         params)
-    truths = [s.energy_joules for s in samples]
-    return evaluate(preds, truths)
+    pairs, _ = featurized(samples, stats)
+    return evaluate(predict_many([graph for graph, _ in pairs], params),
+                    [joules for _, joules in pairs])
 
 
 DATASET_FORMAT = "infercarbon-dataset"
+DATASET_HEADER_KEYS = ("format", "version", "count")
 
 
 def save_dataset(path, samples: list[EnergySample]) -> None:
@@ -403,8 +405,9 @@ def load_dataset(path) -> list[EnergySample]:
     request and GPU (each checks itself when built), split the hidden size
     across its GPUs, give the GPU a peak throughput at the activation data
     type and carry a finite energy > 0; the first that does not is reported
-    as ``path:line``.  The header's count must equal the number of records,
-    so a truncated file is refused."""
+    as ``path:line``.  The header holds only its format, version and count,
+    and the count must equal the number of records, so a truncated file is
+    refused."""
     # read as bytes and decoded line by line, so that a bad byte is reported
     # on its own line, not on the line whose read buffered it
     with open(path, "rb") as handle:
@@ -415,6 +418,10 @@ def load_dataset(path) -> list[EnergySample]:
         if (not isinstance(header, dict) or header.get("format") != DATASET_FORMAT
                 or type(header.get("version")) is not int or header["version"] != 1):
             raise ConfigError(f"{path}:1: not a recognized dataset file")
+        unknown = sorted(set(header) - set(DATASET_HEADER_KEYS))
+        if unknown:
+            raise ConfigError(f"{path}:1: unknown header key '{unknown[0]}' "
+                              f"(the keys are {', '.join(DATASET_HEADER_KEYS)})")
         samples = []
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():

@@ -19,7 +19,7 @@ from infercarbon.arch import (
 )
 from infercarbon.carbon import DatacenterParams, EmbodiedParams, estimate_request, operational_carbon
 from infercarbon.costmodel import Phase, kernel_cost
-from infercarbon.features import featurize_raw, fit_stats
+from infercarbon.features import featurize_raw, fit_stats, raw_features
 from infercarbon.gnn import (
     TrainHyper,
     eba,
@@ -32,18 +32,18 @@ from infercarbon.gnn import (
 from infercarbon.roofline import (
     CostTriple,
     builtin_gpu_catalog,
+    cost_layer,
     ridge_points,
 )
 from infercarbon.sampler import (
     JitterRadii,
     LoopHyper,
-    SamplePoint,
     SyntheticEnergyOracle,
     desk_prior_space,
+    featurized,
     focused_sampling_loop,
     initial_sample,
     label_points,
-    raw_featurize_point,
 )
 from infercarbon.traces import TraceRecord, parse_trace, serialize_trace, trace_stats
 
@@ -247,8 +247,7 @@ def test_criterion_5_gradient_check():
             if arch.hidden_size % cfg.gpu_count:
                 continue
             gpu = gpus[int(rng.integers(len(gpus)))]
-            point = SamplePoint(arch=arch, cfg=cfg, gpu=gpu)
-            raw = raw_featurize_point(point)
+            raw = raw_features(cost_layer(arch, cfg, gpu))
             stats = fit_stats([raw])
             fg = featurize_raw(raw, stats)
             params = init_params(
@@ -268,16 +267,8 @@ def test_criterion_6_learnability():
         space = desk_prior_space(builtin_gpu_catalog())
         points = initial_sample(space, 5000, seed=42)
         samples = label_points(points, SyntheticEnergyOracle())
-        raws = [raw_featurize_point(s.point) for s in samples]
-        stats = fit_stats(raws[:4000])
-        train_pairs = [
-            (featurize_raw(r, stats), s.energy_joules)
-            for r, s in zip(raws[:4000], samples[:4000])
-        ]
-        test_pairs = [
-            (featurize_raw(r, stats), s.energy_joules)
-            for r, s in zip(raws[4000:], samples[4000:])
-        ]
+        train_pairs, stats = featurized(samples[:4000])
+        test_pairs, _ = featurized(samples[4000:], stats)
         params, history = train(train_pairs, TrainHyper(epochs=150, seed=7))
         preds = [predict_energy(fg, params) for fg, _ in test_pairs]
         truths = [energy for _, energy in test_pairs]

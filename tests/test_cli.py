@@ -249,6 +249,49 @@ class TestMalformedFiles:
         assert out == ""
         assert f'{path}: checkpoint target "log1p" is not this release\'s target "log"' in err
 
+    @pytest.mark.parametrize("command", ["estimate", "eval"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("exrta", {}, "unknown checkpoint key 'exrta'"),
+        ("seed", "x", "malformed checkpoint: field 'seed' must be an integer, got \"x\""),
+        ("extra", [1], "malformed checkpoint: field 'extra' must be an object, got [1]"),
+    ], ids=["unknown-key", "seed", "extra"])
+    def test_checkpoint_header_refusal_exits_2_naming_the_file_and_key(self, capsys, tmp_path,
+                                                                       command, key, value,
+                                                                       message):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        identity_stats(), seed=0)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        if command == "estimate":
+            argv = ["estimate", "tiny-flash", "a100", "--checkpoint", str(path)]
+        else:
+            argv = ["eval", "--checkpoint", str(path),
+                    "--dataset", str(small_dataset(tmp_path / "data.jsonl"))]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_header_key_it_does_not_define_exits_2_naming_the_file(self, capsys,
+                                                                           tmp_path, command):
+        path = small_dataset(tmp_path / "data.jsonl")
+        header, *records = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps({**json.loads(header), "oracle": "v2"}), *records])
+                        + "\n")
+        checkpoint = tmp_path / "model.json"
+        if command == "train":
+            argv = ["train", "--dataset", str(path), "--out", str(checkpoint)]
+        else:
+            save_checkpoint(checkpoint, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                            identity_stats(), seed=0)
+            argv = ["eval", "--checkpoint", str(checkpoint), "--dataset", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:1: unknown header key 'oracle' "
+                       "(the keys are format, version, count)\n")
+
     @pytest.mark.parametrize("slot", ["node_std", "global_std"])
     def test_negative_feature_std_exits_2_naming_file_and_field(self, capsys, tmp_path, slot):
         path = tmp_path / "model.json"

@@ -895,6 +895,35 @@ class TestCheckpoint:
         assert_refused(path, payload,
                        f'checkpoint target {shown} is not this release\'s target "log"')
 
+    @pytest.mark.parametrize("key", ["node_width", "exrta", "oracle"])
+    def test_refuses_a_header_key_the_format_does_not_define(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        payload = saved_payload(path)
+        payload[key] = 0
+        assert_refused(path, payload, f"unknown checkpoint key '{key}' (the keys are format, "
+                                      "version, target, seed, params, stats, extra)")
+
+    @pytest.mark.parametrize("seed, message", [
+        ("x", 'must be an integer, got "x"'), (1.0, "must be an integer, got 1.0"),
+        (True, "must be an integer, got true"), (None, "must be an integer, got null"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_refuses_a_seed_that_is_not_an_integer_of_at_least_0(self, tmp_path, seed, message):
+        path = tmp_path / "model.json"
+        payload = saved_payload(path)
+        payload["seed"] = seed
+        assert_refused(path, payload, f"malformed checkpoint: field 'seed' {message}")
+        del payload["seed"]
+        assert_refused(path, payload, "checkpoint has no 'seed' entry")
+
+    @pytest.mark.parametrize("extra, shown", [([], "[]"), ("note", '"note"'), (None, "null")])
+    def test_refuses_an_extra_that_is_not_an_object(self, tmp_path, extra, shown):
+        path = tmp_path / "model.json"
+        payload = saved_payload(path)
+        payload["extra"] = extra
+        assert_refused(path, payload,
+                       f"malformed checkpoint: field 'extra' must be an object, got {shown}")
+
     def test_refuses_a_head1_cut_below_the_hidden_width_naming_it(self, tmp_path):
         path = tmp_path / "model.json"
         payload = saved_payload(path)

@@ -7,6 +7,7 @@ import pytest
 
 from infercarbon.arch import InferenceConfig, LlmArchitecture, RangeError
 from infercarbon.costmodel import Phase
+from infercarbon.features import featurize_raw, fit_stats, raw_features
 from infercarbon import oracle as oracle_mod
 from infercarbon import sampler as sampler_mod
 from infercarbon.gnn import TrainHyper, predict_many
@@ -24,6 +25,7 @@ from infercarbon.sampler import (
     SyntheticEnergyOracle,
     build_manifest,
     desk_prior_space,
+    featurized,
     fine_grained_sampling,
     focused_sampling_loop,
     initial_sample,
@@ -218,6 +220,45 @@ class TestSelectHighError:
         for k in (0, 1, 7, 30, 40):
             worst = select_high_error(lambda s: preds[id(s)], samples, k)
             assert worst == [samples[i].point for i in want[:k]]
+
+
+class TestFeaturized:
+    @pytest.fixture(scope="class")
+    def samples(self, space):
+        # desk-prior points with energies out of oracle order, so order shows
+        points = initial_sample(space, 12, seed=5)
+        return [EnergySample(p, float(100 - i)) for i, p in enumerate(points)]
+
+    @staticmethod
+    def raws(samples):
+        return [raw_features(cost_layer(s.point.arch, s.point.cfg, s.point.gpu)) for s in samples]
+
+    def test_fits_the_statistics_of_exactly_these_samples(self, samples):
+        pairs, stats = featurized(samples)
+        want = fit_stats(self.raws(samples))
+        for name, array in vars(want).items():
+            assert getattr(stats, name).tobytes() == array.tobytes()
+        assert len(pairs) == len(samples)
+
+    def test_given_statistics_come_back_and_standardize_each_sample(self, samples):
+        stats = fit_stats(self.raws(samples[:4]))
+        pairs, used = featurized(samples[4:], stats)
+        assert used is stats
+        for (graph, _), raw in zip(pairs, self.raws(samples[4:]), strict=True):
+            want = featurize_raw(raw, stats)
+            assert graph.features.tobytes() == want.features.tobytes()
+            assert graph.global_features.tobytes() == want.global_features.tobytes()
+            assert graph.agg is want.agg
+
+    def test_energies_come_back_in_sample_order(self, samples):
+        pairs, stats = featurized(samples)
+        assert [joules for _, joules in pairs] == [s.energy_joules for s in samples]
+        assert [joules for _, joules in featurized(samples[::-1], stats)[0]] == [
+            s.energy_joules for s in samples[::-1]]
+
+    def test_an_empty_split_has_no_statistics(self):
+        with pytest.raises(ValueError, match="^cannot fit feature statistics on an empty split$"):
+            featurized([])
 
 
 class TestSyntheticOracle:
@@ -423,6 +464,16 @@ class TestDatasetIO:
         header, record = path.read_text().splitlines()
         path.write_text(header.replace('"version": 1', '"version": true') + "\n" + record + "\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: not a recognized"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["oracle", "seed", "Count"])
+    def test_rejects_a_header_key_the_format_does_not_define(self, tmp_path, gpus, key):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, label_points([center_point(gpus)], SyntheticEnergyOracle()))
+        header, record = path.read_text().splitlines()
+        path.write_text(json.dumps({**json.loads(header), key: 1}) + "\n" + record + "\n")
+        message = f"{path}:1: unknown header key '{key}' (the keys are format, version, count)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("header", [b"[1]\n", b"", b"not json\n", b'"text"\n', b"\xff\n"])
