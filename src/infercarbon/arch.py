@@ -104,6 +104,22 @@ JSON_DECODERS = {
 }
 
 
+def check_keys(obj, keys: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
+    """Refuse `obj` unless it is a JSON object holding each of `keys`, and
+    of `optional` any or none, and nothing else: a ConfigError names `what`,
+    and the first undefined key (before any missing one) or missing key."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{what} must be an object, got {_shown(obj)}")
+    defined = (*keys, *optional)
+    for key in obj:
+        if key not in defined:
+            raise ConfigError(f"{what} has an undefined key '{key}' "
+                              f"(the keys are {', '.join(defined)})")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{what} has no key '{key}'")
+
+
 def _any_case(table: dict):
     """A catalog parser that looks its text up in `table`, in any case."""
 
@@ -143,10 +159,10 @@ class Record:
     ``to_dict`` writes each field under its name, in declaration order.
     ``from_dict`` takes exactly those keys, each a JSON value of its field's
     annotation (see ``JSON_DECODERS``), and builds the record, which then
-    checks itself; a missing, unknown or mistyped key is a ``ConfigError``
-    naming it.  ``from_section`` reads a catalog section the same way, each
-    field's text decoded by ``CATALOG_PARSERS`` and an absent key taking the
-    field's declared default.  Adding a field to a record means declaring it,
+    checks itself; a missing, undefined (see ``check_keys``) or mistyped key
+    is a ``ConfigError`` naming it.  ``from_section`` reads a catalog section
+    the same way, each field's text decoded by ``CATALOG_PARSERS`` and an
+    absent key taking the field's declared default.  Adding a field to a record means declaring it,
     nothing more: its JSON key and its catalog key follow.
     """
 
@@ -155,15 +171,8 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
-        if type(d) is not dict:
-            raise ConfigError(f"{cls.__name__} must be an object, got {_shown(d)}")
         decoders = {field.name: JSON_DECODERS[field.type] for field in fields(cls)}
-        for key in d:
-            if key not in decoders:
-                raise ConfigError(f"unknown field '{key}'")
-        for name in decoders:
-            if name not in d:
-                raise ConfigError(f"missing field '{name}'")
+        check_keys(d, tuple(decoders), cls.__name__)
         return cls(**{name: decode(name, d[name]) for name, decode in decoders.items()})
 
     @classmethod

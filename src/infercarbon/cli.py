@@ -28,8 +28,8 @@ GPU_CATALOG_ENV = "INFERCARBON_GPU_CATALOG"
 ARCH_CATALOG_ENV = "INFERCARBON_ARCH_CATALOG"
 
 # ConfigError, RangeError and DivisibilityError are ValueErrors; NonFiniteLoss
-# is an ArithmeticError
-CONFIG_ERRORS = (FileNotFoundError, KeyError, ValueError)
+# is an ArithmeticError; an OSError is a path that cannot be read or written
+CONFIG_ERRORS = (OSError, KeyError, ValueError)
 RUNTIME_ERRORS = (OracleFailure, ArithmeticError)
 
 
@@ -157,10 +157,10 @@ def cmd_sample(args) -> int:
         prior = None
     space = sampler_mod.desk_prior_space(gpus, inference_prior=prior)
     oracle = SyntheticEnergyOracle()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a path that is a file fails before the loop
     result = sampler_mod.focused_sampling_loop(space, oracle, args.threshold, hyper)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sampler_mod.save_dataset(out / "train.jsonl", result.train_set)
     sampler_mod.save_dataset(out / "test.jsonl", result.test_set)
     manifest = sampler_mod.build_manifest(

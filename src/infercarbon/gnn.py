@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .arch import JSON_DECODERS, RangeError, check_minimums
+from .arch import JSON_DECODERS, RangeError, check_keys, check_minimums
 from .features import NUM_KINDS, FeatureStats, FeaturizedGraph
 
 HIDDEN_WIDTH = 64
@@ -66,7 +66,7 @@ LAYER_NAMES = ("conv1", "conv2", "head1", "head2")
 # The FeatureStats fields, in the order a checkpoint stores them.
 STAT_NAMES = tuple(f.name for f in fields(FeatureStats))
 CHECKPOINT_VERSION, CHECKPOINT_DTYPE = 3, "<f8"  # little-endian float64 arrays
-CHECKPOINT_KEYS = ("format", "version", "target", "seed", "params", "stats", "extra")
+CHECKPOINT_KEYS = ("format", "version", "target", "seed", "params", "stats")  # "extra" is optional
 TARGET = "log"  # the regression target, which a checkpoint names: log(joules)
 
 
@@ -618,18 +618,17 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
 def _decoded(name: str, entry, ndim: int) -> np.ndarray:
     """Array `name` of a checkpoint: an object of its dtype, its shape (`ndim`
     integers >= 0) and the base64 of its finite float64 bytes."""
-    if type(entry) is not dict:
-        raise ShapeError(f"field '{name}' must be an object of dtype, shape and data")
-    if entry.get("dtype") != CHECKPOINT_DTYPE:
+    check_keys(entry, ("dtype", "shape", "data"), f"field '{name}'")
+    if entry["dtype"] != CHECKPOINT_DTYPE:
         raise ShapeError(f"field '{name}.dtype' must be \"{CHECKPOINT_DTYPE}\", "
-                         f"got {json.dumps(entry.get('dtype'))}")
-    shape = entry.get("shape")
+                         f"got {json.dumps(entry['dtype'])}")
+    shape = entry["shape"]
     if (type(shape) is not list or len(shape) != ndim
             or min(JSON_DECODERS["int"](f"{name}.shape", n) for n in shape) < 0):
         raise ShapeError(f"field '{name}.shape' must be {ndim} integers >= 0, "
                          f"got {json.dumps(shape)}")
     try:
-        data = base64.b64decode(entry.get("data"), validate=True)
+        data = base64.b64decode(entry["data"], validate=True)
     except (TypeError, ValueError) as exc:  # not a string, or not base64
         raise ShapeError(f"field '{name}.data' is not base64: {exc}") from None
     size = 8 * math.prod(shape)  # float64 bytes
@@ -642,14 +641,10 @@ def _decoded(name: str, entry, ndim: int) -> np.ndarray:
     return array
 
 
-def _decoded_section(stored, names: tuple, kind: str, ndim: int) -> dict[str, np.ndarray]:
-    """The arrays of a checkpoint section, which must hold exactly `names`."""
-    if type(stored) is not dict:
-        raise ShapeError(f"the {kind}s must be an object of {', '.join(names)}")
-    unknown = sorted(set(stored) - set(names))
-    if unknown:
-        raise ShapeError(f"unknown {kind} '{unknown[0]}' (the {kind}s are {', '.join(names)})")
-    return {name: _decoded(name, stored[name], ndim) for name in names}
+def _decoded_section(payload, section: str, names: tuple, ndim: int) -> dict[str, np.ndarray]:
+    """The arrays of checkpoint section `section`, which must hold exactly `names`."""
+    check_keys(payload[section], names, f"field '{section}'")
+    return {name: _decoded(name, payload[section][name], ndim) for name in names}
 
 
 def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
@@ -673,14 +668,11 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
     if payload.get("target") != TARGET:
         raise ShapeError(f"{path}: checkpoint target {json.dumps(payload.get('target'))} is "
                          f"not this release's target \"{TARGET}\"")
-    unknown = sorted(set(payload) - set(CHECKPOINT_KEYS))
-    if unknown:
-        raise ShapeError(f"{path}: unknown checkpoint key '{unknown[0]}' "
-                         f"(the keys are {', '.join(CHECKPOINT_KEYS)})")
     try:
-        layers = _decoded_section(payload["params"], LAYER_NAMES, "layer", 2)
+        check_keys(payload, CHECKPOINT_KEYS, "header", optional=("extra",))
+        layers = _decoded_section(payload, "params", LAYER_NAMES, 2)
         params = GnnParams(**layers).validate()
-        arrays = _decoded_section(payload["stats"], STAT_NAMES, "statistic", 1)
+        arrays = _decoded_section(payload, "stats", STAT_NAMES, 1)
         for name, array in arrays.items():
             kind = name.split("_")[0]  # node or global
             width = getattr(params, f"{kind}_width")
@@ -698,8 +690,6 @@ def load_checkpoint(path) -> tuple[GnnParams, FeatureStats, dict]:
         extra = payload.get("extra", {})
         if type(extra) is not dict:
             raise ShapeError(f"field 'extra' must be an object, got {json.dumps(extra)}")
-    except KeyError as exc:
-        raise ShapeError(f"{path}: checkpoint has no {exc} entry") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{path}: malformed checkpoint: {exc}") from exc
     return params, stats, {"seed": seed, "extra": extra}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arch import (JSON_DECODERS, DataType, InferenceConfig, LlmArchitecture, RangeError,
-                   check_minimums)
+                   check_keys, check_minimums)
 from .costmodel import check_partition
 from .features import FeatureStats, FeaturizedGraph, featurize_raw, fit_stats, raw_features
 from .gnn import GnnParams, TrainHyper, evaluate, predict_many, relative_errors, train
@@ -52,11 +52,8 @@ class EnergySample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergySample":
-        point = SamplePoint.from_dict(d)  # a record that is not an object fails here
-        for key in d:
-            if key not in ("arch", "inference", "gpu", "energy_joules"):
-                raise ConfigError(f"unknown field '{key}'")
-        return cls(point=point,
+        check_keys(d, ("arch", "inference", "gpu", "energy_joules"), "record")
+        return cls(point=SamplePoint.from_dict(d),
                    energy_joules=JSON_DECODERS["float"]("energy_joules", d["energy_joules"]))
 
 
@@ -273,7 +270,8 @@ class LoopHyper:
     update_epochs: int = 60
 
     def __post_init__(self):
-        check_minimums(self, (("initial_points", 1), ("refine_per_center", 1), ("worst_count", 1),
+        # below 5 initial points the 20% test split is empty
+        check_minimums(self, (("initial_points", 5), ("refine_per_center", 1), ("worst_count", 1),
                               ("max_iterations", 0), ("seed", 0), ("update_epochs", 1)))
 
     def to_dict(self) -> dict:
@@ -418,10 +416,10 @@ def load_dataset(path) -> list[EnergySample]:
         if (not isinstance(header, dict) or header.get("format") != DATASET_FORMAT
                 or type(header.get("version")) is not int or header["version"] != 1):
             raise ConfigError(f"{path}:1: not a recognized dataset file")
-        unknown = sorted(set(header) - set(DATASET_HEADER_KEYS))
-        if unknown:
-            raise ConfigError(f"{path}:1: unknown header key '{unknown[0]}' "
-                              f"(the keys are {', '.join(DATASET_HEADER_KEYS)})")
+        try:
+            check_keys(header, DATASET_HEADER_KEYS, "header")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:1: {exc}") from exc
         samples = []
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
@@ -436,12 +434,10 @@ def load_dataset(path) -> list[EnergySample]:
                 if not (math.isfinite(sample.energy_joules) and sample.energy_joules > 0):
                     raise RangeError(f"energy_joules must be finite and > 0, "
                                      f"got {sample.energy_joules}")
-            except KeyError as exc:
-                raise ConfigError(f"{path}:{lineno}: missing field {exc}") from exc
             except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             samples.append(sample)
-    count = header.get("count")
+    count = header["count"]
     if type(count) is not int or count != len(samples):
         raise ConfigError(f"{path}:1: header count {count!r} but {len(samples)} records")
     return samples

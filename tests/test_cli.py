@@ -251,7 +251,7 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("command", ["estimate", "eval"])
     @pytest.mark.parametrize("key, value, message", [
-        ("exrta", {}, "unknown checkpoint key 'exrta'"),
+        ("exrta", {}, "malformed checkpoint: header has an undefined key 'exrta'"),
         ("seed", "x", "malformed checkpoint: field 'seed' must be an integer, got \"x\""),
         ("extra", [1], "malformed checkpoint: field 'extra' must be an object, got [1]"),
     ], ids=["unknown-key", "seed", "extra"])
@@ -289,7 +289,7 @@ class TestMalformedFiles:
             argv = ["eval", "--checkpoint", str(checkpoint), "--dataset", str(path)]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (f"error: {path}:1: unknown header key 'oracle' "
+        assert err == (f"error: {path}:1: header has an undefined key 'oracle' "
                        "(the keys are format, version, count)\n")
 
     @pytest.mark.parametrize("slot", ["node_std", "global_std"])
@@ -327,6 +327,32 @@ class TestMalformedFiles:
         assert code == 2
         assert err == f"error: {path}:2: field 'th_max' must be an object, got [1.0]\n"
         assert not out.exists()
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "tiny-flash", "a100", "--checkpoint", "{dir}"],
+        ["estimate", "tiny-flash", "a100", "--oracle", "--gpu-catalog", "{dir}"],
+        ["eval", "--checkpoint", "{checkpoint}", "--dataset", "{dir}"],
+        ["trace-stats", "{dir}"],
+        ["sample", "--out", "{file}", "--a", "5", "--b", "1", "--k", "1"],
+    ], ids=["estimate-checkpoint", "estimate-gpu-catalog", "eval-dataset", "trace-stats",
+            "sample-out"])
+    def test_a_path_that_cannot_be_read_or_made_exits_2_naming_it(self, capsys, tmp_path,
+                                                                   monkeypatch, argv):
+        # a directory where a file is read, a file where the output directory
+        # goes; a permission error is an OSError too, but takes a user who
+        # lacks the permission, so it is not made here
+        monkeypatch.setattr(sampler, "label_points", refuse("labelling started"))
+        checkpoint, taken = tmp_path / "model.json", tmp_path / "taken"
+        save_checkpoint(checkpoint, init_params(NODE_FEATURE_WIDTH, GLOBAL_FEATURE_WIDTH),
+                        identity_stats(), seed=0)
+        taken.write_text("")
+        names = {"dir": str(tmp_path), "checkpoint": str(checkpoint), "file": str(taken)}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert names["file" if argv[0] == "sample" else "dir"] in err
 
 
 def refuse(what):
@@ -382,7 +408,8 @@ class TestSampleFlags:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--a", "0", "--a must be >= 1, got 0"),
+        ("--a", "0", "--a must be >= 5, got 0"),
+        ("--a", "4", "--a must be >= 5, got 4"),  # fewer than 5 leave no test split
         ("--b", "0", "--b must be >= 1, got 0"),
         ("--k", "0", "--k must be >= 1, got 0"),
         ("--k", "-2", "--k must be >= 1, got -2"),

@@ -849,26 +849,26 @@ class TestCheckpoint:
         payload[section][name][field] = value
         assert_refused(path, payload, f"malformed checkpoint: {message}", whole=False)
 
-    @pytest.mark.parametrize("section, kind, name, names", [
-        ("params", "layer", "head2", "conv1, conv2, head1, head2"),
-        ("stats", "statistic", "global_std", "node_mean, node_std, global_mean, global_std"),
+    @pytest.mark.parametrize("section, name, names", [
+        ("params", "head2", "conv1, conv2, head1, head2"),
+        ("stats", "global_std", "node_mean, node_std, global_mean, global_std"),
     ])
-    def test_refuses_a_missing_or_unknown_array_naming_it(self, tmp_path, section, kind, name,
-                                                          names):
+    def test_refuses_a_missing_or_unknown_array_naming_it(self, tmp_path, section, name, names):
         path = tmp_path / "model.json"
         payload = saved_payload(path)
         stored = payload[section]
         stored["extra_array"] = stored[name]
-        assert_refused(path, payload, f"malformed checkpoint: unknown {kind} 'extra_array' "
-                                      f"(the {kind}s are {names})")
+        assert_refused(path, payload, f"malformed checkpoint: field '{section}' has an undefined "
+                                      f"key 'extra_array' (the keys are {names})")
         del stored["extra_array"], stored[name]
-        assert_refused(path, payload, f"checkpoint has no '{name}' entry")
+        assert_refused(path, payload, f"malformed checkpoint: field '{section}' has no key "
+                                      f"'{name}'")
         stored[name] = [[0.0]] * 65
-        assert_refused(path, payload, f"malformed checkpoint: field '{name}' must be an object "
-                                      "of dtype, shape and data")
+        assert_refused(path, payload, f"malformed checkpoint: field '{name}' must be an object, "
+                                      f"got {json.dumps(stored[name])}")
         payload[section] = [1]
-        assert_refused(path, payload, f"malformed checkpoint: the {kind}s must be an object "
-                                      f"of {names}")
+        assert_refused(path, payload,
+                       f"malformed checkpoint: field '{section}' must be an object, got [1]")
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_refuses_an_earlier_version_naming_it(self, tmp_path, version):
@@ -900,8 +900,9 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         payload = saved_payload(path)
         payload[key] = 0
-        assert_refused(path, payload, f"unknown checkpoint key '{key}' (the keys are format, "
-                                      "version, target, seed, params, stats, extra)")
+        assert_refused(path, payload, f"malformed checkpoint: header has an undefined key "
+                                      f"'{key}' (the keys are format, version, target, seed, "
+                                      "params, stats, extra)")
 
     @pytest.mark.parametrize("seed, message", [
         ("x", 'must be an integer, got "x"'), (1.0, "must be an integer, got 1.0"),
@@ -914,7 +915,7 @@ class TestCheckpoint:
         payload["seed"] = seed
         assert_refused(path, payload, f"malformed checkpoint: field 'seed' {message}")
         del payload["seed"]
-        assert_refused(path, payload, "checkpoint has no 'seed' entry")
+        assert_refused(path, payload, "malformed checkpoint: header has no key 'seed'")
 
     @pytest.mark.parametrize("extra, shown", [([], "[]"), ("note", '"note"'), (None, "null")])
     def test_refuses_an_extra_that_is_not_an_object(self, tmp_path, extra, shown):

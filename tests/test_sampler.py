@@ -390,7 +390,8 @@ class TestFocusedLoop:
         assert counts == {"oracle": labelled, "sampler": labelled}
 
     @pytest.mark.parametrize("field, value, message", [
-        ("initial_points", 0, "initial_points must be >= 1, got 0"),
+        ("initial_points", 0, "initial_points must be >= 5, got 0"),
+        ("initial_points", 4, "initial_points must be >= 5, got 4"),  # no test split
         ("refine_per_center", 0, "refine_per_center must be >= 1, got 0"),
         ("worst_count", 0, "worst_count must be >= 1, got 0"),
         ("worst_count", -2, "worst_count must be >= 1, got -2"),
@@ -448,7 +449,8 @@ class TestDatasetIO:
         else:
             header["count"] = count
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        message = f"{path}:1: header count {count!r} but 2 records"
+        message = (f"{path}:1: header has no key 'count'" if count is None
+                   else f"{path}:1: header count {count!r} but 2 records")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
@@ -472,7 +474,8 @@ class TestDatasetIO:
         save_dataset(path, label_points([center_point(gpus)], SyntheticEnergyOracle()))
         header, record = path.read_text().splitlines()
         path.write_text(json.dumps({**json.loads(header), key: 1}) + "\n" + record + "\n")
-        message = f"{path}:1: unknown header key '{key}' (the keys are format, version, count)"
+        message = (f"{path}:1: header has an undefined key '{key}' "
+                   "(the keys are format, version, count)")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
@@ -553,7 +556,7 @@ class TestDatasetIO:
         del record["energy_joules"]
         path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ConfigError,
-                           match=re.escape(f"{path}:2: missing field 'energy_joules'")):
+                           match=re.escape(f"{path}:2: record has no key 'energy_joules'")):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -587,11 +590,13 @@ class TestDatasetIO:
              "field 'flash_attention' must be true or false, got \"false\""),
             ("arch", "hidden_size", 2048.9, "field 'hidden_size' must be an integer, got 2048.9"),
             ("inference", "gpu_count", True, "field 'gpu_count' must be an integer, got true"),
-            ("gpu", "s_block", MISSING, "missing field 's_block'"),
-            ("arch", "warp_size", 32, "unknown field 'warp_size'"),
+            ("gpu", "s_block", MISSING, "GpuSpec has no key 's_block'"),
+            ("arch", "warp_size", 32, "LlmArchitecture has an undefined key 'warp_size' (the "
+             f"keys are {', '.join(f.name for f in dataclasses.fields(LlmArchitecture))})"),
             (None, "energy_joules", "12.5", "field 'energy_joules' must be a number, got \"12.5\""),
             (None, "energy_joules", True, "field 'energy_joules' must be a number, got true"),
-            (None, "energy_kwh", 1.0, "unknown field 'energy_kwh'"),
+            (None, "energy_kwh", 1.0, "record has an undefined key 'energy_kwh' "
+             "(the keys are arch, inference, gpu, energy_joules)"),
         ],
         ids=["th_max-list", "th_max-string", "flash_attention-string", "hidden_size-float",
              "gpu_count-bool", "s_block-missing", "arch-unknown-key", "energy-string",

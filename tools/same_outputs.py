@@ -86,10 +86,13 @@ def command_table() -> dict[str, list[list[str]]]:
         ["estimate", "tiny-flash", "a100", "--oracle", "--n-gpu", "3"],
         ["estimate", "tiny-flash", "a100", "--oracle", "--batch", "0"],
         ["estimate", "tiny-flash", "a100", "--checkpoint", "missing.json"],
+        ["estimate", "tiny-flash", "a100", "--checkpoint", "."],
         ["graph", "tiny-flash", "--format", "xml"],
         ["sample", "--out", "run", "--threshold", "0"],
+        ["sample", "--out", "run", "--a", "4"],
         ["train", "--dataset", "missing.jsonl", "--out", "model.json"],
         ["trace-stats", "missing.csv"],
+        ["trace-stats", "."],
     ):
         table["error: " + " ".join(argv)] = [argv]
     return table
