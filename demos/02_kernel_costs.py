@@ -6,7 +6,8 @@ Every kernel gets an operation count, a memory-traffic total and (for
 all-reduce) a network-traffic total, for prefill and decode separately.
 Prefill processes the whole prompt at once; decode walks token by token over
 the KV cache, and its costs carry a (generated_tokens - 1) factor.
-`cost_layer` prices every kernel of a layer once per phase into one table.
+`cost_layer` prices both phases of every kernel of a layer in one equation
+call per kernel, into one table.
 """
 
 from infercarbon import InferenceConfig, LlmArchitecture, Phase, cost_layer

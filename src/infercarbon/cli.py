@@ -131,6 +131,15 @@ def _from_flags(record_class, args, **given):
         raise CliError(f"--{flags[exc.field]}{str(exc).removeprefix(exc.field)}") from exc
 
 
+def _check_out_file(path: str) -> None:
+    """Refuse, before any work, an --out file that is a directory or in none."""
+    out = Path(path)
+    if out.is_dir():
+        raise CliError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise CliError(f"--out {path}: no directory {out.parent}")
+
+
 def _digest(data: bytes) -> str:
     """sha256 of bytes: a file hashed by its content hashes alike from any path."""
     import hashlib
@@ -191,6 +200,7 @@ def cmd_train(args) -> int:
     from . import sampler as sampler_mod
 
     hyper = _from_flags(gnn_mod.TrainHyper, args)
+    _check_out_file(args.out)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:
         raise CliError(f"dataset {args.dataset} is empty")
@@ -214,6 +224,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from . import sampler as sampler_mod
 
+    if args.out:
+        _check_out_file(args.out)
     params, stats, meta = gnn_mod.load_checkpoint(args.checkpoint)
     samples = sampler_mod.load_dataset(args.dataset)
     if not samples:

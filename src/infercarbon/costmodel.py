@@ -1,17 +1,22 @@
 """Per-kernel operation counts, memory traffic and network traffic.
 
 Every cost is evaluated for the prefill phase (all prompt tokens at once) and
-the decode phase (token-by-token generation against the KV cache).  A kernel
-kind's ``family`` names the equation that prices it: ``kernel_cost``
-dispatches on it, and each equation that takes a kind rejects a kind of
-another family with ``UnsupportedKind``.
+the decode phase (token-by-token generation against the KV cache) in one
+call: each equation works out its phase-independent terms once, scales them
+by each phase's tokens (the prompt in prefill, the tokens after the first in
+decode) and returns a ``(prefill, decode)`` pair of triples.  A kernel kind's
+``family`` names the equation that prices it: ``phase_costs`` dispatches on
+it, and each equation that takes a kind rejects a kind of another family
+with ``UnsupportedKind``.
 
 Each quantity is a sum of integer products divided by the GPU count (and by
 the /2 factors of the attention terms).  The terms are put over their common
 denominator (``g`` or ``2g``), their numerators summed in plain integers,
 and the sum floor-divided exactly once; that equals the floor of the exact
 rational sum, so the equality tests against the brute-force counting oracle
-stay free of float drift.
+stay free of float drift.  Decode attention attends over
+(2 * prompt + gen) * gen / 2 cached positions summed over its steps, so its
+terms sit over 2g; prefill attention spans the prompt, over g.
 
 Two deliberate quirks of the cost equations are preserved rather than
 silently repaired:
@@ -38,7 +43,7 @@ from .arch import (
     KernelNode,
     LlmArchitecture,
     RangeError,
-    node_dims,
+    dims_quantities,
 )
 
 
@@ -70,12 +75,16 @@ class CostTriple(NamedTuple):
 # which skips the named tuple's own constructor frame and takes half its time.
 _new_tuple = tuple.__new__
 
-
-# The equations run once per kernel and phase, and a module-level name loads
-# several times faster than an enum class attribute.
-_PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
-_NORMS = (KernelKind.NORM_ATTN, KernelKind.NORM_MLP)
-_ADDS = (KernelKind.ADD_ATTN, KernelKind.ADD_MLP)
+# elementwise kind -> its ops per element and its (prefill, decode) memory
+# streams per element: ACT_MLP's decode total triples the (doubled) load
+# stream, its prefill sums the load and store streams as written
+_ELEMENTWISE = {
+    KernelKind.NORM_ATTN: (7, 2, 2),
+    KernelKind.NORM_MLP: (7, 2, 2),
+    KernelKind.ADD_ATTN: (1, 2, 2),
+    KernelKind.ADD_MLP: (1, 2, 2),
+    KernelKind.ACT_MLP: (2, 3, 6),
+}
 
 
 @dataclass(frozen=True)
@@ -86,28 +95,10 @@ class LayerTotals:
     decode: CostTriple
 
 
-def _token_factor(cfg: InferenceConfig, phase: Phase) -> int:
-    # decode iterates over the generated tokens after the first; prefill over
-    # the whole prompt
-    if phase is _DECODE:
-        return cfg.generated_tokens - 1
-    return cfg.prompt_length
-
-
-def _attention_span(cfg: InferenceConfig, phase: Phase) -> tuple[int, int]:
-    """(span, denominator) of the attention terms.  Decode attends over
-    (2 * prompt + gen) * gen / 2 cached positions summed over its steps, so
-    its terms sit over 2g; prefill spans the prompt, over g."""
-    if phase is _DECODE:
-        gen = cfg.generated_tokens
-        return (2 * cfg.prompt_length + gen) * gen, 2 * cfg.gpu_count
-    return cfg.prompt_length, cfg.gpu_count
-
-
 def linear_cost(
-    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase
-) -> CostTriple:
-    """Projection / MLP GEMM cost.
+    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig
+) -> tuple[CostTriple, CostTriple]:
+    """Projection / MLP GEMM cost, (prefill, decode).
 
     Memory is weight load + activation load + one store stream.  Only K and V
     projections store plain activations; every other linear kernel stores into
@@ -116,58 +107,53 @@ def linear_cost(
     """
     if kind.family != "linear":
         raise UnsupportedKind(f"{kind.name} is not a linear kernel")
-    d_in, d_out = node_dims(kind, arch)[:2]
+    d_in, d_out = kind.pick_dims(dims_quantities(arch))[:2]  # node_dims, one call fewer
     b = cfg.batch_size
     g = cfg.gpu_count
-    d_w = arch.weight_dtype.width
     d_a = arch.activation_dtype.width
-    d_kv = arch.kv_dtype.width
-    t = _token_factor(cfg, phase)
+    d_store = d_a if kind.stores_activation else arch.kv_dtype.width
+    t_pre, t_dec = cfg.prompt_length, cfg.generated_tokens - 1
 
-    ops = 2 * b * d_in * d_out * t
-    m_weight = d_in * d_out * d_w * (t if phase is _DECODE else 1)
-    m_act_load = d_in * b * d_a * t
-    d_store = d_a if kind.stores_activation else d_kv
-    m_store = d_out * b * d_store * t
-    return _new_tuple(CostTriple, (ops // g, (m_weight + m_act_load + m_store) // g, 0))
+    ops = 2 * b * d_in * d_out  # per token
+    m_weight = d_in * d_out * arch.weight_dtype.width
+    m_stream = (d_in * d_a + d_out * d_store) * b  # activation load + store, per token
+    return (_new_tuple(CostTriple, (ops * t_pre // g, (m_weight + m_stream * t_pre) // g, 0)),
+            _new_tuple(CostTriple, (ops * t_dec // g, (m_weight + m_stream) * t_dec // g, 0)))
 
 
 def attention_matmul_cost(
-    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase
-) -> CostTriple:
-    """Score (QK) or value (SV) matmul of the unfused attention variant."""
+    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig
+) -> tuple[CostTriple, CostTriple]:
+    """Score (QK) or value (SV) matmul of the unfused attention variant, (prefill, decode)."""
     if kind.family != "attention_matmul":
         raise UnsupportedKind(f"{kind.name} is not an attention matmul kernel")
     b = cfg.batch_size
     n_h = arch.head_count
-    n_kv = arch.kv_head_count
-    d_h = arch.hidden_size // arch.head_count
-    d_a = arch.activation_dtype.width
-    d_kv = arch.kv_dtype.width
-    span, den = _attention_span(cfg, phase)
+    d_h = arch.hidden_size // n_h
+    p, gen, g = cfg.prompt_length, cfg.generated_tokens, cfg.gpu_count
+    span = (2 * p + gen) * gen  # decode's attended positions, over 2g
 
-    ops = 2 * b * d_h * n_h * span
-    mem = 2 * b * n_h * d_a * span + b * d_h * n_kv * d_kv * span  # act load + store, KV load
-    return _new_tuple(CostTriple, (ops // den, mem // den, 0))
+    ops = 2 * b * d_h * n_h  # per attended position
+    mem = (2 * b * n_h * arch.activation_dtype.width  # act load + store, KV load
+           + b * d_h * arch.kv_head_count * arch.kv_dtype.width)
+    return (_new_tuple(CostTriple, (ops * p // g, mem * p // g, 0)),
+            _new_tuple(CostTriple, (ops * span // (2 * g), mem * span // (2 * g), 0)))
 
 
-def softmax_cost(arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase) -> CostTriple:
-    """Softmax over attention scores (unfused variant only)."""
-    b = cfg.batch_size
-    n_h = arch.head_count
-    d_a = arch.activation_dtype.width
-    span, den = _attention_span(cfg, phase)
-    # memory: activation load + store
-    return _new_tuple(CostTriple, (5 * b * n_h * span // den, 2 * b * n_h * d_a * span // den, 0))
+def softmax_cost(arch: LlmArchitecture, cfg: InferenceConfig) -> tuple[CostTriple, CostTriple]:
+    """Softmax over attention scores (unfused variant only), (prefill, decode)."""
+    units = cfg.batch_size * arch.head_count  # per attended position
+    p, gen, g = cfg.prompt_length, cfg.generated_tokens, cfg.gpu_count
+    span = (2 * p + gen) * gen  # decode's attended positions, over 2g
+    ops, mem = 5 * units, 2 * units * arch.activation_dtype.width  # memory: act load + store
+    return (_new_tuple(CostTriple, (ops * p // g, mem * p // g, 0)),
+            _new_tuple(CostTriple, (ops * span // (2 * g), mem * span // (2 * g), 0)))
 
 
 def fused_attention_cost(
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu_s_block: int,
-    phase: Phase,
-) -> CostTriple:
-    """Fused (flash) attention kernel cost.
+    arch: LlmArchitecture, cfg: InferenceConfig, gpu_s_block: int
+) -> tuple[CostTriple, CostTriple]:
+    """Fused (flash) attention kernel cost, (prefill, decode).
 
     Operation count is the unfused matmul+softmax total (times the prompt
     length in prefill).  The memory total follows the faithful accounting:
@@ -177,47 +163,31 @@ def fused_attention_cost(
     """
     b = cfg.batch_size
     n_h = arch.head_count
-    n_kv = arch.kv_head_count
-    d_h = arch.hidden_size // arch.head_count
-    d_a = arch.activation_dtype.width
-    d_kv = arch.kv_dtype.width
-    span, den = _attention_span(cfg, phase)
+    d_h = arch.hidden_size // n_h
+    p, gen, g = cfg.prompt_length, cfg.generated_tokens, cfg.gpu_count
+    span = (2 * p + gen) * gen  # decode's attended positions, over 2g
 
-    ops = (4 * b * d_h * n_h + 5 * b * n_h) * span  # twice the matmuls, plus the softmax
-    if phase is _PREFILL:
-        ops *= cfg.prompt_length
-    # the activation stream is per token over g; scaled onto the common denominator
-    m_act = d_h * b * n_h * d_a * _token_factor(cfg, phase) * (den // cfg.gpu_count)
-    m_kv_load = 2 * b * gpu_s_block * d_h * n_kv * d_kv * span
-    mem = m_act + 2 * m_kv_load  # activation load, the KV-cache load twice
-    return _new_tuple(CostTriple, (ops // den, mem // den, 0))
+    ops = (4 * d_h + 5) * b * n_h  # per position: twice the matmuls, plus the softmax
+    m_act = d_h * b * n_h * arch.activation_dtype.width  # per token, over g (so twice over 2g)
+    # per position: the KV-cache load, counted twice
+    m_kv = 4 * b * gpu_s_block * d_h * arch.kv_head_count * arch.kv_dtype.width
+    return (_new_tuple(CostTriple, (ops * p * p // g, (m_act + m_kv) * p // g, 0)),
+            _new_tuple(CostTriple, (ops * span // (2 * g),
+                                    (2 * m_act * (gen - 1) + m_kv * span) // (2 * g), 0)))
 
 
 def elementwise_cost(
-    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig, phase: Phase
-) -> CostTriple:
-    """Normalization, residual-add and MLP-activation kernels."""
+    kind: KernelKind, arch: LlmArchitecture, cfg: InferenceConfig
+) -> tuple[CostTriple, CostTriple]:
+    """Normalization, residual-add and MLP-activation kernels, (prefill, decode)."""
     if kind.family != "elementwise":
         raise UnsupportedKind(f"{kind.name} is not an elementwise kernel")
-    b = cfg.batch_size
-    g = cfg.gpu_count
-    h = arch.hidden_size
-    d_a = arch.activation_dtype.width
-    t = _token_factor(cfg, phase)
-
-    base = b * h * t
-    stream = base * d_a
-    if kind in _NORMS:
-        ops = 7 * base
-        mem = 2 * stream
-    elif kind in _ADDS:
-        ops = base
-        mem = 2 * stream
-    else:  # ACT_MLP; decode totals triple the (doubled) load stream, prefill
-        # sums the load and store streams as written
-        ops = 2 * base
-        mem = 6 * stream if phase is _DECODE else 3 * stream
-    return _new_tuple(CostTriple, (ops // g, mem // g, 0))
+    ops, mem_pre, mem_dec = _ELEMENTWISE[kind]
+    units = cfg.batch_size * arch.hidden_size  # elements per token
+    stream = units * arch.activation_dtype.width
+    t_pre, t_dec, g = cfg.prompt_length, cfg.generated_tokens - 1, cfg.gpu_count
+    return (_new_tuple(CostTriple, (ops * units * t_pre // g, mem_pre * stream * t_pre // g, 0)),
+            _new_tuple(CostTriple, (ops * units * t_dec // g, mem_dec * stream * t_dec // g, 0)))
 
 
 def check_partition(n: int, l: int) -> None:
@@ -227,9 +197,9 @@ def check_partition(n: int, l: int) -> None:
 
 
 def allreduce_cost(
-    n: int, m: int, l: int, cfg: InferenceConfig, d_a: DataType, phase: Phase
-) -> CostTriple:
-    """All-reduce of an n x m matrix partitioned row-wise across l GPUs.
+    n: int, m: int, l: int, cfg: InferenceConfig, d_a: DataType
+) -> tuple[CostTriple, CostTriple]:
+    """All-reduce of an n x m matrix partitioned row-wise across l GPUs, (prefill, decode).
 
     Operations happen in the reduce-scatter step; network bytes cover the
     ring exchange of the partitions, per token processed in the phase.
@@ -237,40 +207,45 @@ def allreduce_cost(
     if l < 2:
         raise RangeError(f"all-reduce needs at least 2 GPUs, got {l}")
     check_partition(n, l)
-    t = _token_factor(cfg, phase)
     width = d_a.width
-    cells = n * m * t
-    return _new_tuple(CostTriple,
-                      (cells // l, 2 * cells * width // l, cells * (l - 1) * width // l))
+    pre = n * m * cfg.prompt_length
+    dec = n * m * (cfg.generated_tokens - 1)
+    return (_new_tuple(CostTriple, (pre // l, 2 * pre * width // l, pre * (l - 1) * width // l)),
+            _new_tuple(CostTriple, (dec // l, 2 * dec * width // l, dec * (l - 1) * width // l)))
 
 
-def kernel_cost(
-    node: KernelNode,
-    arch: LlmArchitecture,
-    cfg: InferenceConfig,
-    gpu_s_block: int,
-    phase: Phase,
-) -> CostTriple:
-    """Dispatch a kernel node to the cost equation its kind's family names;
-    the equations are called through their module names."""
+def phase_costs(
+    node: KernelNode, arch: LlmArchitecture, cfg: InferenceConfig, gpu_s_block: int
+) -> tuple[CostTriple, CostTriple]:
+    """The (prefill, decode) costs of a kernel node, from the cost equation
+    its kind's family names; the equations are called through their module
+    names."""
     kind = node.kind
     family = kind.family
     if family == "linear":
-        return linear_cost(kind, arch, cfg, phase)
+        return linear_cost(kind, arch, cfg)
     if family == "elementwise":
-        return elementwise_cost(kind, arch, cfg, phase)
+        return elementwise_cost(kind, arch, cfg)
     if family == "allreduce":
         # reduced matrix is the per-token activation block: hidden x batch
         return allreduce_cost(
-            arch.hidden_size, cfg.batch_size, cfg.gpu_count, cfg, arch.activation_dtype, phase
+            arch.hidden_size, cfg.batch_size, cfg.gpu_count, cfg, arch.activation_dtype
         )
     if family == "fused_attention":
         if not arch.flash_attention:
             raise UnsupportedKind("fuse_attn kernel in a non-flash-attention architecture")
-        return fused_attention_cost(arch, cfg, gpu_s_block, phase)
+        return fused_attention_cost(arch, cfg, gpu_s_block)
     # the unfused attention kernels
     if arch.flash_attention:
         raise UnsupportedKind(f"{kind.name} kernel in a flash-attention architecture")
     if family == "softmax":
-        return softmax_cost(arch, cfg, phase)
-    return attention_matmul_cost(kind, arch, cfg, phase)
+        return softmax_cost(arch, cfg)
+    return attention_matmul_cost(kind, arch, cfg)
+
+
+def kernel_cost(
+    node: KernelNode, arch: LlmArchitecture, cfg: InferenceConfig, gpu_s_block: int, phase: Phase
+) -> CostTriple:
+    """The cost of a kernel node in `phase`: that phase's element of ``phase_costs``."""
+    prefill, decode = phase_costs(node, arch, cfg, gpu_s_block)
+    return decode if phase is Phase.DECODE else prefill

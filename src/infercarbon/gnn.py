@@ -597,7 +597,8 @@ def _encoded(array: np.ndarray) -> dict:
 def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, extra: dict | None = None) -> None:
     """Write a versioned JSON checkpoint of the target, the seed, the layers and
     the feature statistics, through a sibling `<name>.tmp` that replaces
-    `path`: a write cut short leaves the previous file whole."""
+    `path`: a write cut short leaves the previous file whole, and a write or
+    rename that fails removes the `.tmp`."""
     params.validate()
     payload = {
         "format": "infercarbon-checkpoint",
@@ -610,9 +611,14 @@ def save_checkpoint(path, params: GnnParams, stats: FeatureStats, seed: int, ext
     if extra:
         payload["extra"] = extra
     partial = f"{os.fspath(path)}.tmp"
-    with open(partial, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload))
-    os.replace(partial, path)
+    handle = open(partial, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(json.dumps(payload))
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _decoded(name: str, entry, ndim: int) -> np.ndarray:

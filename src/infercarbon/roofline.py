@@ -5,18 +5,20 @@ ridge point and the compute ceiling above it.  Ordinary kernels roof against
 memory bandwidth (intensity = ops per memory byte); all-reduce kernels roof
 against the interconnect (intensity = ops per network byte).  `RidgePoints`
 holds a GPU's ceilings at one data type, and its ``attainable`` is the one
-place the ceiling test is written; `node_performance` applies it to each
-priced kernel.  A GPU record builds its ceilings once, on first use.
+place the ceiling test is written; `node_performance` applies it to a
+priced kernel, with the zero-cost convention.  A GPU record builds its
+ceilings once, on first use.
 
 ``cost_layer(arch, cfg, gpu)`` is the one way to price a layer, in one walk
 over the shared kernel graph of the layer's (attention, MLP, TP>=2)
-topology.  At each kernel it prices both phases, takes their Roofline
-performance, writes the kernel's raw feature row and adds to the per-phase
-cost totals and Roofline seconds.  The features, the energy oracle and the
-carbon report all read that one `LayerCosts` and walk nothing again.  It
-validates nothing: an architecture, a request and a GPU check themselves
-when they are built.  A `SamplePoint` is one such (architecture, request,
-GPU) triple, the unit the energy predictors and the sampling loop take.
+topology.  At each kernel it prices both phases in one equation call, takes
+each phase's Roofline performance in one ``attainable`` call, writes the
+kernel's raw feature row and adds to the per-phase cost totals and Roofline
+seconds.  The features, the energy oracle and the carbon report all read that
+one `LayerCosts` and walk nothing again.  It validates nothing: an
+architecture, a request and a GPU check themselves when they are built.  A
+`SamplePoint` is one such (architecture, request, GPU) triple, the unit the
+energy predictors and the sampling loop take.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .arch import (
     dims_quantities,
     enumerate_layer_kernels,
 )
-from .costmodel import CostTriple, LayerTotals, Phase, kernel_cost
+from .costmodel import CostTriple, LayerTotals, Phase, phase_costs
 from .kvfile import ConfigError, SectionReader, parse_sections
 
 _PREFILL, _DECODE = Phase.PREFILL, Phase.DECODE
@@ -145,6 +147,7 @@ def node_performance(cost: CostTriple, ceilings: RidgePoints, kind_is_allreduce:
     A kernel whose cost triple is all zero (for example any token-factored
     decode kernel of a request that generates a single token) is assigned
     performance 0 so that every node still has a finite feature value.
+    ``cost_layer`` writes the same test inline.
     """
     if cost.is_zero():
         return 0.0
@@ -199,11 +202,11 @@ class SamplePoint:
 
 def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> LayerCosts:
     """Price each kernel of the layer graph of `arch` on `cfg.gpu_count` GPUs
-    for both phases, with its Roofline performance at the activation data
-    type's peak throughput; the same walk lays out each kernel's row and sums
-    the phases' costs and Roofline times."""
+    for both phases in one equation call, with its Roofline performance at
+    the activation data type's peak throughput; the same walk lays out each
+    kernel's row and sums the phases' costs and Roofline times."""
     graph = enumerate_layer_kernels(arch, cfg.gpu_count)
-    ceilings = ridge_points(gpu, arch.activation_dtype)
+    attainable = ridge_points(gpu, arch.activation_dtype).attainable
     s_block = gpu.s_block
     dims = dims_quantities(arch)
     rows = []
@@ -211,17 +214,21 @@ def cost_layer(arch: LlmArchitecture, cfg: InferenceConfig, gpu: GpuSpec) -> Lay
     pre_seconds = dec_seconds = 0.0
     for node in graph.nodes:
         kind = node.kind
-        pre = kernel_cost(node, arch, cfg, s_block, _PREFILL)
-        pre_perf = node_performance(pre, ceilings, kind.is_allreduce)
-        dec = kernel_cost(node, arch, cfg, s_block, _DECODE)
-        dec_perf = node_performance(dec, ceilings, kind.is_allreduce)
-        rows.append([*kind.pick_dims(dims), *pre, pre_perf, *dec, dec_perf])
-        pre_ops, pre_mem, pre_net = pre_ops + pre[0], pre_mem + pre[1], pre_net + pre[2]
-        dec_ops, dec_mem, dec_net = dec_ops + dec[0], dec_mem + dec[1], dec_net + dec[2]
-        if pre[0]:
-            pre_seconds += pre[0] / pre_perf
-        if dec[0]:
-            dec_seconds += dec[0] / dec_perf
+        pre, dec = phase_costs(node, arch, cfg, s_block)
+        p_ops, p_mem, p_net = pre
+        d_ops, d_mem, d_net = dec
+        # node_performance written out, so that each phase's performance is
+        # one call: an all-zero triple performs at 0
+        pre_perf = attainable(pre, kind.is_allreduce) if p_ops or p_mem or p_net else 0.0
+        dec_perf = attainable(dec, kind.is_allreduce) if d_ops or d_mem or d_net else 0.0
+        rows.append([*kind.pick_dims(dims), p_ops, p_mem, p_net, pre_perf,
+                     d_ops, d_mem, d_net, dec_perf])
+        pre_ops, pre_mem, pre_net = pre_ops + p_ops, pre_mem + p_mem, pre_net + p_net
+        dec_ops, dec_mem, dec_net = dec_ops + d_ops, dec_mem + d_mem, dec_net + d_net
+        if p_ops:
+            pre_seconds += p_ops / pre_perf
+        if d_ops:
+            dec_seconds += d_ops / dec_perf
     if cfg.generated_tokens == 1:
         dec_seconds = 0.0
     return LayerCosts(

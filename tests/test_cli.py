@@ -355,6 +355,23 @@ class TestUnreadablePaths:
         assert names["file" if argv[0] == "sample" else "dir"] in err
 
 
+class TestOutFiles:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("out, message", [
+        ("{dir}", "--out {dir} is a directory"),
+        ("{dir}/absent/out.json", "--out {dir}/absent/out.json: no directory {dir}/absent"),
+    ], ids=["directory", "missing-parent"])
+    def test_an_out_file_that_cannot_be_written_exits_2_before_any_work(
+            self, capsys, tmp_path, monkeypatch, command, out, message):
+        monkeypatch.setattr(sampler, "load_dataset", refuse("the dataset was read"))
+        monkeypatch.setattr(cli.gnn_mod, "load_checkpoint", refuse("the checkpoint was read"))
+        inputs = {"train": ["--dataset", "data.jsonl"],
+                  "eval": ["--checkpoint", "model.json", "--dataset", "data.jsonl"]}[command]
+        code, stdout, err = run(capsys, command, *inputs, "--out", out.format(dir=tmp_path))
+        assert (code, stdout, err) == (2, "", f"error: {message.format(dir=tmp_path)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 def refuse(what):
     def refused(*args, **kwargs):
         raise AssertionError(what)

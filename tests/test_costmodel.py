@@ -58,27 +58,27 @@ class TestLinear:
         # K_PROJ: d_in=8, d_out=4; weight reloads per generated token
         arch = arch8()
         cfg = InferenceConfig(batch_size=2, prompt_length=1, generated_tokens=3, gpu_count=1)
-        cost = linear_cost(KernelKind.K_PROJ, arch, cfg, Phase.DECODE)
+        _, cost = linear_cost(KernelKind.K_PROJ, arch, cfg)
         assert cost == CostTriple(256, 224, 0)  # 128 weight + 64 act-load + 32 store
 
     def test_prefill_values(self):
         # d_in = d_out = 4, weights loaded once
         arch = arch8(hidden_size=4, head_count=1, intermediate_size=4)
         cfg = InferenceConfig(batch_size=1, prompt_length=10, generated_tokens=1, gpu_count=2)
-        cost = linear_cost(KernelKind.K_PROJ, arch, cfg, Phase.PREFILL)
+        cost, _ = linear_cost(KernelKind.K_PROJ, arch, cfg)
         assert cost == CostTriple(160, 96, 0)  # 16 weight + 40 load + 40 store
 
     def test_single_token_decode_is_free(self):
         cfg = InferenceConfig(batch_size=2, prompt_length=5, generated_tokens=1, gpu_count=1)
-        assert linear_cost(KernelKind.Q_PROJ, arch8(), cfg, Phase.DECODE) == CostTriple(0, 0, 0)
+        assert linear_cost(KernelKind.Q_PROJ, arch8(), cfg)[1] == CostTriple(0, 0, 0)
 
     def test_kv_store_role_split(self):
         # K/V store activations; the other linears store into the KV cache.
         # The totals differ exactly when the two data types differ.
         arch = arch8(kv_head_count=2, kv_dtype=DataType.FP32)
         cfg = InferenceConfig(batch_size=1, prompt_length=4, generated_tokens=2, gpu_count=1)
-        k = linear_cost(KernelKind.K_PROJ, arch, cfg, Phase.DECODE)
-        q = linear_cost(KernelKind.Q_PROJ, arch, cfg, Phase.DECODE)
+        _, k = linear_cost(KernelKind.K_PROJ, arch, cfg)
+        _, q = linear_cost(KernelKind.Q_PROJ, arch, cfg)
         # identical shapes (8 -> 8); Q pays the wider KV-cache store
         assert q.mem_bytes - k.mem_bytes == 8 * 1 * (4 - 2)
         assert q.ops == k.ops
@@ -86,7 +86,7 @@ class TestLinear:
     def test_rejects_non_linear_kind(self):
         cfg = InferenceConfig(1, 1, 1, 1)
         with pytest.raises(UnsupportedKind):
-            linear_cost(KernelKind.SOFTMAX, arch8(), cfg, Phase.DECODE)
+            linear_cost(KernelKind.SOFTMAX, arch8(), cfg)
 
 
 class TestAttention:
@@ -95,38 +95,38 @@ class TestAttention:
     CFG = InferenceConfig(batch_size=1, prompt_length=3, generated_tokens=2, gpu_count=1)
 
     def test_matmul_decode(self):
-        cost = attention_matmul_cost(KernelKind.MATMUL_QK, self.ARCH, self.CFG, Phase.DECODE)
+        _, cost = attention_matmul_cost(KernelKind.MATMUL_QK, self.ARCH, self.CFG)
         assert cost == CostTriple(128, 192, 0)  # 32 + 32 + 128
 
     def test_matmul_prefill(self):
-        cost = attention_matmul_cost(KernelKind.MATMUL_SV, self.ARCH, self.CFG, Phase.PREFILL)
+        cost, _ = attention_matmul_cost(KernelKind.MATMUL_SV, self.ARCH, self.CFG)
         assert cost.ops == 48  # 2*1*4*2*3
 
     def test_softmax_decode(self):
-        assert softmax_cost(self.ARCH, self.CFG, Phase.DECODE) == CostTriple(80, 64, 0)
+        assert softmax_cost(self.ARCH, self.CFG)[1] == CostTriple(80, 64, 0)
 
     def test_softmax_prefill(self):
-        assert softmax_cost(self.ARCH, self.CFG, Phase.PREFILL).ops == 30
+        assert softmax_cost(self.ARCH, self.CFG)[0].ops == 30
 
     def test_fused_decode_counts_kv_twice(self):
-        cost = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.DECODE)
+        _, cost = fused_attention_cost(self.ARCH, self.CFG, 1)
         assert cost == CostTriple(336, 528, 0)  # 16 + 256 + 256, no act-store
 
     def test_fused_prefill_quadratic_multiplier(self):
-        cost = fused_attention_cost(self.ARCH, self.CFG, 1, Phase.PREFILL)
+        cost, _ = fused_attention_cost(self.ARCH, self.CFG, 1)
         assert cost.ops == (2 * 48 + 30) * 3  # (matmuls + softmax) * L_seq
 
     def test_fused_single_token_decode_keeps_kv_traffic(self):
         # the KV-load term carries the full token count, not tokens-1, so a
         # one-token request still moves KV bytes while the act terms vanish
         cfg = dataclasses.replace(self.CFG, generated_tokens=1)
-        cost = fused_attention_cost(self.ARCH, cfg, 1, Phase.DECODE)
+        _, cost = fused_attention_cost(self.ARCH, cfg, 1)
         assert cost.ops == 147  # 2*56 + 35
         assert cost.mem_bytes == 224  # 0 act + 2 * 112 KV
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(UnsupportedKind):
-            attention_matmul_cost(KernelKind.Q_PROJ, self.ARCH, self.CFG, Phase.DECODE)
+            attention_matmul_cost(KernelKind.Q_PROJ, self.ARCH, self.CFG)
 
 
 class TestElementwise:
@@ -134,51 +134,51 @@ class TestElementwise:
     CFG = InferenceConfig(batch_size=1, prompt_length=5, generated_tokens=3, gpu_count=1)
 
     def test_norm_decode(self):
-        cost = elementwise_cost(KernelKind.NORM_ATTN, self.ARCH, self.CFG, Phase.DECODE)
+        _, cost = elementwise_cost(KernelKind.NORM_ATTN, self.ARCH, self.CFG)
         assert cost == CostTriple(112, 64, 0)
 
     def test_act_decode(self):
-        cost = elementwise_cost(KernelKind.ACT_MLP, self.ARCH, self.CFG, Phase.DECODE)
+        _, cost = elementwise_cost(KernelKind.ACT_MLP, self.ARCH, self.CFG)
         assert cost == CostTriple(32, 192, 0)
 
     def test_add_prefill(self):
-        cost = elementwise_cost(KernelKind.ADD_MLP, self.ARCH, self.CFG, Phase.PREFILL)
+        cost, _ = elementwise_cost(KernelKind.ADD_MLP, self.ARCH, self.CFG)
         assert cost.ops == 40
 
     def test_act_prefill_sums_load_and_store(self):
         # prefill activation memory is load(2X) + store(X), not the decode 3*load
-        cost = elementwise_cost(KernelKind.ACT_MLP, self.ARCH, self.CFG, Phase.PREFILL)
+        cost, _ = elementwise_cost(KernelKind.ACT_MLP, self.ARCH, self.CFG)
         assert cost.mem_bytes == 3 * 1 * 8 * 2 * 5
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(UnsupportedKind):
-            elementwise_cost(KernelKind.Q_PROJ, self.ARCH, self.CFG, Phase.DECODE)
+            elementwise_cost(KernelKind.Q_PROJ, self.ARCH, self.CFG)
 
 
 class TestAllReduce:
     def test_decode_example(self):
         cfg = InferenceConfig(batch_size=4, prompt_length=1, generated_tokens=2, gpu_count=4)
-        cost = allreduce_cost(4, 4, 4, cfg, DataType.FP16, Phase.DECODE)
+        _, cost = allreduce_cost(4, 4, 4, cfg, DataType.FP16)
         assert cost == CostTriple(4, 16, 24)
 
     def test_prefill_example(self):
         cfg = InferenceConfig(batch_size=2, prompt_length=5, generated_tokens=1, gpu_count=2)
-        cost = allreduce_cost(8, 2, 2, cfg, DataType.FP16, Phase.PREFILL)
+        cost, _ = allreduce_cost(8, 2, 2, cfg, DataType.FP16)
         assert cost == CostTriple(40, 160, 80)
 
     def test_single_token_decode_is_free(self):
         cfg = InferenceConfig(batch_size=4, prompt_length=9, generated_tokens=1, gpu_count=4)
-        assert allreduce_cost(4, 4, 4, cfg, DataType.FP16, Phase.DECODE) == CostTriple(0, 0, 0)
+        assert allreduce_cost(4, 4, 4, cfg, DataType.FP16)[1] == CostTriple(0, 0, 0)
 
     def test_partition_must_divide(self):
         cfg = InferenceConfig(batch_size=1, prompt_length=1, generated_tokens=2, gpu_count=3)
         with pytest.raises(PartitionError):
-            allreduce_cost(4, 1, 3, cfg, DataType.FP16, Phase.DECODE)
+            allreduce_cost(4, 1, 3, cfg, DataType.FP16)
 
     def test_two_gpu_network_is_half_the_matrix_per_token(self):
         cfg = InferenceConfig(batch_size=1, prompt_length=7, generated_tokens=1, gpu_count=2)
         n, m, width = 16, 3, 2
-        cost = allreduce_cost(n, m, 2, cfg, DataType.FP16, Phase.PREFILL)
+        cost, _ = allreduce_cost(n, m, 2, cfg, DataType.FP16)
         assert cost.net_bytes == n * m * width * cfg.prompt_length // 2
 
     def test_network_monotone_in_gpu_count(self):
@@ -186,7 +186,7 @@ class TestAllReduce:
         previous = -1
         for l in (2, 4, 8):
             cfg = InferenceConfig(**cfg_base, gpu_count=l)
-            cost = allreduce_cost(16, 4, l, cfg, DataType.FP16, Phase.PREFILL)
+            cost, _ = allreduce_cost(16, 4, l, cfg, DataType.FP16)
             assert cost.net_bytes >= previous
             previous = cost.net_bytes
 
@@ -203,12 +203,12 @@ class TestKindTable:
     def test_equation_accepts_exactly_its_family(self, family, equation, tiny_arch, tiny_cfg):
         assert any(kind.family == family for kind in KernelKind)
         for kind in KernelKind:
-            for phase in Phase:
-                if kind.family == family:
-                    assert isinstance(equation(kind, tiny_arch, tiny_cfg, phase), CostTriple)
-                else:
-                    with pytest.raises(UnsupportedKind):
-                        equation(kind, tiny_arch, tiny_cfg, phase)
+            if kind.family == family:
+                pair = equation(kind, tiny_arch, tiny_cfg)
+                assert len(pair) == 2 and all(isinstance(cost, CostTriple) for cost in pair)
+            else:
+                with pytest.raises(UnsupportedKind):
+                    equation(kind, tiny_arch, tiny_cfg)
 
     def test_flags(self):
         assert {k for k in KernelKind if k.is_allreduce} == {KernelKind.ALL_REDUCE}
@@ -221,17 +221,17 @@ class TestDispatchAndTotals:
         graph = enumerate_layer_kernels(tiny_arch, 1)
         by_kind = {n.kind: n for n in graph.nodes}
         assert kernel_cost(by_kind[KernelKind.Q_PROJ], tiny_arch, tiny_cfg, 1, Phase.DECODE) == \
-            linear_cost(KernelKind.Q_PROJ, tiny_arch, tiny_cfg, Phase.DECODE)
+            linear_cost(KernelKind.Q_PROJ, tiny_arch, tiny_cfg)[1]
         assert kernel_cost(by_kind[KernelKind.FUSE_ATTN], tiny_arch, tiny_cfg, 1, Phase.PREFILL) == \
-            fused_attention_cost(tiny_arch, tiny_cfg, 1, Phase.PREFILL)
+            fused_attention_cost(tiny_arch, tiny_cfg, 1)[0]
 
     def test_dispatch_allreduce_uses_hidden_by_batch(self, tiny_arch):
         cfg = InferenceConfig(batch_size=3, prompt_length=4, generated_tokens=2, gpu_count=2)
         graph = enumerate_layer_kernels(tiny_arch, 2)
         node = next(n for n in graph.nodes if n.kind is KernelKind.ALL_REDUCE)
         assert kernel_cost(node, tiny_arch, cfg, 1, Phase.PREFILL) == allreduce_cost(
-            tiny_arch.hidden_size, 3, 2, cfg, tiny_arch.activation_dtype, Phase.PREFILL
-        )
+            tiny_arch.hidden_size, 3, 2, cfg, tiny_arch.activation_dtype
+        )[0]
 
     def test_variant_mismatch_rejected(self, tiny_arch, tiny_cfg):
         non_flash = dataclasses.replace(tiny_arch, flash_attention=False)

@@ -709,6 +709,42 @@ class TestCheckpoint:
         assert meta["seed"] == 11
         assert meta["extra"]["note"] == "test"
 
+    def test_a_failed_rename_removes_the_tmp(self, tmp_path):
+        taken = tmp_path / "model"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(taken, init_params(31, 11, seed=0), identity_stats(), seed=0)
+        assert taken.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+
+    def test_a_failed_write_removes_the_tmp_and_keeps_the_previous_file(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(31, 11, seed=0), identity_stats(), seed=0)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes a few characters, then reports a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:7])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gnn, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, init_params(31, 11, seed=1), identity_stats(), seed=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert path.read_bytes() == before
+
     def test_format_is_pinned(self, tmp_path):
         # Xavier draws and the float64 bytes of every array only, no BLAS: the
         # same bytes on any machine
